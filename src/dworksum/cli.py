@@ -14,7 +14,8 @@ Numbers that must be exact are integers; rationals are emitted as [num, den]
 pairs.  gamma_i = gamma_k[i] / (1 - q).  Coefficients a_j are residues in
 F_q, given as bare integers when f = 1 or as coefficient vectors of length f.
 Every reported ring element carries its certified precision, and reports are
-byte-identical across runs and worker counts.
+byte-identical across runs.  ``--workers`` is accepted for compatibility and
+parallelises nothing: the sums are numpy histograms, not per-point loops.
 
 Exit codes: 0 success, 2 validation, 3 identity failure (check), 4 budget.
 """
@@ -200,7 +201,7 @@ def congruent(x, y, digits) -> bool:
 # commands
 # ----------------------------------------------------------------------
 
-def cmd_polytope(job: JobConfig, workers: int) -> dict:
+def cmd_polytope(job: JobConfig) -> dict:
     nd = job.nd
     return {
         "volume": job.volume,
@@ -216,7 +217,7 @@ def cmd_polytope(job: JobConfig, workers: int) -> dict:
     }
 
 
-def cmd_gkz(job: JobConfig, workers: int) -> dict:
+def cmd_gkz(job: JobConfig) -> dict:
     gamma = [Fraction(k, 1 - job.q) for k in job.gamma_k]
     system = gkz.emit_system(job.config, gamma)
     out = system.as_dict()
@@ -227,14 +228,14 @@ def cmd_gkz(job: JobConfig, workers: int) -> dict:
     return out
 
 
-def cmd_sums(job: JobConfig, workers: int) -> dict:
+def cmd_sums(job: JobConfig) -> dict:
     out = {"levels": []}
     for m in range(1, job.m_max + 1):
         Sc, pc = lf.sums_oracle_characters(
-            job.config, job.a_residues, job.twist, m, job.M, workers
+            job.config, job.a_residues, job.twist, m, job.M
         )
         Ss, ps = lf.sums_oracle_series(
-            job.config, job.a_residues, job.twist, m, job.M, job.nd, workers=workers
+            job.config, job.a_residues, job.twist, m, job.M, job.nd
         )
         out["levels"].append(
             {
@@ -247,8 +248,8 @@ def cmd_sums(job: JobConfig, workers: int) -> dict:
     return out
 
 
-def cmd_hyp(job: JobConfig, workers: int) -> dict:
-    table = lf.hyp_table(job.config, job.twist, job.field, job.M, workers=workers)
+def cmd_hyp(job: JobConfig) -> dict:
+    table = lf.hyp_table(job.config, job.twist, job.field, job.M)
     entries = []
     for key in sorted(table):
         entries.append(
@@ -263,7 +264,7 @@ def _operator(job: JobConfig) -> dwork.DworkMatrix:
     )
 
 
-def cmd_trace(job: JobConfig, workers: int) -> dict:
+def cmd_trace(job: JobConfig) -> dict:
     dm = _operator(job)
     cache = {}
     out = {
@@ -289,7 +290,7 @@ def cmd_trace(job: JobConfig, workers: int) -> dict:
     return out
 
 
-def cmd_charpoly(job: JobConfig, workers: int) -> dict:
+def cmd_charpoly(job: JobConfig) -> dict:
     dm = _operator(job)
     full_cap = 128
     if dm.dim <= full_cap:
@@ -306,7 +307,7 @@ def cmd_charpoly(job: JobConfig, workers: int) -> dict:
     }
 
 
-def cmd_nondegeneracy(job: JobConfig, workers: int) -> dict:
+def cmd_nondegeneracy(job: JobConfig) -> dict:
     verdict = pt.nondegeneracy_check(job.config, job.a_residues, job.s_max)
     if isinstance(verdict, pt.NondegenerateUpTo):
         return {"verdict": "NondegenerateUpTo", "s_max": verdict.s_max}
@@ -317,23 +318,23 @@ def cmd_nondegeneracy(job: JobConfig, workers: int) -> dict:
     }
 
 
-def _sums_to(job: JobConfig, order: int, workers: int):
+def _sums_to(job: JobConfig, order: int):
     return [
         lf.sums_oracle_characters(
-            job.config, job.a_residues, job.twist, m, job.M, workers
+            job.config, job.a_residues, job.twist, m, job.M
         )
         for m in range(1, order + 1)
     ]
 
 
-def _recognize(job: JobConfig, sums, workers: int):
+def _recognize(job: JobConfig, sums):
     """Rational recognition needs the series to order volume + 3; extend the
     sums beyond the job's m_max when necessary."""
     need = job.volume + 3
     if len(sums) < need:
         sums = list(sums) + [
             lf.sums_oracle_characters(
-                job.config, job.a_residues, job.twist, m, job.M, workers
+                job.config, job.a_residues, job.twist, m, job.M
             )
             for m in range(len(sums) + 1, need + 1)
         ]
@@ -341,9 +342,9 @@ def _recognize(job: JobConfig, sums, workers: int):
     return lf.rational_recognition(L_ext, job.volume, job.config.n), need
 
 
-def _series_pair(job: JobConfig, workers: int):
+def _series_pair(job: JobConfig):
     """(from sums, from char series) both truncated at T^m_max."""
-    sums = _sums_to(job, job.m_max, workers)
+    sums = _sums_to(job, job.m_max)
     L_sums = lf.l_series_from_sums(sums, job.m_max)
     dm = _operator(job)
     P, P_prec = dwork.char_series(dm, max_degree=min(job.m_max, dm.dim))
@@ -351,8 +352,8 @@ def _series_pair(job: JobConfig, workers: int):
     return sums, L_sums, L_char, dm
 
 
-def cmd_lfunction(job: JobConfig, workers: int) -> dict:
-    sums, L_sums, L_char, dm = _series_pair(job, workers)
+def cmd_lfunction(job: JobConfig) -> dict:
+    sums, L_sums, L_char, dm = _series_pair(job)
     mprime = job.comparison_precision()
     agree = all(
         congruent(a, b, min(mprime, pa, pb))
@@ -372,7 +373,7 @@ def cmd_lfunction(job: JobConfig, workers: int) -> dict:
         "routes_agree": agree,
         "expected_degree": job.volume,
     }
-    rec, used_order = _recognize(job, sums, workers)
+    rec, used_order = _recognize(job, sums)
     if isinstance(rec, lf.LPolynomial):
         poly = {
             "degree": rec.degree(),
@@ -398,7 +399,7 @@ def cmd_lfunction(job: JobConfig, workers: int) -> dict:
     return out
 
 
-def cmd_check(job: JobConfig, workers: int) -> dict:
+def cmd_check(job: JobConfig) -> dict:
     mprime = job.comparison_precision()
     if mprime < 1:
         raise ValidationError(
@@ -419,13 +420,13 @@ def cmd_check(job: JobConfig, workers: int) -> dict:
     sums = []
     for m in range(1, job.m_max + 1):
         Sc, pc = lf.sums_oracle_characters(
-            job.config, job.a_residues, job.twist, m, job.M, workers
+            job.config, job.a_residues, job.twist, m, job.M
         )
         if m not in cache:
             cache[m] = dwork.h_series(job.a_lifts, job.twist, m, job.nd)
         Ss, _ = lf.sums_oracle_series(
             job.config, job.a_residues, job.twist, m, job.M, job.nd,
-            series=cache[m], workers=workers
+            series=cache[m]
         )
         sums.append((Sc, pc))
         record(f"oracle_equivalence_m{m}", congruent(Sc, Ss, mprime))
@@ -452,7 +453,7 @@ def cmd_check(job: JobConfig, workers: int) -> dict:
     # degree law: recognized iff the bounded certificate says nondegenerate
     verdict = pt.nondegeneracy_check(job.config, job.a_residues, job.s_max)
     nondeg = isinstance(verdict, pt.NondegenerateUpTo)
-    rec, _ = _recognize(job, sums, workers)
+    rec, _ = _recognize(job, sums)
     recognized = isinstance(rec, lf.LPolynomial)
     if nondeg:
         record("degree_law", recognized, f"expected degree {job.volume}")
@@ -485,11 +486,13 @@ COMMAND_FNS = {
 
 
 def run(command: str, raw_job: dict, workers: int = 1) -> dict:
-    """Execute a command against a parsed job; returns the report dict."""
+    """Execute a command against a parsed job; returns the report dict.
+
+    workers is accepted for compatibility and ignored."""
     if command not in COMMAND_FNS:
         raise ParseError(f"unknown command {command!r}")
     job = JobConfig(raw_job)
-    result = COMMAND_FNS[command](job, workers)
+    result = COMMAND_FNS[command](job)
     return {
         "schema": SCHEMA_VERSION,
         "command": command,
@@ -510,7 +513,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--job", required=True, help="path to the JSON job file")
     parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--workers", type=int, default=1, help="accepted and ignored"
+    )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -520,7 +525,7 @@ def main(argv=None) -> int:
                 raw = json.load(fh)
             except json.JSONDecodeError as e:
                 raise ParseError(f"job file is not valid JSON: {e}") from None
-        report = run(args.command, raw, workers=max(1, args.workers))
+        report = run(args.command, raw)
     except (ParseError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -42,6 +42,11 @@ class NotASubfield(DworksumError):
     pass
 
 
+class NotAField(DworksumError):
+    """The powers of the chosen generator are not the whole of F_q^*: the
+    modulus is reducible or the element does not generate."""
+
+
 # -- polytope / GKZ -----------------------------------------------------
 
 class RankDeficient(DworksumError):

@@ -48,8 +48,32 @@ def _poly_mod(poly, modulus, p):
     return poly
 
 
+def _poly_gcd_degree(a, b, p: int) -> int:
+    """Degree of gcd(a, b) over F_p for ascending coefficient lists (-1 when
+    both are zero)."""
+
+    def trim(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a = trim([c % p for c in a])
+    b = trim([c % p for c in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bc) % p
+            trim(a)
+        a, b = b, a
+    return len(a) - 1
+
+
 def _poly_is_irreducible(g, p: int) -> bool:
-    """Irreducibility of monic g over F_p via x^(p^d) == x distinguished-degree checks."""
+    """Rabin's test for monic g of degree s over F_p: g divides x^(p^s) - x,
+    and gcd(x^(p^(s/ell)) - x, g) = 1 for every prime ell dividing s."""
     s = len(g) - 1
     if s == 1:
         return True
@@ -72,10 +96,8 @@ def _poly_is_irreducible(g, p: int) -> bool:
             e >>= 1
         return result
 
-    x = [0, 1] + [0] * (s - 2) if s >= 2 else [0, 1]
-    # x^(p^s) must equal x, and x^(p^(s/ell)) must differ from x for prime ell | s
-    xq = polypowmod(x, p**s)
-    if xq != _poly_mod(x, g, p):
+    x = _poly_mod([0, 1], g, p)
+    if polypowmod(x, p**s) != x:
         return False
     ell = 2
     ss = s
@@ -90,7 +112,8 @@ def _poly_is_irreducible(g, p: int) -> bool:
         checked.add(ss)
     for ell in checked:
         xe = polypowmod(x, p ** (s // ell))
-        if xe == _poly_mod(x, g, p):
+        # a nontrivial gcd is a factor of g of degree dividing s/ell
+        if _poly_gcd_degree([a - b for a, b in zip(xe, x)], g, p) > 0:
             return False
     return True
 

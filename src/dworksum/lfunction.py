@@ -1,35 +1,54 @@
-"""Brute-force character sums, L-series assembly and rational recognition.
+"""Torus character sums, L-series assembly and rational recognition.
 
-Two independent evaluations of the twisted sums S_m:
+Two independent evaluations of the twisted sums S_m over F_{q^m}, L = q^m - 1:
 
-* character route: sum over the torus of Teichmueller-power multiplicative
-  characters times theta(1)^(absolute trace) -- no series involved;
+* character route: the sum over the torus (F_{q^m}^*)^n of Teichmueller-power
+  multiplicative characters times theta(1)^(absolute trace) -- no series
+  involved;
 * series route: evaluate the truncated level-m twisted series at Teichmueller
   points of the torus.
 
-Both are computed in the level-m coefficient ring and restricted back to the
-base ring, which doubles as a Galois-invariance check.  L-series come either
-from exp(sum S_m T^m / m) -- with the valuation of every division recorded as
-a per-coefficient precision loss -- or, exactly, from the binomial product of
+Both read one cached table per (p, s = f m, M): the discrete log of every
+element of F_{p^s}^* to the distinguished generator g, Tr(g^e) for every e,
+the Teichmueller powers teich(g)^e and the powers of theta(1).  A torus point
+u = g^l enters the character sum only through the twist class
+k = shift(m) . l mod L and the trace c = sum_j Tr(g^(log a_j + A_j . l)) in F_p
+(the trace is F_p-linear), so with N(k, c) the number of points of each class
+
+    S_m = sum_{k, c} N(k, c) teich(g)^k theta(1)^c.
+
+The counts are numpy histograms over the (q^m - 1)^n points, taken a block of
+points at a time; the ring work is one (p, L) x (L, blow) modular matmul and
+p ring products.  The series route likewise sums, over all points, how often
+each series exponent w lands in the class w . l mod L, then embeds and
+multiplies once per class.  Both results are restricted back to the base ring,
+which doubles as a Galois-invariance check.  L-series come either from
+exp(sum S_m T^m / m) -- with the valuation of every division recorded as a
+per-coefficient precision loss -- or, exactly, from the binomial product of
 characteristic series of the operator.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from . import dwork, finitefield as ff, padic
-from .errors import BudgetExceeded, LevelTooLarge, NonUnitConstantTerm
+from .errors import BudgetExceeded, LevelTooLarge, NonUnitConstantTerm, NotAField
 from .padic import RamifiedElement, RingParams
 
 
 # ----------------------------------------------------------------------
 # oracles
 # ----------------------------------------------------------------------
+
+# torus points (times series terms, for the series route) per numpy block;
+# bounds the oracles' memory whatever the size of the torus
+_BLOCK = 1 << 16
+
 
 def _theta_powers(params: RingParams) -> list[RamifiedElement]:
     th = padic.ring_embed(
@@ -41,37 +60,70 @@ def _theta_powers(params: RingParams) -> list[RamifiedElement]:
     return out
 
 
-def _torus_points(field: ff.FqParams, n: int):
-    """Torus points as tuples of discrete logs relative to the distinguished
-    generator, together with the generator's Teichmueller powers."""
-    import itertools
+class LevelTable:
+    """F_{p^s}^* by discrete logarithm to a generator g, L = p^s - 1.
 
-    L = field.q - 1
-    return list(itertools.product(range(L), repeat=n))
+    log[code] is the log of the element with coefficient vector c, where
+    code = sum_j c_j p^j (-1 for zero); trace[e] = Tr(g^e) in 0..p-1;
+    teich[e] holds the coordinates of teich(g)^e in R(p, s, M), shape
+    (L, blow); theta[c] = theta(1)^c for c = 0..p-1.
+    """
+
+    def __init__(self, field: ff.FqParams, ring: RingParams, gen: ff.FqElement):
+        p, s = field.p, field.degree
+        L = field.q - 1
+        self.field, self.ring, self.L = field, ring, L
+        self.codes = p ** np.arange(s, dtype=np.int64)
+        coeffs = np.zeros((L, s), dtype=np.int64)
+        self.log = np.full(field.q, -1, dtype=np.int64)
+        x = field.one()
+        for e in range(L):
+            coeffs[e] = x.coeffs
+            code = int(coeffs[e] @ self.codes)
+            if code == 0 or self.log[code] >= 0:
+                raise NotAField(
+                    f"only {e} < {L} distinct powers of {gen!r}: the modulus of "
+                    f"{field!r} is reducible or the element is not a generator"
+                )
+            self.log[code] = e
+            x = x * gen
+        if x != field.one():
+            raise NotAField(f"{gen!r}^{L} != 1 in {field!r}")
+        # the trace is F_p-linear: Tr(g^e) = sum_j coeff_j(g^e) Tr(b^j)
+        basis_traces = np.array(
+            [ff.absolute_trace_int(field.element([int(i == j) for i in range(s)]))
+             for j in range(s)],
+            dtype=np.int64,
+        )
+        self.trace = coeffs @ basis_traces % p
+        tg = padic.teichmueller(gen, ring)
+        pows = [ring.one()]
+        for _ in range(L - 1):
+            pows.append(pows[-1] * tg)
+        self.teich = np.array([t.coords for t in pows], dtype=np.int64)
+        self.theta = _theta_powers(ring)
+        for arr in (self.log, self.trace, self.teich):
+            arr.flags.writeable = False  # shared by every caller of the cache
+
+    def log_of(self, x: ff.FqElement) -> int:
+        return int(self.log[int(np.array(x.coeffs, dtype=np.int64) @ self.codes)])
 
 
-def _chunked_sum(params, items, term_fn, workers: int = 1):
-    """Exact sum of term_fn over items; modular addition is associative and
-    commutative, so any chunking gives identical results."""
-    if workers <= 1 or len(items) < 64:
-        total = params.zero()
-        for it in items:
-            total = total + term_fn(it)
-        return total
-    chunks = [items[i::workers] for i in range(workers)]
+@lru_cache(maxsize=None)
+def level_table(p: int, s: int, M: int) -> LevelTable:
+    """The table of F_{p^s} and R(p, s, M), built once per process."""
+    field = ff.FqParams(p, s)
+    return LevelTable(
+        field, padic.ring_create(p, s, M), ff.multiplicative_generator(field)
+    )
 
-    def partial(chunk):
-        acc = params.zero()
-        for it in chunk:
-            acc = acc + term_fn(it)
-        return acc
 
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(partial, chunks))
-    total = params.zero()
-    for x in parts:
-        total = total + x
-    return total
+def _torus_blocks(L: int, n: int, size: int):
+    """The torus (Z/L)^n as rows of discrete logs, at most size rows a block."""
+    total = L**n
+    for start in range(0, total, size):
+        idx = np.arange(start, min(start + size, total), dtype=np.int64)
+        yield np.stack([idx // L ** (n - 1 - i) % L for i in range(n)], axis=1)
 
 
 def sums_oracle_characters(
@@ -80,53 +132,46 @@ def sums_oracle_characters(
     twist: dwork.TwistData,
     m: int,
     M: int,
-    workers: int = 1,
     level_budget: int = 6,
 ) -> tuple[RamifiedElement, Fraction]:
-    """S_m as the literal character sum over (F_{q^m}^*)^n.
+    """S_m as the character sum over (F_{q^m}^*)^n, by the (k, c) histogram.
 
     a_residues: the coefficients as elements of F_q.  The value is returned in
-    the base ring R(p, f, M); runtime is (q^m - 1)^n ring operations.
+    the base ring R(p, f, M); the numpy work is linear in the (q^m - 1)^n
+    points, the ring work is p products.
     """
     if m > level_budget:
         raise LevelTooLarge(f"level {m} exceeds the budget {level_budget}")
     base_field = a_residues[0].params
     p, f = base_field.p, base_field.degree
-    q = twist.q
-    assert q == p**f
-    big_field = ff.FqParams(p, f * m)
-    big_ring = padic.ring_create(p, f * m, M)
+    assert twist.q == p**f
+    tab = level_table(p, f * m, M)
+    big_ring, L = tab.ring, tab.L
     base_ring = padic.ring_create(p, f, M)
 
-    gen = ff.multiplicative_generator(big_field)
-    L = big_field.q - 1
-    # Teichmueller powers of the generator: teich(g)^k = teich(g^k)
-    teich_pow = [big_ring.one()]
-    tg = padic.teichmueller(gen, big_ring)
-    for _ in range(L - 1):
-        teich_pow.append(teich_pow[-1] * tg)
-    gen_pows = [big_field.one()]
-    for _ in range(L - 1):
-        gen_pows.append(gen_pows[-1] * gen)
-    theta_pow = _theta_powers(big_ring)
+    # columns with a_j = 0 contribute nothing to the trace
+    cols, a_logs = [], []
+    for j, a in enumerate(a_residues):
+        x = ff.embed(a, tab.field)
+        if not x.is_zero():
+            cols.append(j)
+            a_logs.append(tab.log_of(x))
+    A = np.array(config.A, dtype=np.int64).reshape(config.n, config.N)[:, cols] % L
+    a_logs = np.array(a_logs, dtype=np.int64)
+    tw = np.array([e % L for e in twist.shift(m)], dtype=np.int64)
 
-    a_big = [ff.embed(a, big_field) for a in a_residues]
-    tw_exp = twist.shift(m)  # gamma_i (1 - q^m), integers
-    n, N = config.n, config.N
-
-    def term(logs):
-        us = [gen_pows[e] for e in logs]
-        tw_log = sum(tw_exp[i] * logs[i] for i in range(n)) % L
-        val = big_field.zero()
-        for j in range(N):
-            if a_big[j].is_zero():
-                continue
-            mono_log = sum(config.A[i][j] * logs[i] for i in range(n)) % L
-            val = val + a_big[j] * gen_pows[mono_log]
-        c = ff.absolute_trace_int(val)
-        return teich_pow[tw_log] * theta_pow[c]
-
-    total = _chunked_sum(big_ring, _torus_points(big_field, n), term, workers)
+    counts = np.zeros(L * p, dtype=np.int64)
+    for logs in _torus_blocks(L, config.n, _BLOCK):
+        k = logs @ tw % L
+        c = tab.trace[(logs @ A + a_logs) % L].sum(axis=1) % p
+        counts += np.bincount(k * p + c, minlength=L * p)
+    # row c: sum_k N(k, c) teich(g)^k
+    pM = big_ring.pM
+    by_trace = padic.matmul_mod(counts.reshape(L, p).T % pM, tab.teich, pM)
+    total = big_ring.zero()
+    for c in range(p):
+        if by_trace[c].any():
+            total = total + tab.theta[c] * big_ring.from_coords(by_trace[c])
     return padic.ring_restrict(total, base_ring), Fraction(M)
 
 
@@ -138,51 +183,52 @@ def sums_oracle_series(
     M: int,
     nd,
     series: dwork.SeriesOnCone | None = None,
-    workers: int = 1,
 ) -> tuple[RamifiedElement, Fraction]:
     """S_m by evaluating the truncated level-m twisted series at the
     Teichmueller points of the torus; agrees with the character oracle to
-    certified precision (that agreement is the theta-identity under test)."""
+    certified precision (that agreement is the theta-identity under test).
+
+    At u = g^l the term t^w has class w . l mod L, so the sum over all points
+    is sum_c embed(sum_w hist[w, c] c_w) teich(g)^c, where hist[w, c] counts
+    the points that put w in class c."""
     base_field = a_residues[0].params
     p, f = base_field.p, base_field.degree
     base_ring = padic.ring_create(p, f, M)
     if series is None:
         a_lifts = [padic.teichmueller(a, base_ring) for a in a_residues]
         series = dwork.h_series(a_lifts, twist, m, nd)
-    big_field = ff.FqParams(p, f * m)
-    big_ring = padic.ring_create(p, f * m, M)
-
-    gen = ff.multiplicative_generator(big_field)
-    L = big_field.q - 1
-    teich_pow = [big_ring.one()]
-    tg = padic.teichmueller(gen, big_ring)
-    for _ in range(L - 1):
-        teich_pow.append(teich_pow[-1] * tg)
+    tab = level_table(p, f * m, M)
+    big_ring, L = tab.ring, tab.L
 
     support = list(series.support())
-    exps = np.array(support, dtype=np.int64) if support else np.zeros((0, config.n), dtype=np.int64)
+    S = len(support)
+    exps = np.array(support, dtype=np.int64).reshape(S, config.n) % L
     coeff_arr = np.array(
         [series.coeffs[e].coords for e in support], dtype=np.int64
-    ) if support else np.zeros((0, base_ring.blow), dtype=np.int64)
+    ).reshape(S, base_ring.blow)
+
     pM = base_ring.pM
-    blow = base_ring.blow
-
-    def term(logs):
-        # class of t^w at the point u = g^logs is g^(sum w_i logs_i)
-        classes = (exps @ np.array(logs, dtype=np.int64)) % L
-        acc = np.zeros((L, blow), dtype=np.int64)
-        np.add.at(acc, classes, coeff_arr)
-        acc %= pM
-        total = big_ring.zero()
-        for c in range(L):
-            row = acc[c]
-            if not row.any():
-                continue
-            small = base_ring.from_coords(row.tolist())
-            total = total + padic.ring_embed(small, big_ring) * teich_pow[c]
-        return total
-
-    total = _chunked_sum(big_ring, _torus_points(big_field, config.n), term, workers)
+    acc = np.zeros((L, base_ring.blow), dtype=np.int64)
+    rows = max(1, _BLOCK // L)  # series terms per histogram
+    for lo in range(0, S, rows):
+        ex = exps[lo : lo + rows]
+        hist = np.zeros(len(ex) * L, dtype=np.int64)
+        offsets = L * np.arange(len(ex), dtype=np.int64)
+        for logs in _torus_blocks(L, config.n, max(1, _BLOCK // len(ex))):
+            classes = logs @ ex.T % L + offsets
+            hist += np.bincount(classes.ravel(), minlength=len(ex) * L)
+        part = padic.matmul_mod(
+            hist.reshape(-1, L).T % pM, coeff_arr[lo : lo + rows], pM
+        )
+        acc = (acc + part) % pM
+    total = big_ring.zero()
+    for c in range(L):
+        if not acc[c].any():
+            continue
+        small = base_ring.from_coords(acc[c].tolist())
+        total = total + padic.ring_embed(small, big_ring) * big_ring.from_coords(
+            tab.teich[c]
+        )
     return padic.ring_restrict(total, base_ring), Fraction(M)
 
 
@@ -192,7 +238,6 @@ def hyp_table(
     field: ff.FqParams,
     M: int,
     budget: int = 4096,
-    workers: int = 1,
 ) -> dict:
     """The twisted sum at every rational coefficient point x in F_q^N."""
     import itertools
@@ -203,7 +248,7 @@ def hyp_table(
         )
     out = {}
     for x in itertools.product(field.all_elements(), repeat=config.N):
-        value, _ = sums_oracle_characters(config, list(x), twist, 1, M, workers)
+        value, _ = sums_oracle_characters(config, list(x), twist, 1, M)
         out[tuple(e.coeffs for e in x)] = value
     return out
 

@@ -153,3 +153,41 @@ def test_absolute_trace_int():
     # trace is onto F_p with equal fibers
     assert sorted(set(vals)) == [0, 1, 2]
     assert all(vals.count(c) == 3 for c in (0, 1, 2))
+
+
+def _moduli_up_to(bound):
+    for p in (3, 5, 7, 11, 13):
+        s = 2
+        while p**s <= bound:
+            yield p, s
+            s += 1
+
+
+@pytest.mark.parametrize("p,s", list(_moduli_up_to(3**12)))
+def test_modulus_irreducible_and_smallest_by_factorization(p, s):
+    # independent check by sympy's factorization over F_p: the chosen modulus
+    # is irreducible, and every candidate before it in the scan order is not
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+
+    def irreducible(g):
+        return sympy.Poly(list(reversed(g)), x, modulus=p).is_irreducible
+
+    chosen = ff.min_irreducible_poly(p, s)
+    assert irreducible(chosen), (p, s, chosen)
+    for desc in itertools.product(range(p), repeat=s):
+        g = tuple(reversed(desc)) + (1,)
+        if g == chosen:
+            break
+        if g[0] != 0:
+            assert not irreducible(g), (p, s, g)
+
+
+def test_reducible_modulus_regression():
+    # x^6 + x + 1 = (x - 1)(x^2 - x - 1)(x^3 - x^2 + x + 1) over F_3 passes
+    # the x^(p^(s/ell)) != x test alone; Rabin's gcd condition rejects it
+    assert not ff._poly_is_irreducible([1, 1, 0, 0, 0, 0, 1], 3)
+    assert ff.min_irreducible_poly(3, 6) == (2, 1, 0, 0, 0, 0, 1)
+    F = ff.FqParams(3, 6)
+    g = ff.multiplicative_generator(F)
+    assert g ** ((F.q - 1) // 2) != F.one() and g ** (F.q - 1) == F.one()

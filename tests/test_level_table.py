@@ -1,0 +1,161 @@
+"""The table-driven sum oracles against the per-point character sum.
+
+The reference below is the literal sum over the torus: one absolute trace and
+one ring product per point.  The table oracle must agree with it exactly (the
+arithmetic is exact mod p^M, so any difference is a bug, not rounding).
+"""
+
+import itertools
+import random
+
+import pytest
+
+from dworksum import dwork, finitefield as ff, lfunction as lf, padic
+from dworksum.errors import NotAField
+from dworksum.polytope import ExponentConfig, newton_data
+
+
+def reference_characters(config, a_residues, twist, m, M):
+    """S_m point by point: sum over u in (F_{q^m}^*)^n of
+    teich(u)^shift(m) theta(1)^Tr(sum_j a_j u^A_j), restricted to R(p, f, M)."""
+    base = a_residues[0].params
+    p, f = base.p, base.degree
+    big_field = ff.FqParams(p, f * m)
+    big_ring = padic.ring_create(p, f * m, M)
+    gen = ff.multiplicative_generator(big_field)
+    L = big_field.q - 1
+    teich_pow = [big_ring.one()]
+    tg = padic.teichmueller(gen, big_ring)
+    gen_pows = [big_field.one()]
+    for _ in range(L - 1):
+        teich_pow.append(teich_pow[-1] * tg)
+        gen_pows.append(gen_pows[-1] * gen)
+    th = padic.ring_embed(padic.theta_one(padic.ring_create(p, 1, M)), big_ring)
+    theta_pow = [big_ring.one()]
+    for _ in range(p - 1):
+        theta_pow.append(theta_pow[-1] * th)
+    a_big = [ff.embed(a, big_field) for a in a_residues]
+    tw = twist.shift(m)
+    total = big_ring.zero()
+    for logs in itertools.product(range(L), repeat=config.n):
+        val = big_field.zero()
+        for j in range(config.N):
+            if not a_big[j].is_zero():
+                e = sum(config.A[i][j] * logs[i] for i in range(config.n)) % L
+                val = val + a_big[j] * gen_pows[e]
+        k = sum(tw[i] * logs[i] for i in range(config.n)) % L
+        total = total + teich_pow[k] * theta_pow[ff.absolute_trace_int(val)]
+    return padic.ring_restrict(total, padic.ring_create(p, f, M))
+
+
+def random_case(rng, p, f):
+    n = rng.choice((1, 2))
+    N = rng.randint(n, 3)
+    while True:
+        A = [[rng.randint(-2, 2) for _ in range(N)] for _ in range(n)]
+        try:
+            config = ExponentConfig(A)
+            break
+        except Exception:
+            continue
+    q = p**f
+    F = ff.FqParams(p, f)
+    units = [x for x in F.all_elements() if not x.is_zero()]
+    style = rng.choice(("units", "some zero", "all zero"))
+    if style == "all zero":
+        a = [F.zero()] * N
+    else:
+        a = [rng.choice(units) for _ in range(N)]
+        if style == "some zero":
+            a[rng.randrange(N)] = F.zero()
+    twist = dwork.TwistData(config, [rng.randrange(q - 1) for _ in range(n)], q)
+    return config, a, twist
+
+
+def test_characters_match_per_point_reference():
+    rng = random.Random(20180514)
+    checked = 0
+    for p, f in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2)]:
+        for _ in range(3):
+            config, a, twist = random_case(rng, p, f)
+            M = rng.randint(2, 5)
+            for m in (1, 2):
+                if (p ** (f * m) - 1) ** config.n > 2500:
+                    continue
+                got, prec = lf.sums_oracle_characters(config, a, twist, m, M)
+                want = reference_characters(config, a, twist, m, M)
+                assert got == want, (p, f, config, a, twist.k, m, M)
+                assert prec == M
+                checked += 1
+    assert checked >= 20
+
+
+def test_series_oracle_matches_characters_on_random_twists():
+    rng = random.Random(7)
+    for p, A in [(3, [[1, -1]]), (5, [[1]]), (3, [[1, 0, 1], [0, 1, 1]])]:
+        config = ExponentConfig(A)
+        nd = newton_data(config)
+        F = ff.FqParams(p, 1)
+        a = [F.from_int(rng.randrange(1, p)) for _ in range(config.N)]
+        k = [0] * config.n if config.n > 1 else [-rng.randrange(p - 1)]
+        twist = dwork.TwistData(config, k, p)
+        if not dwork.twist_validate(twist, nd):
+            continue
+        Sc, _ = lf.sums_oracle_characters(config, a, twist, 1, 4)
+        Ss, _ = lf.sums_oracle_series(config, a, twist, 1, 4, nd)
+        assert Sc == Ss == reference_characters(config, a, twist, 1, 4)
+
+
+def test_level_table_contents():
+    tab = lf.level_table(5, 2, 3)
+    L = 24
+    assert tab.L == L and tab.teich.shape == (L, tab.ring.blow)
+    g = ff.multiplicative_generator(tab.field)
+    x = tab.field.one()
+    for e in range(L):
+        assert tab.log_of(x) == e
+        assert tab.trace[e] == ff.absolute_trace_int(x)
+        assert tab.ring.from_coords(tab.teich[e]) == padic.teichmueller(x, tab.ring)
+        x = x * g
+    th = padic.ring_embed(padic.theta_one(padic.ring_create(5, 1, 3)), tab.ring)
+    assert tab.theta[1] == th and tab.theta[4] == th**4
+
+
+def test_non_generator_makes_the_oracle_raise(monkeypatch):
+    config = ExponentConfig([[1]])
+    F = ff.FqParams(5, 1)
+    twist = dwork.TwistData(config, [0], 5)
+    # 4 has order 2 in F_5^*: its powers miss half the torus
+    monkeypatch.setattr(ff, "multiplicative_generator", lambda field: field.from_int(4))
+    lf.level_table.cache_clear()
+    try:
+        with pytest.raises(NotAField):
+            lf.sums_oracle_characters(config, [F.one()], twist, 1, 3)
+    finally:
+        lf.level_table.cache_clear()
+
+
+def test_reducible_modulus_table_raises():
+    # F_3[b]/(b^2 - 1) = F_3 x F_3 is not a field: no element has L = 8 powers
+    ring = padic.ring_create(3, 2, 3)
+    fake = ff.FqParams(3, 2)
+    fake.modulus = (2, 0, 1)
+    for cand in ff.enumerate_units(fake):
+        with pytest.raises(NotAField):
+            lf.LevelTable(fake, ring, cand)
+
+
+def test_characters_at_degree_six():
+    # F_{3^6} is the first level whose modulus needed Rabin's gcd condition;
+    # both an f = 2 embedding (F_9 -> F_729) and f = 1 at m = 6 must work
+    F9 = ff.FqParams(3, 2)
+    config = ExponentConfig([[1, -1]])
+    twist = dwork.TwistData(config, [0], 9)
+    a = [F9.one(), F9.gen()]
+    got, _ = lf.sums_oracle_characters(config, a, twist, 3, 3)
+    assert got == reference_characters(config, a, twist, 3, 3)
+    F3 = ff.FqParams(3, 1)
+    segment = ExponentConfig([[1]])
+    flat = dwork.TwistData(segment, [0], 3)
+    S, _ = lf.sums_oracle_characters(segment, [F3.one()], flat, 6, 3)
+    assert S == padic.ring_create(3, 1, 3).from_int(-1)

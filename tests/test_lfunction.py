@@ -85,13 +85,6 @@ def test_oracle_equivalence_with_field_extension():
     assert S1c == S1s == params.from_int(-1)
 
 
-def test_workers_deterministic():
-    params, F, config, nd, twist, a_res = setup(5, 5, [[1, -1]], [1, 2], [0])
-    S1, _ = lf.sums_oracle_characters(config, a_res, twist, 2, 5, workers=1)
-    S3, _ = lf.sums_oracle_characters(config, a_res, twist, 2, 5, workers=3)
-    assert S1 == S3
-
-
 def test_hyp_table():
     params, F, config, nd, twist, a_res = setup(3, 5, [[1]], [1], [0])
     table = lf.hyp_table(config, twist, F, 5)
