@@ -266,7 +266,7 @@ def _operator(job: JobConfig) -> dwork.DworkMatrix:
 
 def cmd_trace(job: JobConfig) -> dict:
     dm = _operator(job)
-    cache = {}
+    cache = {1: dm.series}  # the series the operator was built from
     out = {
         "basis_size": dm.dim,
         "weight_cap": frac(dm.cap),
@@ -414,9 +414,10 @@ def cmd_check(job: JobConfig) -> dict:
         checks.append(entry)
 
     # oracle equivalence and trace formula, every level; the level-m series
-    # is shared between the series oracle and the series-route trace
+    # is shared between the series oracle and the series-route trace, and
+    # level 1 is the series the operator was built from
     dm = _operator(job)
-    cache = {}
+    cache = {1: dm.series}
     sums = []
     for m in range(1, job.m_max + 1):
         Sc, pc = lf.sums_oracle_characters(

@@ -293,10 +293,6 @@ class DworkMatrix:
         return Fraction((p - 1) * (q**m - 1), p * q**m) * self.cap
 
 
-def matrix_build(series: SeriesOnCone, basis: LatticePointSet, twist: TwistData) -> DworkMatrix:
-    return DworkMatrix(series, basis, twist)
-
-
 def build_operator(
     config: ExponentConfig,
     nd: NewtonData,
@@ -310,7 +306,7 @@ def build_operator(
         cap = default_weight_cap(nd, twist, params)
     series = h_series(a_lifts, twist, 1, nd)
     basis = enumerate_points(nd, cap, offset=twist.gamma)
-    return matrix_build(series, basis, twist)
+    return DworkMatrix(series, basis, twist)
 
 
 # ----------------------------------------------------------------------

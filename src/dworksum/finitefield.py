@@ -267,19 +267,6 @@ class FqElement:
         return self ** (self.params.p**times)
 
 
-def fq_arith(x: FqElement, y, op: str) -> FqElement:
-    """Dispatch surface: op in {add, mul, inv, pow}.  pow takes an int for y."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "inv":
-        return x.inv()
-    if op == "pow":
-        return x**y
-    raise ValueError(f"unknown op {op!r}")
-
-
 def trace_norm(x: FqElement, base: FqParams) -> tuple[FqElement, FqElement]:
     """(Tr, Norm) of x in F_{q^m} relative to the base field F_q = F_{p^f}.
 

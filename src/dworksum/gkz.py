@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import NotARelation, RankDeficient, Timeout
-from .polytope import ExponentConfig
+from .polytope import ExponentConfig, column_hermite, sign_normal
 
 
 # ----------------------------------------------------------------------
@@ -33,58 +33,17 @@ class LatticeBasis:
 
 
 def lattice_kernel(config: ExponentConfig) -> LatticeBasis:
-    """Basis of {k in Z^N : A k = 0} by unimodular column reduction; the
-    kernel of an integer matrix is saturated, so this basis generates every
-    integer relation."""
+    """Basis of {k in Z^N : A k = 0}: the columns of the unimodular column
+    transform past the pivots of A's column Hermite form.  The kernel of an
+    integer matrix is saturated, so this basis generates every integer
+    relation; each vector has its first nonzero entry positive."""
     n, N = config.n, config.N
-    A = [list(row) for row in config.A]
-    U = [[1 if i == j else 0 for j in range(N)] for i in range(N)]
-
-    def col_op_add(dst, src, f):
-        for i in range(n):
-            A[i][dst] += f * A[i][src]
-        for i in range(N):
-            U[i][dst] += f * U[i][src]
-
-    def col_swap(a, b):
-        for i in range(n):
-            A[i][a], A[i][b] = A[i][b], A[i][a]
-        for i in range(N):
-            U[i][a], U[i][b] = U[i][b], U[i][a]
-
-    col = 0
-    for row in range(n):
-        while True:
-            nz = [j for j in range(col, N) if A[row][j] != 0]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(A[row][j]))
-            if jmin != col:
-                col_swap(col, jmin)
-            done = True
-            for j in range(col + 1, N):
-                if A[row][j] != 0:
-                    col_op_add(j, col, -(A[row][j] // A[row][col]))
-                    if A[row][j] != 0:
-                        done = False
-            if done:
-                break
-        if col < N and A[row][col] != 0:
-            col += 1
-    if col != n:
+    _, U, pivots = column_hermite(config.A, N)
+    if len(pivots) != n:
         raise RankDeficient("column reduction found rank < n")
-    kernel = []
-    for j in range(col, N):
-        assert all(A[i][j] == 0 for i in range(n))
-        kernel.append(tuple(U[i][j] for i in range(N)))
-    # deterministic orientation: first nonzero entry positive
-    out = []
-    for v in kernel:
-        for x in v:
-            if x:
-                out.append(v if x > 0 else tuple(-y for y in v))
-                break
-    return LatticeBasis(config, out)
+    return LatticeBasis(
+        config, [sign_normal([row[j] for row in U]) for j in range(n, N)]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -319,12 +278,6 @@ def toric_saturation(config: ExponentConfig, basis: LatticeBasis,
         if any(s):
             gens.append(s)
             pairs.extend((k, len(gens) - 1) for k in range(len(gens) - 1))
-
-    def sign_normal(v):
-        for x in v:
-            if x:
-                return v if x > 0 else tuple(-y for y in v)
-        return v
 
     out = {sign_normal(g) for g in gens}
     out |= {sign_normal(tuple(l)) for l in basis if any(l)}

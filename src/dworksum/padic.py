@@ -330,10 +330,6 @@ class RamifiedElement:
         return f"<{body} mod {self.params.p}^{self.params.M}>"
 
 
-def multiply(x: RamifiedElement, y: RamifiedElement) -> RamifiedElement:
-    return x * y
-
-
 def teichmueller_section_lift(residue: ff.FqElement, params: RingParams) -> RamifiedElement:
     """Naive coefficient-wise lift of a residue (not yet a Teichmueller point)."""
     c = [0] * params.blow
@@ -703,18 +699,6 @@ def encode_ring_matrix(params: RingParams, coords: np.ndarray) -> np.ndarray:
     n, m = coords.shape[0], coords.shape[1]
     blk = np.einsum("uwa,abg->ugwb", coords, T)
     return (blk.reshape(n * params.blow, m * params.blow)) % params.pM
-
-
-def decode_ring_vector(params: RingParams, flat: np.ndarray) -> list[RamifiedElement]:
-    blow = params.blow
-    n = flat.shape[0] // blow
-    return [
-        params.from_coords(flat[u * blow : (u + 1) * blow].tolist()) for u in range(n)
-    ]
-
-
-def encode_ring_vector(params: RingParams, elems) -> np.ndarray:
-    return np.array([c for e in elems for c in e.coords], dtype=np.int64)
 
 
 def encoded_trace(params: RingParams, E: np.ndarray) -> RamifiedElement:

@@ -11,6 +11,17 @@ weight d(w) is the smallest a > 0 with w in a*polytope, computed as
 max(0, max_F l_F(w)) over the facet functionals l_F that are identically 1
 on the facets avoiding the origin.  d is homogeneous and subadditive and
 takes values in (1/denom) Z on lattice points.
+
+Two exact elimination kernels carry all of the linear algebra:
+
+* ``_row_reduce`` (Gauss-Jordan over Q: reduced rows, pivot columns,
+  determinant) gives ``mat_rank``, ``kernel_line`` (hence the facet search
+  ``_facets`` behind ``NewtonData`` and the pulling triangulation),
+  ``_solve_in_span`` (affine-hull and simplicial-cone coordinates, the cell
+  points), the affine-hull basis and ``Simplex.det``;
+* ``column_hermite`` (unimodular column reduction over Z) gives
+  ``solve_integer`` (integer-span membership in ``monoid_membership``) and
+  the relation lattice ``gkz.lattice_kernel``.
 """
 
 from __future__ import annotations
@@ -27,133 +38,176 @@ from .errors import BudgetExceeded, RankDeficient
 # exact linear algebra on small matrices
 # ----------------------------------------------------------------------
 
-def mat_rank(rows) -> int:
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _primitive(vec):
+    g = 0
+    for x in vec:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in vec) if g else tuple(vec)
+
+
+def _row_reduce(rows, ncols=None):
+    """Gauss-Jordan over Q: (reduced rows, pivot columns, determinant).
+
+    Pivots are sought only in the first ncols columns (default: all), so any
+    further columns ride along as right-hand sides.  The pivot row is the
+    first usable one, which fixes the result even when a right-hand side is
+    not in the span.  The determinant is that of a square matrix, and 0
+    whenever the rank falls short of the row count."""
     m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    pivots = []
+    det = Fraction(1)
     for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def kernel_line(rows, n: int):
-    """Primitive integer vector spanning the kernel of the given row vectors
-    in R^n, or None unless the kernel is exactly one-dimensional."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = {}
-    r = 0
-    for col in range(n):
+        r = len(pivots)
         piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        det *= m[r][col]
         inv = 1 / m[r][col]
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][col] != 0:
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots[col] = r
-        r += 1
+        pivots.append(col)
+    return m, pivots, det if len(pivots) == len(m) else Fraction(0)
+
+
+def mat_rank(rows) -> int:
+    return len(_row_reduce(rows)[1])
+
+
+def sign_normal(v):
+    """v or -v, whichever has its first nonzero entry positive."""
+    for x in v:
+        if x:
+            return tuple(v) if x > 0 else tuple(-y for y in v)
+    return tuple(v)
+
+
+def kernel_line(rows, n: int):
+    """Primitive integer vector spanning the kernel of the given row vectors
+    in R^n, or None unless the kernel is exactly one-dimensional."""
+    m, pivots, _ = _row_reduce(rows, n)
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         return None
-    fc = free[0]
     v = [Fraction(0)] * n
-    v[fc] = Fraction(1)
-    for col, row in pivots.items():
-        v[col] = -m[row][fc]
-    den = lcm(*[x.denominator for x in v]) if v else 1
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    v[free[0]] = Fraction(1)
+    for r, col in enumerate(pivots):
+        v[col] = -m[r][free[0]]
+    den = lcm(*[x.denominator for x in v])
+    return sign_normal(_primitive([int(x * den) for x in v]))
+
+
+def _solve_in_span(basis, target):
+    """Coefficients expressing target in the given independent basis vectors;
+    a residual outside their span is ignored."""
+    k = len(basis)
+    m, pivots, _ = _row_reduce(
+        [[b[i] for b in basis] + [target[i]] for i in range(len(target))], k
+    )
+    sol = [Fraction(0)] * k
+    for r, col in enumerate(pivots):
+        sol[col] = m[r][k]
+    return sol
+
+
+def column_hermite(rows, N: int):
+    """Unimodular column reduction of an integer matrix with N columns.
+
+    Returns (H, U, pivots): H = rows @ U is column echelon, U is unimodular
+    and pivots lists the (row, column) of each leading entry of H.  A row
+    that vanishes on the columns not yet pivoted is skipped."""
+    H = [list(row) for row in rows]
+    U = [[int(i == j) for j in range(N)] for i in range(N)]
+
+    def col_add(dst, src, f):
+        for row in H + U:
+            row[dst] += f * row[src]
+
+    def col_swap(a, b):
+        for row in H + U:
+            row[a], row[b] = row[b], row[a]
+
+    pivots = []
+    for r, row in enumerate(H):
+        col = len(pivots)
+        while True:
+            nz = [j for j in range(col, N) if row[j] != 0]
+            if not nz:
+                break
+            jmin = min(nz, key=lambda j: abs(row[j]))
+            if jmin != col:
+                col_swap(col, jmin)
+            done = True
+            for j in range(col + 1, N):
+                if row[j] != 0:
+                    col_add(j, col, -(row[j] // row[col]))
+                    if row[j] != 0:
+                        done = False
+            if done:
+                break
+        if col < N and row[col] != 0:
+            pivots.append((r, col))
+    return H, U, pivots
 
 
 def solve_integer(columns, target):
     """One integer solution k of sum k_j columns[j] = target, or None.
 
-    Column-style Hermite reduction with a transformation record; detects
-    membership of target in the integer column span.
-    """
-    n = len(target)
-    N = len(columns)
-    A = [[columns[j][i] for j in range(N)] for i in range(n)]  # n x N
-    U = [[1 if i == j else 0 for j in range(N)] for i in range(N)]  # N x N
-
-    def col_op_add(dst, src, f):
-        for i in range(n):
-            A[i][dst] += f * A[i][src]
-        for i in range(N):
-            U[i][dst] += f * U[i][src]
-
-    def col_swap(a, b):
-        for i in range(n):
-            A[i][a], A[i][b] = A[i][b], A[i][a]
-        for i in range(N):
-            U[i][a], U[i][b] = U[i][b], U[i][a]
-
-    row = 0
-    pivot_cols = []
-    for col in range(N):
-        if row >= n:
-            break
-        while True:
-            nz = [j for j in range(col, N) if A[row][j] != 0]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(A[row][j]))
-            if jmin != col:
-                col_swap(col, jmin)
-            done = True
-            for j in range(col + 1, N):
-                if A[row][j] != 0:
-                    col_op_add(j, col, -(A[row][j] // A[row][col]))
-                    if A[row][j] != 0:
-                        done = False
-            if done:
-                break
-        if A[row][col] != 0:
-            pivot_cols.append((row, col))
-            row += 1
-        elif any(A[r2][col] != 0 for r2 in range(row, n)):
-            continue
-    # back-substitute target against the triangular-ish column system
+    Back-substitutes target through the column Hermite form of the columns,
+    so it decides membership of target in their integer span."""
+    n, N = len(target), len(columns)
+    H, U, pivots = column_hermite(
+        [[columns[j][i] for j in range(N)] for i in range(n)], N
+    )
     k = [0] * N
     t = list(target)
-    for r, c in pivot_cols:
-        if t[r] % A[r][c] != 0:
+    for r, c in pivots:
+        if t[r] % H[r][c] != 0:
             return None
-        f = t[r] // A[r][c]
+        f = t[r] // H[r][c]
         k[c] = f
         for i in range(n):
-            t[i] -= f * A[i][c]
+            t[i] -= f * H[i][c]
     if any(x != 0 for x in t):
         return None
     # pull back through the recorded column operations
-    out = [sum(U[i][j] * k[j] for j in range(N)) for i in range(N)]
-    return out
+    return [sum(u * x for u, x in zip(row, k)) for row in U]
+
+
+def _facets(points, dim):
+    """Facets of the convex hull of points spanning R^dim, brute force over
+    dim-subsets: {(nu, c): indices of the points tight on <nu, x> = c}, with
+    nu primitive and every point satisfying <nu, x> <= c."""
+    facets = {}
+    for S in itertools.combinations(range(len(points)), dim):
+        base = points[S[0]]
+        nu = kernel_line([_sub(points[i], base) for i in S[1:]], dim)
+        if nu is None:
+            continue
+        c = _dot(nu, base)
+        vals = [_dot(nu, p) for p in points]
+        if not all(v <= c for v in vals):
+            if not all(v >= c for v in vals):
+                continue
+            nu, c, vals = tuple(-x for x in nu), -c, [-v for v in vals]
+        # the tight set contains S, so it spans the supporting hyperplane
+        facets[(nu, c)] = tuple(i for i, v in enumerate(vals) if v == c)
+    return facets
 
 
 # ----------------------------------------------------------------------
@@ -188,17 +242,6 @@ class _OutsideCone:
 OUTSIDE_CONE = _OutsideCone()
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _primitive(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in vec) if g else tuple(vec)
-
-
 class NewtonData:
     """Facet functionals of the polytope, inequalities of the cone, the
     weight denominator, plus the raw facet list used for face enumeration."""
@@ -210,30 +253,8 @@ class NewtonData:
         distinct = sorted(set(pts))
         self.points = pts  # index 0 is the origin, then columns in order
 
-        facets = {}  # primitive (nu, c) -> True; supporting with <=
-        for S in itertools.combinations(distinct, n):
-            diffs = [tuple(a - b for a, b in zip(p, S[0])) for p in S[1:]]
-            if n > 1 and mat_rank(diffs) != n - 1:
-                continue
-            nu = kernel_line(diffs, n) if n > 1 else (1,)
-            if nu is None:
-                continue
-            c = _dot(nu, S[0])
-            vals = [_dot(nu, p) for p in distinct]
-            if all(v <= c for v in vals):
-                pass
-            elif all(v >= c for v in vals):
-                nu, c = tuple(-x for x in nu), -c
-            else:
-                continue
-            # tight set must span the hyperplane for a genuine facet
-            tight = [p for p in distinct if _dot(nu, p) == c]
-            base = tight[0]
-            tdiffs = [tuple(a - b for a, b in zip(p, base)) for p in tight[1:]]
-            if n > 1 and mat_rank(tdiffs) != n - 1:
-                continue
-            facets[(nu, c)] = True
-        self.facets = sorted(facets)  # [(nu, c)]; origin lies on facet iff c == 0
+        # [(nu, c)]; the origin lies on a facet iff c == 0
+        self.facets = sorted(_facets(distinct, n))
 
         # all points of the hull satisfy <nu, x> <= c and the origin gives 0 <= c
         self.functionals = [
@@ -251,14 +272,9 @@ class NewtonData:
         cone = {}
         gens = [w for w in set(config.columns) if any(w)]
         for S in itertools.combinations(gens, n - 1):
-            if n == 1:
-                nu = (1,)
-            else:
-                if mat_rank(S) != n - 1:
-                    continue
-                nu = kernel_line(S, n)
-                if nu is None:
-                    continue
+            nu = kernel_line(S, n)
+            if nu is None:
+                continue
             vals = [_dot(nu, w) for w in gens]
             if all(v >= 0 for v in vals):
                 cone[nu] = True
@@ -306,10 +322,6 @@ class NewtonData:
 
 def newton_data(config: ExponentConfig) -> NewtonData:
     return NewtonData(config)
-
-
-def weight(nd: NewtonData, w):
-    return nd.weight(w)
 
 
 # ----------------------------------------------------------------------
@@ -454,50 +466,12 @@ def monoid_membership(config: ExponentConfig, w, K_max: int = 50, node_budget: i
 
 def _affine_coordinates(points):
     """Exact coordinates of the points inside their affine hull: returns
-    (dim, coords) with coords[i] a tuple of Fractions of length dim."""
-    base = points[0]
-    diffs = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
-    # pick a maximal independent subset of diffs as a basis
-    basis = []
-    for d in diffs:
-        if mat_rank(basis + [d]) > len(basis):
-            basis.append(d)
-    k = len(basis)
-    if k == 0:
-        return 0, [tuple()] * len(points)
-    # coordinates solve basis^T c = diff in least-exact sense: use elimination
-    coords = []
-    for p in points:
-        d = tuple(a - b for a, b in zip(p, base))
-        sol = _solve_in_span(basis, d)
-        coords.append(tuple(sol))
-    return k, coords
-
-
-def _solve_in_span(basis, target):
-    """Coefficients expressing target in the given independent basis vectors."""
-    k = len(basis)
-    n = len(target)
-    m = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    r = 0
-    pivots = []
-    for col in range(k):
-        piv = next((i for i in range(r, n) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    sol = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        sol[col] = m[i][k]
-    return sol
+    (dim, coords) with coords[i] a tuple of Fractions of length dim.  The
+    basis is the first maximal independent run of differences to points[0],
+    i.e. the pivot columns of the matrix whose columns are the differences."""
+    diffs = [_sub(p, points[0]) for p in points]
+    basis = [diffs[j] for j in _row_reduce(list(zip(*diffs)))[1]]
+    return len(basis), [tuple(_solve_in_span(basis, d)) for d in diffs]
 
 
 def _triangulate(points):
@@ -512,7 +486,6 @@ def _triangulate(points):
 
 def _triangulate_fulldim(points):
     """points: distinct, spanning their affine hull."""
-    base = points[0]
     dim, coords = _affine_coordinates(points)
     if dim == 0:
         return []
@@ -522,68 +495,15 @@ def _triangulate_fulldim(points):
             (points[order[i]], points[order[i + 1]])
             for i in range(len(order) - 1)
         ]
-    # work in exact affine-hull coordinates
-    cpts = coords
-    v0_idx = min(range(len(points)), key=lambda i: points[i])
-    v0c = cpts[v0_idx]
+    # cone the lex-smallest point over every facet avoiding it; the facets
+    # are found in exact affine-hull coordinates
+    v0 = min(range(len(points)), key=lambda i: points[i])
     simplices = []
-    # facets of the dim-polytope conv(cpts): brute force over dim-subsets
-    facets = {}
-    idxs = range(len(cpts))
-    for S in itertools.combinations(idxs, dim):
-        diffs = [tuple(a - b for a, b in zip(cpts[i], cpts[S[0]])) for i in S[1:]]
-        if dim > 1 and mat_rank(diffs) != dim - 1:
-            continue
-        nu = kernel_line(diffs, dim) if dim > 1 else (1,)
-        if nu is None:
-            continue
-        c = _dot(nu, cpts[S[0]])
-        vals = [_dot(nu, q) for q in cpts]
-        if all(v <= c for v in vals):
-            pass
-        elif all(v >= c for v in vals):
-            nu, c = tuple(-x for x in nu), -c
-        else:
-            continue
-        tight = tuple(sorted(i for i in idxs if _dot(nu, cpts[i]) == c))
-        tdiffs = [
-            tuple(a - b for a, b in zip(cpts[i], cpts[tight[0]])) for i in tight[1:]
-        ]
-        if dim > 1 and mat_rank(tdiffs) != dim - 1:
-            continue
-        facets[tight] = True
-    for tight in sorted(facets):
-        if v0_idx in tight:
-            continue
-        sub_points = [points[i] for i in tight]
-        if dim - 1 == 0:
-            simplices.append((points[v0_idx], sub_points[0]))
-        else:
-            for s in _triangulate_fulldim(sub_points):
-                simplices.append((points[v0_idx],) + s)
+    for tight in sorted(_facets(coords, dim).values()):
+        if v0 not in tight:
+            for s in _triangulate_fulldim([points[i] for i in tight]):
+                simplices.append((points[v0],) + s)
     return simplices
-
-
-def _det_int(rows):
-    """Exact determinant of a small integer matrix (fraction-free enough)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    assert det.denominator == 1
-    return int(det)
 
 
 class Simplex:
@@ -592,27 +512,21 @@ class Simplex:
 
     def __init__(self, config, vertices):
         self.vertices = [tuple(int(x) for x in v) for v in vertices]  # excludes 0
-        n = config.n
-        W = [[self.vertices[j][i] for j in range(n)] for i in range(n)]  # columns
-        self.det = abs(_det_int(W))
+        self.det = abs(int(_row_reduce(self.vertices)[2]))
         self.generators = list(self.vertices)
-        self.cell_points = self._cell_points(W, n)
+        self.cell_points = self._cell_points(config.n)
 
-    def _cell_points(self, W, n):
+    def _cell_points(self, n):
         # integer points of { sum c_i w_i : 0 <= c_i < 1 }
-        corners = []
-        for eps in itertools.product((0, 1), repeat=n):
-            corners.append(
-                tuple(sum(eps[j] * W[i][j] for j in range(n)) for i in range(n))
-            )
+        corners = [
+            tuple(sum(e * v[i] for e, v in zip(eps, self.vertices)) for i in range(n))
+            for eps in itertools.product((0, 1), repeat=n)
+        ]
         lo = [min(c[i] for c in corners) for i in range(n)]
         hi = [max(c[i] for c in corners) for i in range(n)]
         out = []
         for x in itertools.product(*[range(lo[i], hi[i] + 1) for i in range(n)]):
-            c = _solve_in_span(
-                [tuple(W[i][j] for i in range(n)) for j in range(n)], x
-            )
-            if all(0 <= ci < 1 for ci in c):
+            if all(0 <= ci < 1 for ci in _solve_in_span(self.vertices, x)):
                 out.append(tuple(x))
         out.sort()
         return out

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from dworksum import finitefield as ff
+from dworksum import gkz
 from dworksum import polytope as pt
 from dworksum.errors import RankDeficient
 
@@ -189,6 +191,42 @@ def test_monoid_membership():
     ) == (4, 3)
     # outside the cone
     assert isinstance(pt.monoid_membership(c1, (-2,), 10), pt.NotInCA)
+
+
+def _combine(columns, k):
+    return tuple(sum(kj * c[i] for kj, c in zip(k, columns))
+                 for i in range(len(columns[0])))
+
+
+def test_solve_integer_skips_vanishing_rows():
+    # (0, 1) = 1 * (0, 1): a zero first row must not end the reduction
+    k = pt.solve_integer([(0, 1), (0, 2)], (0, 1))
+    assert k is not None and _combine([(0, 1), (0, 2)], k) == (0, 1)
+    assert pt.solve_integer([(0, 1), (0, 2)], (1, 1)) is None
+    assert pt.solve_integer([(0, 2), (0, 4)], (0, 1)) is None
+
+
+def test_solve_integer_on_relations_in_a_coordinate_plane():
+    # every relation of [[1,0,0],[0,1,1]] has k_1 = 0, so the kernel basis
+    # handed to solve_integer (as in test_gkz) starts with a zero row
+    basis = gkz.lattice_kernel(cfg([[1, 0, 0], [0, 1, 1]]))
+    assert basis.vectors == [(0, 1, -1)]
+    for c in range(-3, 4):
+        assert pt.solve_integer(basis.vectors, (0, c, -c)) == [c]
+
+
+def test_solve_integer_finds_every_integer_combination():
+    # rank-deficient systems: a row is zero or a multiple of an earlier one
+    rng = random.Random(3)
+    for _ in range(200):
+        n, N = rng.randint(2, 3), rng.randint(1, 4)
+        rows = [[rng.randint(-2, 2) for _ in range(N)] for _ in range(n)]
+        i = rng.randrange(n - 1)
+        rows[i] = [rng.randint(-2, 2) * x for x in rows[i + 1]]
+        columns = [tuple(r[j] for r in rows) for j in range(N)]
+        target = _combine(columns, [rng.randint(-3, 3) for _ in range(N)])
+        k = pt.solve_integer(columns, target)
+        assert k is not None and _combine(columns, k) == target
 
 
 def ehrhart_volume(config):
