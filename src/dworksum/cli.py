@@ -16,6 +16,9 @@ F_q, given as bare integers when f = 1 or as coefficient vectors of length f.
 Every reported ring element carries its certified precision, and reports are
 byte-identical across runs.  ``--workers`` is accepted for compatibility and
 parallelises nothing: the sums are numpy histograms, not per-point loops.
+``precision.K_max`` is likewise parsed and echoed in the report, and no
+command reads it: no command calls ``polytope.monoid_membership``, the search
+it would bound.
 
 Exit codes: 0 success, 2 validation, 3 identity failure (check), 4 budget.
 """
@@ -266,7 +269,6 @@ def _operator(job: JobConfig) -> dwork.DworkMatrix:
 
 def cmd_trace(job: JobConfig) -> dict:
     dm = _operator(job)
-    cache = {1: dm.series}  # the series the operator was built from
     out = {
         "basis_size": dm.dim,
         "weight_cap": frac(dm.cap),
@@ -275,14 +277,18 @@ def cmd_trace(job: JobConfig) -> dict:
         "levels": [],
     }
     for m in range(1, job.m_max + 1):
-        t_pow, prec_pow = dwork.trace(dm, m, "matrix_power")
-        t_ser, prec_ser = dwork.trace(dm, m, "level_m_series", cache)
+        t_pow, prec_pow = dwork.trace(dm, m)
+        # level 1 is the series the operator was built from
+        series = dm.series if m == 1 else dwork.h_series(
+            job.a_lifts, job.twist, m, job.nd
+        )
+        t_ser = dwork.diagonal_sum(series)
         scaled = t_pow * ((job.q**m - 1) ** job.config.n)
         out["levels"].append(
             {
                 "m": m,
                 "trace_matrix_power": element_json(t_pow, prec_pow),
-                "trace_level_series": element_json(t_ser, prec_ser),
+                "trace_level_series": element_json(t_ser),
                 "routes_agree": t_pow == t_ser,
                 "scaled_trace": element_json(scaled, min(prec_pow, Fraction(job.M))),
             }
@@ -414,25 +420,25 @@ def cmd_check(job: JobConfig) -> dict:
         checks.append(entry)
 
     # oracle equivalence and trace formula, every level; the level-m series
-    # is shared between the series oracle and the series-route trace, and
-    # level 1 is the series the operator was built from
+    # feeds both the series oracle and the series side of the trace formula,
+    # and level 1 is the series the operator was built from
     dm = _operator(job)
-    cache = {1: dm.series}
     sums = []
     for m in range(1, job.m_max + 1):
         Sc, pc = lf.sums_oracle_characters(
             job.config, job.a_residues, job.twist, m, job.M
         )
-        if m not in cache:
-            cache[m] = dwork.h_series(job.a_lifts, job.twist, m, job.nd)
+        series = dm.series if m == 1 else dwork.h_series(
+            job.a_lifts, job.twist, m, job.nd
+        )
         Ss, _ = lf.sums_oracle_series(
             job.config, job.a_residues, job.twist, m, job.M, job.nd,
-            series=cache[m]
+            series=series
         )
         sums.append((Sc, pc))
         record(f"oracle_equivalence_m{m}", congruent(Sc, Ss, mprime))
-        t_pow, prec_pow = dwork.trace(dm, m, "matrix_power")
-        t_ser, _ = dwork.trace(dm, m, "level_m_series", cache)
+        t_pow, prec_pow = dwork.trace(dm, m)
+        t_ser = dwork.diagonal_sum(series)
         record(f"trace_routes_m{m}", congruent(t_pow, t_ser, mprime))
         scaled = t_pow * ((job.q**m - 1) ** job.config.n)
         record(

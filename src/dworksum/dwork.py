@@ -28,7 +28,6 @@ from . import padic
 from .errors import (
     NotTeichmueller,
     ParamsMismatch,
-    SupportTooSmall,
     TwistOutsideCone,
 )
 from .padic import RamifiedElement, RingParams
@@ -75,20 +74,19 @@ def require_valid_twist(twist: TwistData, nd: NewtonData) -> None:
 class SeriesOnCone:
     """Sparse series sum c_e t^e supported on shift + C(A), exact mod p^M.
 
-    weight_cap: coefficients are complete (mod p^M) for every exponent e with
-    d(e - shift) <= weight_cap; lookups beyond raise SupportTooSmall unless
-    the point is outside the cone, where the coefficient is exactly zero.
+    An exponent missing from coeffs has coefficient zero mod p^M: outside
+    the shifted cone the coefficient is exactly zero, and inside it every
+    term beyond the precision cut has ord >= M (stored sums that vanish
+    mod p^M are dropped as well).
     """
 
-    def __init__(self, params, nd, shift, level, Q, coeffs, weight_cap, complete):
+    def __init__(self, params, nd, shift, level, Q, coeffs):
         self.params = params
         self.nd = nd
         self.shift = shift
         self.level = level
         self.Q = Q
         self.coeffs = coeffs  # dict exponent tuple -> RamifiedElement
-        self.weight_cap = Fraction(weight_cap)
-        self.complete = complete  # True when the cap covers the precision cut
         self._zero = params.zero()
         self._floor_scale = Fraction(params.p - 1, params.p * Q)
 
@@ -96,18 +94,7 @@ class SeriesOnCone:
         return tuple(a - b for a, b in zip(e, self.shift))
 
     def coeff(self, e) -> RamifiedElement:
-        c = self.coeffs.get(tuple(e))
-        if c is not None:
-            return c
-        rel = self.relative(e)
-        d = self.nd.weight(rel)
-        if d is OUTSIDE_CONE:
-            return self._zero
-        if d <= self.weight_cap or self.complete:
-            return self._zero
-        raise SupportTooSmall(
-            f"coefficient at {tuple(e)} lies beyond the computed support"
-        )
+        return self.coeffs.get(tuple(e), self._zero)
 
     def valuation_floor(self, e) -> Fraction | None:
         """Certified lower bound on ord of the coefficient at e; None means
@@ -133,7 +120,6 @@ def h_series(
     twist: TwistData,
     m: int,
     nd: NewtonData,
-    weight_cap=None,
 ) -> SeriesOnCone:
     """Expand H_m by convolving the one-monomial splitting series.
 
@@ -155,8 +141,6 @@ def h_series(
     require_valid_twist(twist, nd)
 
     i_cut = precision_cut(params, Q)
-    complete = weight_cap is None or Fraction(weight_cap) >= i_cut
-    cap = Fraction(weight_cap) if weight_cap is not None else Fraction(i_cut)
 
     base = padic.splitting_coefficients(params, Q, i_cut)
     # per-column arrays c_i a_j^i, skipping exact zeros (a_j = 0 collapses)
@@ -198,21 +182,8 @@ def h_series(
             rec(j + 1, budget - i, nexp, nval)
 
     rec(0, i_cut, zero_exp, params.one())
-    if weight_cap is not None:
-        # a requested cap only trims storage; mid-recursion pruning is unsound
-        # when the cone has cancelling directions, so filter at the end
-        keep = {}
-        for e, v in coeffs.items():
-            rel = tuple(a - b for a, b in zip(e, zero_exp))
-            d = nd.weight(rel)
-            if d is not OUTSIDE_CONE and d <= cap and not v.is_zero():
-                keep[e] = v
-        coeffs = keep
-    else:
-        coeffs = {e: v for e, v in coeffs.items() if not v.is_zero()}
-    series = SeriesOnCone(params, nd, shift, m, Q, coeffs, cap, complete)
-    series.a_lifts = list(a_lifts)
-    return series
+    coeffs = {e: v for e, v in coeffs.items() if not v.is_zero()}
+    return SeriesOnCone(params, nd, shift, m, Q, coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -313,54 +284,32 @@ def build_operator(
 # traces and characteristic series
 # ----------------------------------------------------------------------
 
-def level_cap(nd: NewtonData, twist: TwistData, params: RingParams, m: int) -> Fraction:
-    """Smallest basis cap making the level-m diagonal tail vanish mod p^M:
-    the entry at u sits at (q^m - 1)(u + gamma), so d(u + gamma) > cap needs
-    (p-1)(Q-1)/(p Q) cap >= M."""
-    p, M = params.p, params.M
-    Q = twist.q**m
-    bound = Fraction(M * p * Q, (p - 1) * (Q - 1))
-    return Fraction(-((-bound.numerator) // bound.denominator)) + 1
-
-
-def trace(
-    dm: DworkMatrix,
-    m: int = 1,
-    route: str = "matrix_power",
-    level_series_cache: dict | None = None,
-) -> tuple[RamifiedElement, Fraction]:
-    """Tr(G^m) with a certified precision (min of p^M and the tail floor).
-
-    route 'matrix_power': trace of the m-th power of the level-1 matrix.
-    route 'level_m_series': diagonal sum c^{(m)}_{(q^m - 1) u} of the level-m
-    series over a basis wide enough for the tail to clear p^M.
-    """
+def trace(dm: DworkMatrix, m: int = 1) -> tuple[RamifiedElement, Fraction]:
+    """Tr(G^m) through the m-th power of the level-1 matrix, with a certified
+    precision (min of p^M and the tail floor)."""
     params = dm.params
-    M = Fraction(params.M)
-    if route == "matrix_power":
-        E = dm.encoded()
-        P = E
-        for _ in range(m - 1):
-            P = padic.matmul_mod(P, E, params.pM)
-        value = padic.encoded_trace(params, P)
-        return value, min(M, dm.power_tail_bound(m))
-    if route == "level_m_series":
-        if level_series_cache is not None and m in level_series_cache:
-            series = level_series_cache[m]
-        else:
-            # the level-1 lifts satisfy a^q = a, so they serve every level
-            series = h_series(dm.series.a_lifts, dm.twist, m, dm.nd)
-            if level_series_cache is not None:
-                level_series_cache[m] = series
-        Q = dm.twist.q**m
-        cap = level_cap(dm.nd, dm.twist, params, m)
-        pts = enumerate_points(dm.nd, cap, offset=dm.twist.gamma)
-        total = params.zero()
-        for u in pts:
-            e = tuple((Q - 1) * x for x in u)
-            total = total + series.coeff(e)
-        return total, M
-    raise ValueError(f"unknown route {route!r}")
+    E = dm.encoded()
+    P = E
+    for _ in range(m - 1):
+        P = padic.matmul_mod(P, E, params.pM)
+    value = padic.encoded_trace(params, P)
+    return value, min(Fraction(params.M), dm.power_tail_bound(m))
+
+
+def diagonal_sum(series: SeriesOnCone) -> RamifiedElement:
+    """Sum of c_e over the support with every e_i = 0 mod Q - 1.
+
+    By orthogonality, sum over u in mu_(Q-1)^n of u^e is (Q - 1)^n when
+    Q - 1 divides every e_i and 0 otherwise, so (Q - 1)^n times this sum is
+    H_m summed over the Teichmueller points of the torus.  The same exponents
+    are the level-m diagonal (Q - 1) u, u + gamma in the cone, so this is
+    also the series side of Dwork's trace formula, sum_u c_((Q - 1) u)."""
+    L = series.Q - 1
+    total = series.params.zero()
+    for e, c in series.coeffs.items():
+        if all(x % L == 0 for x in e):
+            total = total + c
+    return total
 
 
 def char_series(dm: DworkMatrix, max_degree: int | None = None):

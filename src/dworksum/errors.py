@@ -71,10 +71,6 @@ class TwistOutsideCone(DworksumError):
     pass
 
 
-class SupportTooSmall(DworksumError):
-    pass
-
-
 # -- L-functions / budgets ----------------------------------------------
 
 class LevelTooLarge(DworksumError):

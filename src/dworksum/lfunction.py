@@ -5,24 +5,25 @@ Two independent evaluations of the twisted sums S_m over F_{q^m}, L = q^m - 1:
 * character route: the sum over the torus (F_{q^m}^*)^n of Teichmueller-power
   multiplicative characters times theta(1)^(absolute trace) -- no series
   involved;
-* series route: evaluate the truncated level-m twisted series at Teichmueller
-  points of the torus.
+* series route: the truncated level-m twisted series summed over the
+  Teichmueller points of the torus.  By orthogonality that sum is
+  (q^m - 1)^n times the sum of the series coefficients whose exponents
+  q^m - 1 divides (``dwork.diagonal_sum``), with no torus enumeration.
 
-Both read one cached table per (p, s = f m, M): the discrete log of every
-element of F_{p^s}^* to the distinguished generator g, Tr(g^e) for every e,
-the Teichmueller powers teich(g)^e and the powers of theta(1).  A torus point
-u = g^l enters the character sum only through the twist class
-k = shift(m) . l mod L and the trace c = sum_j Tr(g^(log a_j + A_j . l)) in F_p
-(the trace is F_p-linear), so with N(k, c) the number of points of each class
+The character route reads one cached table per (p, s = f m, M): the discrete
+log of every element of F_{p^s}^* to the distinguished generator g, Tr(g^e)
+for every e, the Teichmueller powers teich(g)^e and the powers of theta(1).
+A torus point u = g^l enters the character sum only through the twist class
+k = shift(m) . l mod L and the trace c = sum_j Tr(g^(log a_j + A_j . l)) in
+F_p (the trace is F_p-linear), so with N(k, c) the number of points of each
+class
 
     S_m = sum_{k, c} N(k, c) teich(g)^k theta(1)^c.
 
 The counts are numpy histograms over the (q^m - 1)^n points, taken a block of
 points at a time; the ring work is one (p, L) x (L, blow) modular matmul and
-p ring products.  The series route likewise sums, over all points, how often
-each series exponent w lands in the class w . l mod L, then embeds and
-multiplies once per class.  Both results are restricted back to the base ring,
-which doubles as a Galois-invariance check.  L-series come either from
+p ring products, and the result is restricted back to the base ring, which
+doubles as a Galois-invariance check.  L-series come either from
 exp(sum S_m T^m / m) -- with the valuation of every division recorded as a
 per-coefficient precision loss -- or, exactly, from the binomial product of
 characteristic series of the operator.
@@ -45,8 +46,8 @@ from .padic import RamifiedElement, RingParams
 # oracles
 # ----------------------------------------------------------------------
 
-# torus points (times series terms, for the series route) per numpy block;
-# bounds the oracles' memory whatever the size of the torus
+# torus points per numpy block of the character oracle; bounds its memory
+# whatever the size of the torus
 _BLOCK = 1 << 16
 
 
@@ -188,48 +189,14 @@ def sums_oracle_series(
     Teichmueller points of the torus; agrees with the character oracle to
     certified precision (that agreement is the theta-identity under test).
 
-    At u = g^l the term t^w has class w . l mod L, so the sum over all points
-    is sum_c embed(sum_w hist[w, c] c_w) teich(g)^c, where hist[w, c] counts
-    the points that put w in class c."""
+    By orthogonality the sum over the (q^m - 1)^n points is (q^m - 1)^n times
+    the diagonal sum of the series, which already lies in the base ring."""
     base_field = a_residues[0].params
-    p, f = base_field.p, base_field.degree
-    base_ring = padic.ring_create(p, f, M)
     if series is None:
+        base_ring = padic.ring_create(base_field.p, base_field.degree, M)
         a_lifts = [padic.teichmueller(a, base_ring) for a in a_residues]
         series = dwork.h_series(a_lifts, twist, m, nd)
-    tab = level_table(p, f * m, M)
-    big_ring, L = tab.ring, tab.L
-
-    support = list(series.support())
-    S = len(support)
-    exps = np.array(support, dtype=np.int64).reshape(S, config.n) % L
-    coeff_arr = np.array(
-        [series.coeffs[e].coords for e in support], dtype=np.int64
-    ).reshape(S, base_ring.blow)
-
-    pM = base_ring.pM
-    acc = np.zeros((L, base_ring.blow), dtype=np.int64)
-    rows = max(1, _BLOCK // L)  # series terms per histogram
-    for lo in range(0, S, rows):
-        ex = exps[lo : lo + rows]
-        hist = np.zeros(len(ex) * L, dtype=np.int64)
-        offsets = L * np.arange(len(ex), dtype=np.int64)
-        for logs in _torus_blocks(L, config.n, max(1, _BLOCK // len(ex))):
-            classes = logs @ ex.T % L + offsets
-            hist += np.bincount(classes.ravel(), minlength=len(ex) * L)
-        part = padic.matmul_mod(
-            hist.reshape(-1, L).T % pM, coeff_arr[lo : lo + rows], pM
-        )
-        acc = (acc + part) % pM
-    total = big_ring.zero()
-    for c in range(L):
-        if not acc[c].any():
-            continue
-        small = base_ring.from_coords(acc[c].tolist())
-        total = total + padic.ring_embed(small, big_ring) * big_ring.from_coords(
-            tab.teich[c]
-        )
-    return padic.ring_restrict(total, base_ring), Fraction(M)
+    return dwork.diagonal_sum(series) * (twist.q**m - 1) ** config.n, Fraction(M)
 
 
 def hyp_table(

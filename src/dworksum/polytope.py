@@ -26,6 +26,7 @@ Two exact elimination kernels carry all of the linear algebra:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
@@ -510,14 +511,16 @@ class Simplex:
     """A full simplex {0, w_{i_1}, ..., w_{i_n}} of the decomposition with its
     fundamental-cell lattice points and cone generators."""
 
-    def __init__(self, config, vertices):
+    def __init__(self, vertices):
         self.vertices = [tuple(int(x) for x in v) for v in vertices]  # excludes 0
         self.det = abs(int(_row_reduce(self.vertices)[2]))
         self.generators = list(self.vertices)
-        self.cell_points = self._cell_points(config.n)
 
-    def _cell_points(self, n):
-        # integer points of { sum c_i w_i : 0 <= c_i < 1 }
+    @functools.cached_property
+    def cell_points(self):
+        """Integer points of { sum c_i w_i : 0 <= c_i < 1 }, one solve per
+        point of the bounding box, so built only when asked for."""
+        n = len(self.vertices)
         corners = [
             tuple(sum(e * v[i] for e, v in zip(eps, self.vertices)) for i in range(n))
             for eps in itertools.product((0, 1), repeat=n)
@@ -558,10 +561,10 @@ class SimplicialDecomposition:
                 set(w for w in config.columns if _dot(nu, w) == c)
             )
             if n == 1:
-                simplices.append(Simplex(config, [face_pts[0]]))
+                simplices.append(Simplex([face_pts[0]]))
                 continue
             for s in _triangulate(face_pts):
-                simplices.append(Simplex(config, list(s)))
+                simplices.append(Simplex(list(s)))
         self.config = config
         self.newton = nd
         self.simplices = simplices

@@ -56,11 +56,11 @@ class Run:
             for m in (1, 2)
         ]
         self.traces = {}
-        cache = {}
         for m in (1, 2):
+            level = dwork.h_series(self.a_lifts, self.twist, m, self.nd)
             self.traces[m] = {
-                "matrix_power": dwork.trace(self.dm, m, "matrix_power"),
-                "level_m_series": dwork.trace(self.dm, m, "level_m_series", cache),
+                "matrix_power": dwork.trace(self.dm, m),
+                "level_m_series": dwork.diagonal_sum(level),
             }
         self.L_sums = lf.l_series_from_sums(self.char_sums, m_max)
         P, P_prec = dwork.char_series(self.dm, max_degree=min(m_max, self.dm.dim))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dworksum import dwork, finitefield as ff, padic
-from dworksum.errors import NotTeichmueller, SupportTooSmall, TwistOutsideCone
+from dworksum.errors import NotTeichmueller, TwistOutsideCone
 from dworksum.polytope import ExponentConfig, enumerate_points, newton_data
 
 
@@ -44,6 +44,8 @@ def test_h_series_trivial():
     assert series.coeff((0,)) == params.one()
     assert all(e == (0,) for e in series.support())
     assert series.coeff((5,)).is_zero()
+    # outside the cone the coefficient is exactly zero
+    assert series.coeff((-2,)).is_zero()
 
 
 def test_h_series_single_monomial_matches_splitting():
@@ -81,17 +83,6 @@ def test_h_series_rejects_non_teichmueller():
         dwork.h_series([params.from_int(2)], twist, 1, nd)  # 2^3 != 2 mod 81
 
 
-def test_series_support_too_small():
-    params, F, config, nd, twist, a_res, a_lifts = setup(3, 4, [[1]], [1], [0])
-    series = dwork.h_series(a_lifts, twist, 1, nd, weight_cap=3)
-    assert not series.complete
-    series.coeff((2,))  # inside the cap
-    with pytest.raises(SupportTooSmall):
-        series.coeff((7,))
-    # outside the cone the coefficient is exactly zero regardless of the cap
-    assert series.coeff((-2,)).is_zero()
-
-
 def test_matrix_entries_and_sparsity():
     params, F, config, nd, twist, a_res, a_lifts = setup(3, 5, [[1]], [1], [0])
     dm = dwork.build_operator(config, nd, a_lifts, twist)
@@ -113,14 +104,15 @@ def test_degenerate_operator_trace_one():
         a0 = [padic.teichmueller(F.zero(), params)] * config.N
         dm = dwork.build_operator(config, nd, a0, twist)
         for m in (1, 2):
-            tr, prec = dwork.trace(dm, m, "matrix_power")
+            tr, prec = dwork.trace(dm, m)
             assert tr == params.one()
             assert prec >= params.M
 
 
 def test_trace_routes_agree():
-    # route equivalence up to m = 3 on the one-variable configs, m = 2 on the
-    # surface (its level-3 series is the one genuinely expensive object here)
+    # matrix power against the level-m diagonal sum up to m = 3 on the
+    # one-variable configs, m = 2 on the surface (its level-3 series is the
+    # one genuinely expensive object here)
     cases = [
         (3, 6, [[1]], [1], [0], 3),
         (5, 6, [[1, -1]], [1, 1], [0], 3),
@@ -130,11 +122,10 @@ def test_trace_routes_agree():
     for p, M, A, a_ints, k_vec, m_top in cases:
         params, F, config, nd, twist, a_res, a_lifts = setup(p, M, A, a_ints, k_vec)
         dm = dwork.build_operator(config, nd, a_lifts, twist)
-        cache = {}
         for m in range(1, m_top + 1):
-            tr_pow, prec_pow = dwork.trace(dm, m, "matrix_power")
-            tr_ser, prec_ser = dwork.trace(dm, m, "level_m_series", cache)
-            assert prec_pow >= params.M and prec_ser >= params.M
+            tr_pow, prec_pow = dwork.trace(dm, m)
+            tr_ser = dwork.diagonal_sum(dwork.h_series(a_lifts, twist, m, nd))
+            assert prec_pow >= params.M
             assert tr_pow == tr_ser
 
 
@@ -156,8 +147,8 @@ def test_trace_formula_over_extension_field():
         for m in (1, 2):
             Sc, _ = lf.sums_oracle_characters(config, a_res, twist, m, M)
             Ss, _ = lf.sums_oracle_series(config, a_res, twist, m, M, nd)
-            t, _ = dwork.trace(dm, m, "matrix_power")
-            t2, _ = dwork.trace(dm, m, "level_m_series")
+            t, _ = dwork.trace(dm, m)
+            t2 = dwork.diagonal_sum(dwork.h_series(lifts, twist, m, nd))
             assert Sc == Ss
             assert t == t2
             assert t * ((q**m - 1) ** config.n) == Sc
@@ -177,18 +168,17 @@ def test_trace_formula_with_integral_twist():
     for p, M, A, a_ints, k_vec in cases:
         params, F, config, nd, twist, a_res, a_lifts = setup(p, M, A, a_ints, k_vec)
         dm = dwork.build_operator(config, nd, a_lifts, twist)
-        cache = {}
         for m in (1, 2):
             Sc, _ = lf.sums_oracle_characters(config, a_res, twist, m, M)
-            t, _ = dwork.trace(dm, m, "matrix_power")
-            t2, _ = dwork.trace(dm, m, "level_m_series", cache)
+            t, _ = dwork.trace(dm, m)
+            t2 = dwork.diagonal_sum(dwork.h_series(a_lifts, twist, m, nd))
             assert t == t2
             assert t * ((p**m - 1) ** config.n) == Sc
 
 
 def test_trace_formula_randomized():
     # seeded sweep over random desk-scale configurations: matrix, twist and
-    # coefficients drawn at random, both oracles and both trace routes
+    # coefficients drawn at random, both oracles and the matrix-power trace
     import itertools
     import random
 
@@ -228,7 +218,7 @@ def test_trace_formula_randomized():
         for m in (1, 2):
             Sc, _ = lf.sums_oracle_characters(config, a_res, twist, m, M)
             Ss, _ = lf.sums_oracle_series(config, a_res, twist, m, M, nd)
-            t, _ = dwork.trace(dm, m, "matrix_power")
+            t, _ = dwork.trace(dm, m)
             assert Sc == Ss
             assert t * ((p**m - 1) ** config.n) == Sc
     assert checked == 10

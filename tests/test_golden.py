@@ -9,6 +9,11 @@ The toric reports (``polytope`` and ``gkz``) are exact too.  Their digests,
 on the committed jobs and on the inline n = 3 jobs below (p = 3, zero twist,
 all a_j = 1), were taken from the per-routine eliminations before they were
 folded into one Gauss-Jordan and one column-Hermite kernel.
+
+The ``check`` and ``trace`` digests were taken while the series side of the
+trace formula was still a separate route (a level-m sum over a second basis)
+and the series oracle still a histogram over the torus, before both became
+one diagonal sum of the level-m series.
 """
 
 import hashlib
@@ -73,6 +78,22 @@ GOLDEN = [
      "9b7684f4b04af8258308e6b2d336434b6ed0589d37519237e4bdf4e91e5a5138"),
     ("gkz", "mixed3",
      "ea2c476ea89f08fd050001daae8237567774258ac5803606f88bd12835eb5b51"),
+    ("check", "jobs/kloosterman_p5.json",
+     "6a0b47f0701782ef7f027586849485eceaa57b26e960cbf9f11b36a48c3e4c15"),
+    ("check", "jobs/segment_p3.json",
+     "d307ed6526b576931e33883bd25bb8bb9b58384c5019dbbdcb0f4af15861ae15"),
+    ("check", "jobs/square_p3.json",
+     "81bceb48afda537ede1e54107f0675d7cc53d011d513b363dfdd7660fa984798"),
+    ("check", "jobs/twist_p5.json",
+     "607e450fbc240c14be03be3373ab686de1556f755db9fde50b6ed9a21cab855b"),
+    ("trace", "jobs/kloosterman_p5.json",
+     "99eed1d38627cd91e7cc2b6dc0b75707cd8c4d1966ff42f7defe7a6b70f13f0b"),
+    ("trace", "jobs/segment_p3.json",
+     "468ba1e117c8f41dfb78a7e805787c3c976189ec4250a0420acf2d806a77a44b"),
+    ("trace", "jobs/square_p3.json",
+     "a02406bdea92d4a29e73dc1f095d339d16b0b37d250c44d730827493ea7f7408"),
+    ("trace", "jobs/twist_p5.json",
+     "9072c753ed2a8cfc1cedf5148f09d08707abd4b1e8570e2b01ff19544f9aafb3"),
 ]
 
 

@@ -1,13 +1,16 @@
-"""The table-driven sum oracles against the per-point character sum.
+"""The sum oracles against per-point references.
 
-The reference below is the literal sum over the torus: one absolute trace and
-one ring product per point.  The table oracle must agree with it exactly (the
-arithmetic is exact mod p^M, so any difference is a bug, not rounding).
+The character reference is the literal sum over the torus: one absolute trace
+and one ring product per point.  The series reference evaluates the level-m
+series at every Teichmueller point of the torus.  The oracles must agree with
+them exactly (the arithmetic is exact mod p^M, so any difference is a bug, not
+rounding).
 """
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from dworksum import dwork, finitefield as ff, lfunction as lf, padic
@@ -46,6 +49,42 @@ def reference_characters(config, a_residues, twist, m, M):
         k = sum(tw[i] * logs[i] for i in range(config.n)) % L
         total = total + teich_pow[k] * theta_pow[ff.absolute_trace_int(val)]
     return padic.ring_restrict(total, padic.ring_create(p, f, M))
+
+
+def reference_series(config, a_residues, twist, m, M, nd):
+    """H_m summed point by point over the torus: at u = g^l the value
+    sum_e c_e teich(g)^(e . l) in R(p, f m, M), summed over every l and
+    restricted to R(p, f, M)."""
+    base = a_residues[0].params
+    p, f = base.p, base.degree
+    base_ring = padic.ring_create(p, f, M)
+    big_field = ff.FqParams(p, f * m)
+    big_ring = padic.ring_create(p, f * m, M)
+    L = big_field.q - 1
+    tg = padic.teichmueller(ff.multiplicative_generator(big_field), big_ring)
+    teich_pow = [big_ring.one()]
+    for _ in range(L - 1):
+        teich_pow.append(teich_pow[-1] * tg)
+    lifts = [padic.teichmueller(a, base_ring) for a in a_residues]
+    series = dwork.h_series(lifts, twist, m, nd)
+    exps = np.array(list(series.coeffs), dtype=np.int64).reshape(-1, config.n)
+    coeffs = np.array(
+        [padic.ring_embed(c, big_ring).coords for c in series.coeffs.values()],
+        dtype=np.int64,
+    ).reshape(-1, big_ring.blow)
+    total = big_ring.zero()
+    for logs in itertools.product(range(L), repeat=config.n):
+        # H_m(u): the terms grouped by the power of teich(g) they evaluate to
+        by_power = np.zeros((L, big_ring.blow), dtype=np.int64)
+        np.add.at(by_power, exps @ np.array(logs, dtype=np.int64) % L, coeffs)
+        value = big_ring.zero()
+        for k in range(L):
+            if by_power[k].any():
+                value = value + big_ring.from_coords(
+                    (by_power[k] % big_ring.pM).tolist()
+                ) * teich_pow[k]
+        total = total + value
+    return padic.ring_restrict(total, base_ring)
 
 
 def random_case(rng, p, f):
@@ -104,6 +143,47 @@ def test_series_oracle_matches_characters_on_random_twists():
         Sc, _ = lf.sums_oracle_characters(config, a, twist, 1, 4)
         Ss, _ = lf.sums_oracle_series(config, a, twist, 1, 4, nd)
         assert Sc == Ss == reference_characters(config, a, twist, 1, 4)
+
+
+def test_series_oracle_matches_per_point_reference():
+    # the series oracle is (q^m - 1)^n times the diagonal sum by orthogonality;
+    # the reference evaluates H_m at every Teichmueller point of the torus
+    rng = random.Random(4)
+    cases = [
+        # (p, f, A, levels, M, a_j = 0 somewhere); the cone of every A below
+        # is the whole space, so every twist exponent is valid
+        (3, 1, [[1, -1]], (1, 2), 3, False),
+        (3, 1, [[1, -1]], (1, 2), 3, True),
+        (5, 1, [[1, -1]], (1, 2), 2, False),
+        (3, 2, [[1, -1]], (1,), 2, False),
+        (5, 2, [[1, -1]], (1,), 2, True),
+        (3, 1, [[1, 0, -1], [0, 1, -1]], (1, 2), 2, False),
+        (3, 1, [[1, 0, -1], [0, 1, -1]], (1, 2), 2, True),
+        (5, 1, [[1, 0, -1], [0, 1, -1]], (1,), 2, False),
+        (3, 2, [[1, 0, -1], [0, 1, -1]], (1,), 2, True),
+    ]
+    zero_column = nonzero_twist = False
+    for p, f, A, levels, M, with_zero in cases:
+        config = ExponentConfig(A)
+        nd = newton_data(config)
+        F = ff.FqParams(p, f)
+        q = p**f
+        units = [x for x in F.all_elements() if not x.is_zero()]
+        a = [rng.choice(units) for _ in range(config.N)]
+        if with_zero:
+            a[rng.randrange(config.N)] = F.zero()
+        twist = dwork.TwistData(
+            config, [rng.randrange(1, q - 1) for _ in range(config.n)], q
+        )
+        zero_column = zero_column or any(x.is_zero() for x in a)
+        nonzero_twist = nonzero_twist or any(twist.k)
+        for m in levels:
+            got, prec = lf.sums_oracle_series(config, a, twist, m, M, nd)
+            assert got == reference_series(config, a, twist, m, M, nd), (
+                p, f, A, [x.coeffs for x in a], twist.k, m, M
+            )
+            assert prec == M
+    assert zero_column and nonzero_twist
 
 
 def test_level_table_contents():
