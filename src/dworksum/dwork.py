@@ -16,16 +16,25 @@ Precision bookkeeping: a discarded basis point u contributes to Tr(G^m) (and
 to any characteristic-series coefficient) terms of valuation at least
 (p-1)(q^m-1)/(p q^m) d(u + gamma); the default weight cap inverts this so
 the tail sits above p^M.
+
+Ring data here are int64 coordinate arrays, as in padic's matrix kernels:
+H_m is its support, exponents (S, n) beside coefficient coordinates
+(S, blow), expanded by folding the splitting series in one column at a time
+on a dense table; the matrix gathers c_{q w - u} for all basis pairs at once
+into an (n, n, blow) array that the traces and both characteristic-series
+kernels read directly.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from . import padic
 from .errors import (
+    BudgetExceeded,
     NotTeichmueller,
     ParamsMismatch,
     TwistOutsideCone,
@@ -72,29 +81,49 @@ def require_valid_twist(twist: TwistData, nd: NewtonData) -> None:
 # ----------------------------------------------------------------------
 
 class SeriesOnCone:
-    """Sparse series sum c_e t^e supported on shift + C(A), exact mod p^M.
+    """Series sum c_e t^e supported on shift + C(A), exact mod p^M, held as
+    two aligned arrays: exponents (S, n), lexicographically sorted, and
+    coeffs (S, blow), the coordinates of each nonzero c_e.
 
-    An exponent missing from coeffs has coefficient zero mod p^M: outside
-    the shifted cone the coefficient is exactly zero, and inside it every
-    term beyond the precision cut has ord >= M (stored sums that vanish
-    mod p^M are dropped as well).
+    An exponent missing from the support has coefficient zero mod p^M:
+    outside the shifted cone the coefficient is exactly zero, and inside it
+    every term beyond the precision cut has ord >= M.  The support always
+    holds the shift itself, whose coefficient is a unit.
     """
 
-    def __init__(self, params, nd, shift, level, Q, coeffs):
+    def __init__(self, params, nd, shift, Q, exponents, coeffs):
         self.params = params
         self.nd = nd
         self.shift = shift
-        self.level = level
         self.Q = Q
-        self.coeffs = coeffs  # dict exponent tuple -> RamifiedElement
-        self._zero = params.zero()
+        self.exponents = exponents
+        self.coeffs = coeffs
         self._floor_scale = Fraction(params.p - 1, params.p * Q)
+        # the support as row-major keys in its bounding box, sorted because
+        # the exponents are
+        self._lo = exponents.min(axis=0)
+        self._dims = exponents.max(axis=0) - self._lo + 1
+        self._strides = np.array(
+            [math.prod(self._dims[k + 1:]) for k in range(len(self._dims))]
+        )
+        self._keys = (exponents - self._lo) @ self._strides
+
+    def lookup(self, E: np.ndarray) -> np.ndarray:
+        """Support row of each exponent of E (..., n); -1 where c_e = 0."""
+        rel = E - self._lo
+        inside = ((rel >= 0) & (rel < self._dims)).all(axis=-1)
+        keys = np.where(inside, rel @ self._strides, -1)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return np.where(inside & (self._keys[pos] == keys), pos, -1)
 
     def relative(self, e):
         return tuple(a - b for a, b in zip(e, self.shift))
 
     def coeff(self, e) -> RamifiedElement:
-        return self.coeffs.get(tuple(e), self._zero)
+        r = int(self.lookup(np.asarray(e, dtype=np.int64)))
+        if r < 0:
+            return self.params.zero()
+        return self.params.from_coords(self.coeffs[r])
 
     def valuation_floor(self, e) -> Fraction | None:
         """Certified lower bound on ord of the coefficient at e; None means
@@ -105,8 +134,10 @@ class SeriesOnCone:
             return None
         return self._floor_scale * d
 
-    def support(self):
-        return self.coeffs.keys()
+
+# coordinates (box cells x blow) above which h_series refuses its table:
+# 2^24 int64 coordinates are 128 MB, and the fold holds two tables at once
+TABLE_LIMIT = 2**24
 
 
 def precision_cut(params: RingParams, Q: int) -> int:
@@ -121,11 +152,20 @@ def h_series(
     m: int,
     nd: NewtonData,
 ) -> SeriesOnCone:
-    """Expand H_m by convolving the one-monomial splitting series.
+    """Expand H_m by folding the one-monomial splitting series in, one column
+    at a time, on a dense table of coordinates.
 
-    a_lifts: Teichmueller lifts of the coefficients in a common ring R; the
-    product runs over tuples (i_1..i_N) with sum i_j <= the precision cut,
-    because each term has ord >= (p-1) (sum i_j) / (p q^m).
+    a_lifts: Teichmueller lifts of the coefficients in a common ring R.  The
+    product is truncated to the terms prod_j c_(i_j) a_j^(i_j) with
+    sum i_j <= the precision cut, because each term has ord >= (p-1)
+    (sum i_j) / (p q^m).  Those terms land in the box of
+    shift + i_cut hull(0, w_j) over the columns with a_j != 0 (a zero
+    column contributes only c_0 = 1), so the table spans that box and every
+    write is clipped to it.  The clip is exact: a term, or a partial product
+    over the first columns, outside the box has sum i_j > i_cut, so it
+    vanishes mod p^M by the floor that splitting_coefficients certifies, and
+    so does every such term that the fold adds inside the box.  A table of
+    more than TABLE_LIMIT coordinates is refused before it is allocated.
     """
     config = twist.config
     if len(a_lifts) != config.N:
@@ -141,49 +181,49 @@ def h_series(
     require_valid_twist(twist, nd)
 
     i_cut = precision_cut(params, Q)
+    blow, pM = params.blow, params.pM
+    live = [j for j in range(config.N) if not a_lifts[j].is_zero()]
+    W = np.array([config.columns[j] for j in live], dtype=np.int64).reshape(-1, config.n)
+    lo = i_cut * np.minimum(W, 0).min(axis=0, initial=0)
+    dims = i_cut * np.maximum(W, 0).max(axis=0, initial=0) - lo + 1
+    size = math.prod(int(d) for d in dims) * blow
+    if size > TABLE_LIMIT:
+        raise BudgetExceeded(
+            f"level-{m} series table needs {size} coordinates "
+            f"(i_cut = {i_cut}), above the limit {TABLE_LIMIT}"
+        )
 
     base = padic.splitting_coefficients(params, Q, i_cut)
-    # per-column arrays c_i a_j^i, skipping exact zeros (a_j = 0 collapses)
-    col_terms = []
-    for j in range(config.N):
-        a = a_lifts[j]
-        terms = [(0, base[0][0])]
-        if not a.is_zero():
-            apow = params.one()
-            for i in range(1, i_cut + 1):
-                apow = apow * a
-                c = base[i][0]
-                if not c.is_zero():
-                    terms.append((i, c * apow))
-        col_terms.append(terms)
-
-    shift = twist.shift(m)
-    zero_exp = tuple(shift)
-    coeffs = {}
-
-    def add(e, val):
-        cur = coeffs.get(e)
-        coeffs[e] = val if cur is None else cur + val
-
-    cols = config.columns
-
-    def rec(j, budget, exp, val):
-        if j == config.N:
-            add(exp, val)
-            return
-        wj = cols[j]
-        for i, cval in col_terms[j]:
-            if i > budget:
-                break
-            nexp = exp if i == 0 else tuple(x + i * y for x, y in zip(exp, wj))
-            nval = val if i == 0 else val * cval
-            if nval.is_zero():
+    table = np.zeros((*dims, blow), dtype=np.int64)
+    table[tuple(-lo)] = params.one().coords
+    for j, w in zip(live, W):
+        # most of the box stays zero: read only the nonzero cells' bounding box
+        filled = np.nonzero(table.any(axis=-1))
+        src_lo = np.array([x.min() for x in filled])
+        src_hi = np.array([x.max() + 1 for x in filled])
+        new = np.zeros(table.shape, dtype=np.int64)
+        apow = params.one()
+        for i in range(i_cut + 1):
+            term = base[i][0] * apow
+            apow = apow * a_lifts[j]
+            if term.is_zero():
                 continue
-            rec(j + 1, budget - i, nexp, nval)
-
-    rec(0, i_cut, zero_exp, params.one())
-    coeffs = {e: v for e, v in coeffs.items() if not v.is_zero()}
-    return SeriesOnCone(params, nd, shift, m, Q, coeffs)
+            lo_i = np.maximum(src_lo + i * w, 0)
+            hi_i = np.minimum(src_hi + i * w, dims)
+            if (lo_i >= hi_i).any():
+                continue
+            dst = tuple(slice(a, b) for a, b in zip(lo_i, hi_i))
+            src = tuple(slice(a - s, b - s) for a, b, s in zip(lo_i, hi_i, i * w))
+            block = table[src]
+            R = params.reg_rep(term.coords)
+            new[dst] += padic.matmul_mod(
+                block.reshape(-1, blow), R.T, pM
+            ).reshape(block.shape)
+        table = np.remainder(new, pM, out=new)
+    shift = twist.shift(m)
+    filled = np.nonzero(table.any(axis=-1))
+    exponents = np.stack(filled, axis=1) + lo + np.array(shift)
+    return SeriesOnCone(params, nd, shift, Q, exponents, table[filled])
 
 
 # ----------------------------------------------------------------------
@@ -221,33 +261,18 @@ class DworkMatrix:
         self.twist = twist
         self.params = series.params
         self.nd = series.nd
-        self.level = series.level
         self.Q = series.Q
-        n = len(basis)
-        blow = self.params.blow
-        coords = np.zeros((n, n, blow), dtype=np.int64)
-        for wi, w in enumerate(basis.points):
-            qw = tuple(self.Q * x for x in w)
-            for ui, u in enumerate(basis.points):
-                e = tuple(a - b for a, b in zip(qw, u))
-                c = series.coeff(e)
-                if not c.is_zero():
-                    coords[wi, ui, :] = c.coords
-        self.coords = coords
+        self.dim = len(basis)
+        W = np.array(basis.points, dtype=np.int64).reshape(-1, len(series.shift))
+        found = series.lookup(self.Q * W[:, None, :] - W[None, :, :])
+        self.coords = np.zeros((*found.shape, self.params.blow), dtype=np.int64)
+        hit = found >= 0
+        self.coords[hit] = series.coeffs[found[hit]]
         self._encoded = None
-        self.dim = n
         self.cap = basis.cap
         p = self.params.p
         q = twist.q
         self.tail_bound = Fraction((p - 1) * (q - 1), p * q) * self.cap
-
-    def entry(self, w_idx: int, u_idx: int) -> RamifiedElement:
-        return self.params.from_coords(self.coords[w_idx, u_idx, :].tolist())
-
-    def rows(self):
-        return [
-            [self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)
-        ]
 
     def encoded(self) -> np.ndarray:
         if self._encoded is None:
@@ -305,11 +330,8 @@ def diagonal_sum(series: SeriesOnCone) -> RamifiedElement:
     are the level-m diagonal (Q - 1) u, u + gamma in the cone, so this is
     also the series side of Dwork's trace formula, sum_u c_((Q - 1) u)."""
     L = series.Q - 1
-    total = series.params.zero()
-    for e, c in series.coeffs.items():
-        if all(x % L == 0 for x in e):
-            total = total + c
-    return total
+    on_diagonal = (series.exponents % L == 0).all(axis=1)
+    return series.params.from_coords(series.coeffs[on_diagonal].sum(axis=0))
 
 
 def char_series(dm: DworkMatrix, max_degree: int | None = None):
@@ -321,9 +343,5 @@ def char_series(dm: DworkMatrix, max_degree: int | None = None):
     params = dm.params
     prec = min(Fraction(params.M), dm.tail_bound)
     if max_degree is not None and max_degree < dm.dim:
-        coeffs = padic._char_series_prefix_encoded(
-            params, dm.encoded(), dm.dim, max_degree
-        )
-        return coeffs, prec
-    coeffs = padic.char_series_division_free(dm.rows())
-    return coeffs, prec
+        return padic.char_series_prefix(params, dm.coords, max_degree), prec
+    return padic.char_series_division_free(params, dm.coords), prec

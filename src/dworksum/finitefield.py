@@ -267,31 +267,12 @@ class FqElement:
         return self ** (self.params.p**times)
 
 
-def trace_norm(x: FqElement, base: FqParams) -> tuple[FqElement, FqElement]:
-    """(Tr, Norm) of x in F_{q^m} relative to the base field F_q = F_{p^f}.
-
-    Both are sums/products over the Frobenius orbit x, x^q, x^(q^2), ...; the
-    results are returned as elements of the big field (they lie in the image
-    of the base field).
-    """
-    big = x.params
-    if big.p != base.p or big.degree % base.degree != 0:
-        raise NotASubfield(f"{base!r} is not a subfield of {big!r}")
-    m = big.degree // base.degree
-    q = base.q
-    tr = big.zero()
-    nm = big.one()
-    y = x
-    for _ in range(m):
-        tr = tr + y
-        nm = nm * y
-        y = y**q
-    return tr, nm
-
-
 def absolute_trace_int(x: FqElement) -> int:
-    """Tr_{F_{p^s}/F_p}(x) as an integer in 0..p-1."""
-    tr, _ = trace_norm(x, FqParams(x.params.p, 1))
+    """Tr_{F_{p^s}/F_p}(x) = x + x^p + ... + x^(p^(s-1)) as an integer in 0..p-1."""
+    tr = y = x
+    for _ in range(x.params.degree - 1):
+        y = y.frobenius()
+        tr = tr + y
     assert all(c == 0 for c in tr.coeffs[1:])
     return tr.coeffs[0]
 

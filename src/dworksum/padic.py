@@ -718,28 +718,12 @@ def encoded_trace(params: RingParams, E: np.ndarray) -> RamifiedElement:
 # division-free characteristic series
 # ----------------------------------------------------------------------
 
-def _coords_array(rows) -> tuple[RingParams, np.ndarray]:
-    n = len(rows)
-    params = rows[0][0].params
-    arr = np.zeros((n, len(rows[0]), params.blow), dtype=np.int64)
-    for u in range(n):
-        if len(rows[u]) != n:
-            raise ValueError("matrix must be square")
-        for w in range(n):
-            e = rows[u][w]
-            if e.params != params:
-                raise ParamsMismatch("matrix entries live in different rings")
-            arr[u, w, :] = e.coords
-    return params, arr
-
-
-def char_series_division_free(rows) -> list[RamifiedElement]:
+def char_series_division_free(params: RingParams, coords: np.ndarray) -> list[RamifiedElement]:
     """Coefficients of det(I - T*mat), ascending, exact mod p^M, by the
     Berkowitz Toeplitz recursion -- no divisions, so no p-adic precision loss.
 
-    rows: square list-of-lists of RamifiedElement sharing params.
+    coords: the square matrix as an (n, n, blow) coordinate array.
     """
-    params, coords = _coords_array(rows)
     n = coords.shape[0]
     if n == 0:
         return [params.one()]
@@ -747,11 +731,10 @@ def char_series_division_free(rows) -> list[RamifiedElement]:
     E = encode_ring_matrix(params, coords)
 
     one = params.one()
-    vec = [one, -rows[n - 1][n - 1]]
+    vec = [one, -params.from_coords(coords[n - 1, n - 1])]
     for r in range(2, n + 1):
         off = n - r
-        a = rows[off][off]
-        col = [one, -a]
+        col = [one, -params.from_coords(coords[off, off])]
         # Krylov values -R A^k C on the trailing (r-1) block
         sub = E[(off + 1) * blow :, (off + 1) * blow :]
         v = E[(off + 1) * blow :, off * blow].copy()  # coords of column C
@@ -773,24 +756,21 @@ def char_series_division_free(rows) -> list[RamifiedElement]:
     return vec
 
 
-def char_series_prefix(rows, K: int) -> list[RamifiedElement]:
+def char_series_prefix(params: RingParams, coords: np.ndarray, K: int) -> list[RamifiedElement]:
     """First K+1 coefficients of det(I - T*mat), division-free, via a
     closed-ordered-walk (clow) dynamic program: one ring matmul per degree.
 
-    Matches char_series_division_free on the shared prefix; meant for large
+    coords: the square matrix as an (n, n, blow) coordinate array.  Matches
+    char_series_division_free on the shared prefix; meant for large
     matrices where only low T-degrees are needed.
     """
-    params, coords = _coords_array(rows)
-    return _char_series_prefix_encoded(params, encode_ring_matrix(params, coords),
-                                       coords.shape[0], K)
-
-
-def _char_series_prefix_encoded(params: RingParams, E: np.ndarray, n: int, K: int):
-    blow, pM = params.blow, params.pM
+    n = coords.shape[0]
     K = min(K, n)
     out = [params.one()]
-    if K == 0 or n == 0:
+    if K == 0:
         return out
+    blow, pM = params.blow, params.pM
+    E = encode_ring_matrix(params, coords)
     G = np.eye(n * blow, dtype=np.int64)
     upper = np.triu(np.ones((n, n), dtype=np.int64), k=1)
     for _ in range(K):

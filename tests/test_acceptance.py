@@ -55,13 +55,7 @@ class Run:
             )
             for m in (1, 2)
         ]
-        self.traces = {}
-        for m in (1, 2):
-            level = dwork.h_series(self.a_lifts, self.twist, m, self.nd)
-            self.traces[m] = {
-                "matrix_power": dwork.trace(self.dm, m),
-                "level_m_series": dwork.diagonal_sum(level),
-            }
+        self.traces = {m: dwork.trace(self.dm, m) for m in (1, 2)}
         self.L_sums = lf.l_series_from_sums(self.char_sums, m_max)
         P, P_prec = dwork.char_series(self.dm, max_degree=min(m_max, self.dm.dim))
         self.L_char = lf.l_from_charseries(
@@ -69,7 +63,7 @@ class Run:
         )
 
     def scaled_trace(self, m):
-        t, prec = self.traces[m]["matrix_power"]
+        t, prec = self.traces[m]
         return t * ((self.p**m - 1) ** self.config.n), prec
 
 

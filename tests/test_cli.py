@@ -200,3 +200,22 @@ def test_reports_byte_identical(tmp_path):
         rep = cli.run("lfunction", KLOOSTERMAN, workers=2)
         texts.add(cli.render_report(rep))
     assert len(texts) == 1
+
+
+def test_trace_refuses_oversized_series_table(tmp_path, capsys):
+    # n = 3, p = 7, M = 5: the level-2 series would need a box of 287^3
+    # cells of 6 coordinates, so trace stops before allocating it
+    job = tmp_path / "job.json"
+    job.write_text(
+        json.dumps(
+            {
+                "p": 7,
+                "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                "gamma_k": [0, 0, 0],
+                "a": [1, 1, 1],
+                "precision": {"M": 5, "m_max": 2},
+            }
+        )
+    )
+    assert cli.main(["trace", "--job", str(job)]) == 4
+    assert "level-2 series table" in capsys.readouterr().err

@@ -42,7 +42,7 @@ def test_h_series_trivial():
     a0 = [padic.teichmueller(F.zero(), params)]
     series = dwork.h_series(a0, twist, 1, nd)
     assert series.coeff((0,)) == params.one()
-    assert all(e == (0,) for e in series.support())
+    assert series.exponents.tolist() == [[0]]
     assert series.coeff((5,)).is_zero()
     # outside the cone the coefficient is exactly zero
     assert series.coeff((-2,)).is_zero()
@@ -56,8 +56,9 @@ def test_h_series_single_monomial_matches_splitting():
     for i in range(i_cut + 1):
         assert series.coeff((i,)) == base[i][0]
     # certified floors hold for every stored coefficient
-    for e, c in series.coeffs.items():
+    for e, c in zip(series.exponents.tolist(), series.coeffs):
         fl = series.valuation_floor(e)
+        c = params.from_coords(c)
         assert padic.pi_ord(c).known_at_least(min(fl, Fraction(params.M)))
 
 
@@ -72,8 +73,9 @@ def test_h_series_kloosterman_pairing():
         expected = expected + base[i][0] * base[i][0]
     assert series.coeff((0,)) == expected
     # exhaustive floor check over the stored support
-    for e, c in series.coeffs.items():
+    for e, c in zip(series.exponents.tolist(), series.coeffs):
         fl = series.valuation_floor(e)
+        c = params.from_coords(c)
         assert padic.pi_ord(c).known_at_least(min(fl, Fraction(params.M)))
 
 
@@ -92,9 +94,9 @@ def test_matrix_entries_and_sparsity():
     for wi, w in enumerate(basis.points[:6]):
         for ui, u in enumerate(basis.points[:6]):
             e = (3 * w[0] - u[0],)
-            assert dm.entry(wi, ui) == series.coeff(e)
+            assert params.from_coords(dm.coords[wi, ui]) == series.coeff(e)
     # entries outside the support are zero: 3*w - u < 0 for w = 0, u > 0
-    assert dm.entry(0, 1).is_zero()
+    assert not dm.coords[0, 1].any()
 
 
 def test_degenerate_operator_trace_one():
@@ -300,3 +302,124 @@ def test_truncation_stability():
         t1, _ = dwork.trace(dm1, m)
         t2, _ = dwork.trace(dm2, m)
         assert [c % pM for c in t2.coords] == list(t1.coords)
+
+
+def reference_series(a_lifts, twist, m):
+    """H_m by brute force: one product c_(i_1) a_1^(i_1) ... c_(i_N) a_N^(i_N)
+    per tuple with sum i_j <= the precision cut, summed per exponent, as a
+    map exponent -> coordinates of the nonzero sums."""
+    import itertools
+
+    params = a_lifts[0].params
+    config = twist.config
+    Q = twist.q**m
+    i_cut = dwork.precision_cut(params, Q)
+    base = padic.splitting_coefficients(params, Q, i_cut)
+    # zero terms add nothing; a zero column keeps only i = 0 (0^0 = 1)
+    terms = []
+    for a in a_lifts:
+        powers = [params.one()]
+        for _ in range(i_cut):
+            powers.append(powers[-1] * a)
+        column = [(i, base[i][0] * x) for i, x in enumerate(powers)]
+        terms.append([(i, t) for i, t in column if not t.is_zero()])
+    shift = twist.shift(m)
+    sums = {}
+    for choice in itertools.product(*terms):
+        if sum(i for i, _ in choice) > i_cut:
+            continue
+        e = tuple(
+            shift[k] + sum(i * w[k] for (i, _), w in zip(choice, config.columns))
+            for k in range(config.n)
+        )
+        value = params.one()
+        for _, t in choice:
+            value = value * t
+        sums[e] = sums[e] + value if e in sums else value
+    return {e: v.coords for e, v in sums.items() if not v.is_zero()}
+
+
+def test_h_series_matches_brute_force_sweep(monkeypatch):
+    # seeded sweep over p, f, m, n <= 3, zero columns and in-cone twists:
+    # the series, every matrix entry c_(Q w - u) and the diagonal sum must
+    # equal the brute-force expansion exactly; draws whose table would pass
+    # 2^20 coordinates are refused and redrawn, to keep the sweep small
+    import itertools
+    import random
+
+    from dworksum.errors import BudgetExceeded, RankDeficient
+
+    monkeypatch.setattr(dwork, "TABLE_LIMIT", 2**20)
+    rng = random.Random(2718)
+    nonzero = {}  # (ring, m) -> number of nonzero splitting coefficients
+    ranks = set()
+    zero_columns = 0
+    for p, f, m in itertools.product((3, 5, 7), (1, 2), (1, 2)):
+        q = p**f
+        F = ff.FqParams(p, f)
+        units = list(F.all_elements())
+        for _ in range(3):
+            while True:
+                n = rng.choice((1, 2, 3))
+                N = rng.randint(n, n + 1)
+                M = rng.randint(1, 3)
+                try:
+                    config = ExponentConfig(
+                        [[rng.randint(-2, 2) for _ in range(N)] for _ in range(n)]
+                    )
+                except (RankDeficient, ValueError):
+                    continue
+                nd = newton_data(config)
+                ks = [
+                    k for k in itertools.product(range(-2, 3), repeat=n)
+                    if any(k) and dwork.twist_validate(
+                        dwork.TwistData(config, k, q), nd
+                    )
+                ]
+                if not ks:
+                    continue
+                params = padic.ring_create(p, f, M)
+                if (params, m) not in nonzero:
+                    base = padic.splitting_coefficients(
+                        params, q**m, dwork.precision_cut(params, q**m)
+                    )
+                    nonzero[params, m] = sum(1 for c, _ in base if not c.is_zero())
+                a_res = [
+                    F.zero() if rng.random() < 0.2 else rng.choice(units)
+                    for _ in range(N)
+                ]
+                live = sum(not a.is_zero() for a in a_res)
+                # live columns, and not too many tuples for the brute force
+                if not live or nonzero[params, m] ** live > 3000:
+                    continue
+                twist = dwork.TwistData(config, rng.choice(ks), q)
+                a_lifts = [padic.teichmueller(a, params) for a in a_res]
+                try:
+                    series = dwork.h_series(a_lifts, twist, m, nd)
+                except BudgetExceeded:
+                    continue
+                break
+            want = reference_series(a_lifts, twist, m)
+            got = {
+                tuple(e): tuple(c)
+                for e, c in zip(series.exponents.tolist(), series.coeffs.tolist())
+            }
+            assert got == want, (p, f, m, config.A, a_res, twist.k)
+
+            Q = q**m
+            basis = enumerate_points(nd, 3, offset=twist.gamma)
+            dm = dwork.DworkMatrix(series, basis, twist)
+            zero = params.zero().coords
+            for wi, w in enumerate(basis.points):
+                for ui, u in enumerate(basis.points):
+                    e = tuple(Q * a - b for a, b in zip(w, u))
+                    assert tuple(dm.coords[wi, ui].tolist()) == want.get(e, zero)
+
+            diagonal = params.zero()
+            for e, c in want.items():
+                if all(x % (Q - 1) == 0 for x in e):
+                    diagonal = diagonal + params.from_coords(c)
+            assert dwork.diagonal_sum(series) == diagonal
+            ranks.add(n)
+            zero_columns += any(a.is_zero() for a in a_res)
+    assert ranks == {1, 2, 3} and zero_columns

@@ -14,6 +14,12 @@ The ``check`` and ``trace`` digests were taken while the series side of the
 trace formula was still a separate route (a level-m sum over a second basis)
 and the series oracle still a histogram over the torus, before both became
 one diagonal sum of the level-m series.
+
+The ``charpoly`` digests and the ``lfunction`` digests of the Kloosterman,
+segment and twist jobs were taken while the level-m series was still a dict
+of ring elements built by a per-term recursion, the operator matrix was
+filled one basis pair at a time, and the Berkowitz recursion read it back as
+a list of ring-element rows, before all three became coordinate arrays.
 """
 
 import hashlib
@@ -94,6 +100,20 @@ GOLDEN = [
      "a02406bdea92d4a29e73dc1f095d339d16b0b37d250c44d730827493ea7f7408"),
     ("trace", "jobs/twist_p5.json",
      "9072c753ed2a8cfc1cedf5148f09d08707abd4b1e8570e2b01ff19544f9aafb3"),
+    ("charpoly", "jobs/kloosterman_p5.json",
+     "589222452d94d6244a6f6b7f2b77dd46968e07ae1da4e287edda7ba7b3e64a9a"),
+    ("charpoly", "jobs/segment_p3.json",
+     "fb64a6e7e34931e8b9beb312f5aa7dfb0413eed06764f9bf16679d2d681e4299"),
+    ("charpoly", "jobs/square_p3.json",
+     "a9e167d077ce422c6b24477b2bef9970f9e206586f4b59cdb5faf851ce9b1360"),
+    ("charpoly", "jobs/twist_p5.json",
+     "f3cd8c7c9f540c6d02ce95f2c7a1cd82f71f566ffc3193fca5205a6d81205e99"),
+    ("lfunction", "jobs/kloosterman_p5.json",
+     "f9e19cc38c6b4a6ca8c7eadbcfaf070c5a96219e799fd48f6271e11e4744ffb3"),
+    ("lfunction", "jobs/segment_p3.json",
+     "465d2db8be0bdddd4654cb62a4018d856eb07d4aa4eeb092462632c0bd467654"),
+    ("lfunction", "jobs/twist_p5.json",
+     "9a58ce85ca26a26ec6ee5cf06034a476471ea514e2d54f015a46eb4414a7363a"),
 ]
 
 

@@ -67,9 +67,10 @@ def reference_series(config, a_residues, twist, m, M, nd):
         teich_pow.append(teich_pow[-1] * tg)
     lifts = [padic.teichmueller(a, base_ring) for a in a_residues]
     series = dwork.h_series(lifts, twist, m, nd)
-    exps = np.array(list(series.coeffs), dtype=np.int64).reshape(-1, config.n)
+    exps = series.exponents
     coeffs = np.array(
-        [padic.ring_embed(c, big_ring).coords for c in series.coeffs.values()],
+        [padic.ring_embed(base_ring.from_coords(c), big_ring).coords
+         for c in series.coeffs],
         dtype=np.int64,
     ).reshape(-1, big_ring.blow)
     total = big_ring.zero()
