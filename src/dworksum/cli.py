@@ -335,9 +335,11 @@ def _sums_to(job: JobConfig, order: int):
 
 def _recognize(job: JobConfig, sums):
     """Rational recognition needs the series to order volume + 3; extend the
-    sums beyond the job's m_max when necessary."""
+    sums beyond the job's m_max when necessary, after checking that the
+    highest extra level fits the torus budget."""
     need = job.volume + 3
     if len(sums) < need:
+        lf.require_torus_budget(job.q, need, job.config.n)
         sums = list(sums) + [
             lf.sums_oracle_characters(
                 job.config, job.a_residues, job.twist, m, job.M

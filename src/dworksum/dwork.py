@@ -140,6 +140,22 @@ class SeriesOnCone:
 TABLE_LIMIT = 2**24
 
 
+# coordinates of transposed term matrices that h_series holds at once
+_TERM_BLOCK = 1 << 20
+
+
+def _term_matrices(params: RingParams, terms: np.ndarray):
+    """(i, reg_rep(terms[i]).T) for every nonzero row of terms, so that
+    x @ reg_rep(terms[i]).T is the coordinate rows of x times terms[i].  One
+    einsum against the multiplication tensor per block of rows."""
+    nonzero = np.flatnonzero(terms.any(axis=1))
+    rows = max(1, _TERM_BLOCK // params.blow**2)
+    for start in range(0, len(nonzero), rows):
+        idx = nonzero[start:start + rows]
+        mats = np.einsum("ia,abg->ibg", terms[idx], params.mult_tensor())
+        yield from zip(idx, mats % params.pM)
+
+
 def precision_cut(params: RingParams, Q: int) -> int:
     """Terms of total splitting-series index above this bound vanish mod p^M."""
     p, M = params.p, params.M
@@ -158,14 +174,14 @@ def h_series(
     a_lifts: Teichmueller lifts of the coefficients in a common ring R.  The
     product is truncated to the terms prod_j c_(i_j) a_j^(i_j) with
     sum i_j <= the precision cut, because each term has ord >= (p-1)
-    (sum i_j) / (p q^m).  Those terms land in the box of
-    shift + i_cut hull(0, w_j) over the columns with a_j != 0 (a zero
-    column contributes only c_0 = 1), so the table spans that box and every
-    write is clipped to it.  The clip is exact: a term, or a partial product
-    over the first columns, outside the box has sum i_j > i_cut, so it
-    vanishes mod p^M by the floor that splitting_coefficients certifies, and
-    so does every such term that the fold adds inside the box.  A table of
-    more than TABLE_LIMIT coordinates is refused before it is allocated.
+    (sum i_j) / (p q^m), the coarse floor of padic.splitting_floors.  Those
+    terms land in the box of shift + i_cut hull(0, w_j) over the columns
+    with a_j != 0 (a zero column contributes only c_0 = 1), so the table
+    spans that box and every write is clipped to it.  The clip is exact: a
+    term, or a partial product over the first columns, outside the box has
+    sum i_j > i_cut, so it vanishes mod p^M by that floor, and so does every
+    such term that the fold adds inside the box.  A table of more than
+    TABLE_LIMIT coordinates is refused before it is allocated.
     """
     config = twist.config
     if len(a_lifts) != config.N:
@@ -194,20 +210,26 @@ def h_series(
         )
 
     base = padic.splitting_coefficients(params, Q, i_cut)
+    residue = np.arange(i_cut + 1) % (q - 1)
     table = np.zeros((*dims, blow), dtype=np.int64)
     table[tuple(-lo)] = params.one().coords
     for j, w in zip(live, W):
+        # a_j is a Teichmueller unit, so a_j^i depends only on i mod (q - 1):
+        # one product per residue class gives every term c_i a_j^i
+        terms = np.zeros_like(base)
+        apow = params.one()
+        for r in range(min(q - 1, i_cut + 1)):
+            cls = residue == r
+            terms[cls] = padic.matmul_mod(
+                base[cls], params.reg_rep(apow.coords).T, pM
+            )
+            apow = apow * a_lifts[j]
         # most of the box stays zero: read only the nonzero cells' bounding box
         filled = np.nonzero(table.any(axis=-1))
         src_lo = np.array([x.min() for x in filled])
         src_hi = np.array([x.max() + 1 for x in filled])
         new = np.zeros(table.shape, dtype=np.int64)
-        apow = params.one()
-        for i in range(i_cut + 1):
-            term = base[i][0] * apow
-            apow = apow * a_lifts[j]
-            if term.is_zero():
-                continue
+        for i, R in _term_matrices(params, terms):
             lo_i = np.maximum(src_lo + i * w, 0)
             hi_i = np.minimum(src_hi + i * w, dims)
             if (lo_i >= hi_i).any():
@@ -215,9 +237,8 @@ def h_series(
             dst = tuple(slice(a, b) for a, b in zip(lo_i, hi_i))
             src = tuple(slice(a - s, b - s) for a, b, s in zip(lo_i, hi_i, i * w))
             block = table[src]
-            R = params.reg_rep(term.coords)
             new[dst] += padic.matmul_mod(
-                block.reshape(-1, blow), R.T, pM
+                block.reshape(-1, blow), R, pM
             ).reshape(block.shape)
         table = np.remainder(new, pM, out=new)
     shift = twist.shift(m)

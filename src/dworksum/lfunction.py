@@ -13,6 +13,10 @@ Two independent evaluations of the twisted sums S_m over F_{q^m}, L = q^m - 1:
 The character route reads one cached table per (p, s = f m, M): the discrete
 log of every element of F_{p^s}^* to the distinguished generator g, Tr(g^e)
 for every e, the Teichmueller powers teich(g)^e and the powers of theta(1).
+Both walks over e are built by doubling, the first 2^k powers times g^(2^k)
+(as an F_p matrix, and as the regular representation of teich(g)^(2^k))
+giving the next 2^k, and a level whose torus has more than TORUS_LIMIT
+points is refused before its table is built.
 A torus point u = g^l enters the character sum only through the twist class
 k = shift(m) . l mod L and the trace c = sum_j Tr(g^(log a_j + A_j . l)) in
 F_p (the trace is F_p-linear), so with N(k, c) the number of points of each
@@ -50,6 +54,22 @@ from .padic import RamifiedElement, RingParams
 # whatever the size of the torus
 _BLOCK = 1 << 16
 
+# torus points above which the character oracle refuses a level: its work is
+# linear in the (q^m - 1)^n points, and for n = 1 its table holds L rows of
+# blow coordinates (the largest torus of the sample and bench jobs is 58,564)
+TORUS_LIMIT = 1 << 20
+
+
+def require_torus_budget(q: int, m: int, n: int) -> None:
+    """Refuse level m before any table is built when its torus has more than
+    TORUS_LIMIT points."""
+    points = (q**m - 1) ** n
+    if points > TORUS_LIMIT:
+        raise BudgetExceeded(
+            f"level {m} needs {points} torus points, above the limit "
+            f"{TORUS_LIMIT}"
+        )
+
 
 def _theta_powers(params: RingParams) -> list[RamifiedElement]:
     th = padic.ring_embed(
@@ -59,6 +79,22 @@ def _theta_powers(params: RingParams) -> list[RamifiedElement]:
     for _ in range(params.p - 1):
         out.append(out[-1] * th)
     return out
+
+
+def _powers(one, step, count: int, mod: int) -> np.ndarray:
+    """Coordinate rows one * y^e for e < count (count >= 2), where step is
+    the matrix of x -> x y on coordinate rows: the first 2^k rows times
+    y^(2^k) give the next 2^k, so ceil(log2 count) products and squarings."""
+    rows = np.empty((count, len(one)), dtype=np.int64)
+    rows[0] = one
+    done = 1
+    while True:
+        k = min(done, count - done)
+        rows[done:done + k] = padic.matmul_mod(rows[:k], step, mod)
+        done += k
+        if done == count:
+            return rows
+        step = padic.matmul_mod(step, step, mod)
 
 
 class LevelTable:
@@ -75,33 +111,35 @@ class LevelTable:
         L = field.q - 1
         self.field, self.ring, self.L = field, ring, L
         self.codes = p ** np.arange(s, dtype=np.int64)
-        coeffs = np.zeros((L, s), dtype=np.int64)
-        self.log = np.full(field.q, -1, dtype=np.int64)
-        x = field.one()
-        for e in range(L):
-            coeffs[e] = x.coeffs
-            code = int(coeffs[e] @ self.codes)
-            if code == 0 or self.log[code] >= 0:
-                raise NotAField(
-                    f"only {e} < {L} distinct powers of {gen!r}: the modulus of "
-                    f"{field!r} is reducible or the element is not a generator"
-                )
-            self.log[code] = e
-            x = x * gen
-        if x != field.one():
+        # row j of the F_p step matrix: the coefficients of b^j g
+        basis = [field.element([int(i == j) for i in range(s)]) for j in range(s)]
+        step = np.array([(b * gen).coeffs for b in basis], dtype=np.int64)
+        coeffs = _powers(field.one().coeffs, step, L + 1, p)
+        codes = coeffs[:L] @ self.codes
+        # g^(e+1) is determined by g^e, so the powers are distinct up to the
+        # first repeat, which therefore sits at the number of distinct powers;
+        # a zero power fails where it first appears
+        zeros = np.flatnonzero(codes == 0)
+        e = min(
+            np.count_nonzero(np.bincount(codes, minlength=field.q)),
+            int(zeros[0]) if len(zeros) else L,
+        )
+        if e < L:
+            raise NotAField(
+                f"only {e} < {L} distinct powers of {gen!r}: the modulus of "
+                f"{field!r} is reducible or the element is not a generator"
+            )
+        if tuple(coeffs[L]) != field.one().coeffs:
             raise NotAField(f"{gen!r}^{L} != 1 in {field!r}")
+        self.log = np.full(field.q, -1, dtype=np.int64)
+        self.log[codes] = np.arange(L)
         # the trace is F_p-linear: Tr(g^e) = sum_j coeff_j(g^e) Tr(b^j)
         basis_traces = np.array(
-            [ff.absolute_trace_int(field.element([int(i == j) for i in range(s)]))
-             for j in range(s)],
-            dtype=np.int64,
+            [ff.absolute_trace_int(b) for b in basis], dtype=np.int64
         )
-        self.trace = coeffs @ basis_traces % p
+        self.trace = coeffs[:L] @ basis_traces % p
         tg = padic.teichmueller(gen, ring)
-        pows = [ring.one()]
-        for _ in range(L - 1):
-            pows.append(pows[-1] * tg)
-        self.teich = np.array([t.coords for t in pows], dtype=np.int64)
+        self.teich = _powers(ring.one().coords, ring.reg_rep(tg.coords).T, L, ring.pM)
         self.theta = _theta_powers(ring)
         for arr in (self.log, self.trace, self.teich):
             arr.flags.writeable = False  # shared by every caller of the cache
@@ -146,6 +184,7 @@ def sums_oracle_characters(
     base_field = a_residues[0].params
     p, f = base_field.p, base_field.degree
     assert twist.q == p**f
+    require_torus_budget(twist.q, m, config.n)
     tab = level_table(p, f * m, M)
     big_ring, L = tab.ring, tab.L
     base_ring = padic.ring_create(p, f, M)

@@ -440,57 +440,43 @@ def sigma_and_factorial_ord(m: int, p: int) -> tuple[int, Fraction]:
     return sg, Fraction(sg, p - 1)
 
 
-class _FactorialData:
-    """Running p-part / unit-part of k! mod p^M."""
+def _pi_factorial_units(params: RingParams, k_max: int) -> list[int]:
+    """v_0..v_k_max with pi^k / k! = v_k pi^(k mod (p-1)) in R.
 
-    def __init__(self, params: RingParams):
-        self.params = params
-        self.e = [0]  # ord_p(k!)
-        self.u = [1]  # unit part of k! mod p^M
-
-    def extend(self, upto: int):
-        p, pM = self.params.p, self.params.pM
-        for k in range(len(self.e), upto + 1):
-            v, kk = 0, k
-            while kk % p == 0:
-                kk //= p
-                v += 1
-            self.e.append(self.e[-1] + v)
-            self.u.append((self.u[-1] * kk) % pM)
-
-
-def pi_power_over_factorial(params: RingParams, k: int, fact: _FactorialData) -> RamifiedElement:
-    """pi^k / k! as a ring element: ord = sigma(k)/(p-1) >= 0 so it is integral."""
-    p, s, pM, M = params.p, params.s, params.pM, params.M
-    if k == 0:
-        return params.one()
-    fact.extend(k)
-    r = k % (p - 1)
-    m_ = k // (p - 1)
-    t = m_ - fact.e[k]  # = (sigma(k) - r)/(p-1), a nonnegative integer
-    c = [0] * params.blow
-    if t < M:
-        val = pow(p, t, pM) * pow(fact.u[k], -1, pM) % pM
-        if m_ % 2:
-            val = (-val) % pM
-        c[r * s] = val
-    return RamifiedElement(params, tuple(c))
-
-
-def splitting_coefficients(
-    params: RingParams, Q: int, i_max: int
-) -> list[tuple[RamifiedElement, Fraction]]:
-    """Coefficients c_0..c_{i_max} of exp(pi z - pi z^Q) with certified
-    valuation floors.
-
-    c_i = sum over a + Q b = i of (pi^a / a!) * (-pi)^b / b!, each term exact.
-    The floor attached to c_i is the larger of two certified bounds: the
-    ultrametric minimum of the term valuations sigma(a)/(p-1)+sigma(b)/(p-1)
-    (sharp below Q, where a single term contributes), and (p-1) i / (p Q),
-    which survives the partial cancellation between terms because the series
-    factors as a product of theta(z^(p^k)) with coefficient decay (p-1)/p^2.
+    With k! = p^e u, u prime to p, and p = -pi^(p-1):
+    pi^k / k! = (-1)^(k // (p-1)) p^(k // (p-1) - e) u^-1 pi^(k mod (p-1)),
+    where the exponent of p is (sigma(k) - k mod (p-1)) / (p-1) >= 0, so
+    every pi^k / k! is integral.
     """
-    p = params.p
+    p, pM, M = params.p, params.pM, params.M
+    out = [1]
+    e, u = 0, 1
+    for k in range(1, k_max + 1):
+        kk = k
+        while kk % p == 0:
+            kk //= p
+            e += 1
+        u = u * kk % pM
+        t = k // (p - 1) - e
+        v = pow(p, t, pM) * pow(u, -1, pM) % pM if t < M else 0
+        out.append(-v % pM if k // (p - 1) % 2 else v)
+    return out
+
+
+def splitting_coefficients(params: RingParams, Q: int, i_max: int) -> np.ndarray:
+    """Coefficients c_0..c_{i_max} of exp(pi z - pi z^Q) as an
+    (i_max + 1, blow) int64 coordinate array, exact mod p^M.
+
+    c_i = sum over a + Q b = i of (pi^a / a!) (-pi)^b / b!.  Each factor is
+    one monomial v_k pi^(k mod (p-1)), and Q = 1 mod (p-1), so every term is
+    a multiple of pi^(i mod (p-1)) once pi^(p-1) = -p folds an exponent
+    r_a + r_b >= p-1 back: c_i = w_i pi^(i mod (p-1)).  The sums w_i are one
+    matmul_mod of the shifted v array, column b holding v_(i - Q b) (times
+    -p where it folds) for b <= i_max / Q, against (-1)^b v_b; matmul_mod
+    stays exact when the products reach p^(2M) > 2^63.  splitting_floors gives the certified
+    valuation floor of each c_i.
+    """
+    p, s, pM = params.p, params.s, params.pM
     if Q < 2 or Q % p != 0:
         raise ValueError("Q must be a positive power of p")
     qq = Q
@@ -503,26 +489,45 @@ def splitting_coefficients(
             f"i_max = {i_max} leaves a tail above p^-{params.M}: need "
             f"(p-1) i_max / (p Q) >= M"
         )
-    fact = _FactorialData(params)
-    fact.extend(i_max)
-    out = []
-    for i in range(i_max + 1):
-        acc = params.zero()
-        floor = None
-        for b in range(i // Q + 1):
-            a = i - Q * b
-            term = pi_power_over_factorial(params, a, fact) * pi_power_over_factorial(
-                params, b, fact
-            )
-            if b % 2:
-                term = -term
-            acc = acc + term
-            t_ord = Fraction(sigma_digit_sum(a, p) + sigma_digit_sum(b, p), p - 1)
-            floor = t_ord if floor is None else min(floor, t_ord)
-        if floor is None:
-            floor = Fraction(0)
-        out.append((acc, max(floor, Fraction((p - 1) * i, p * Q))))
+    v = np.array(_pi_factorial_units(params, i_max), dtype=np.int64)
+    i = np.arange(i_max + 1)
+    r = i % (p - 1)
+    cols = i_max // Q + 1
+    shifted = np.zeros((i_max + 1, cols), dtype=np.int64)
+    for b in range(cols):
+        n = i_max + 1 - Q * b
+        # the factor is -p where pi^(r_a + r_b) folds back, 1 elsewhere
+        fold = r[:n] + r[b] >= p - 1
+        shifted[Q * b:, b] = v[:n] * (1 - (p + 1) * fold) % pM
+    signs = 1 - 2 * (i[:cols] % 2)
+    out = np.zeros((i_max + 1, params.blow), dtype=np.int64)
+    out[i, r * s] = matmul_mod(shifted, signs * v[:cols] % pM, pM)
     return out
+
+
+def splitting_floors(p: int, Q: int, i_max: int) -> list[Fraction]:
+    """Certified lower bounds on ord c_i for the coefficients of
+    splitting_coefficients, i = 0..i_max.
+
+    The floor of c_i is the larger of two bounds: the ultrametric minimum of
+    the term valuations (sigma(a) + sigma(b)) / (p-1) over a + Q b = i
+    (sharp below Q, where a single term contributes), and (p-1) i / (p Q),
+    which survives the partial cancellation between terms because the series
+    factors as a product of theta(z^(p^k)) with coefficient decay (p-1)/p^2.
+    """
+    return [
+        max(
+            Fraction(
+                min(
+                    sigma_digit_sum(i - Q * b, p) + sigma_digit_sum(b, p)
+                    for b in range(i // Q + 1)
+                ),
+                p - 1,
+            ),
+            Fraction((p - 1) * i, p * Q),
+        )
+        for i in range(i_max + 1)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -534,11 +539,7 @@ def theta_one(params: RingParams) -> RamifiedElement:
     """
     p, M = params.p, params.M
     i_max = -((-M * p * p) // (p - 1)) + p
-    coeffs = splitting_coefficients(params, p, i_max)
-    acc = params.zero()
-    for c, _ in coeffs:
-        acc = acc + c
-    return acc
+    return params.from_coords(splitting_coefficients(params, p, i_max).sum(axis=0))
 
 
 # ----------------------------------------------------------------------

@@ -193,9 +193,11 @@ def test_criterion_6_valuation_certificates():
     for p in (3, 5, 7):
         params = padic.ring_create(p, 1, 10)
         coeffs = padic.splitting_coefficients(params, p, 200)
-        for i, (c, floor) in enumerate(coeffs):
+        floors = padic.splitting_floors(p, p, 200)
+        for i, (c, floor) in enumerate(zip(coeffs, floors)):
             coarse = Fraction((p - 1) * i, p * p)
             assert floor >= coarse
+            c = params.from_coords(c)
             assert padic.pi_ord(c).known_at_least(min(coarse, Fraction(10)))
     print("criterion 6: PASS  valuation certificates (sigma m<=1000; floors i<=200)")
 

@@ -219,3 +219,27 @@ def test_trace_refuses_oversized_series_table(tmp_path, capsys):
     )
     assert cli.main(["trace", "--job", str(job)]) == 4
     assert "level-2 series table" in capsys.readouterr().err
+
+
+def test_lfunction_refuses_oversized_recognition_torus(tmp_path, capsys):
+    # n = 3, p = 7: recognition needs level volume + 3 = 4, a torus of
+    # (7^4 - 1)^3 points; the budget refuses it before any table is built
+    import time
+
+    job = tmp_path / "job.json"
+    job.write_text(
+        json.dumps(
+            {
+                "p": 7,
+                "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                "gamma_k": [0, 0, 0],
+                "a": [1, 1, 1],
+                "precision": {"M": 3, "m_max": 1},
+            }
+        )
+    )
+    start = time.monotonic()
+    assert cli.main(["lfunction", "--job", str(job)]) == 4
+    assert time.monotonic() - start < 10
+    err = capsys.readouterr().err
+    assert "level 4" in err and str(2400**3) in err

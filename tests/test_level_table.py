@@ -188,18 +188,24 @@ def test_series_oracle_matches_per_point_reference():
 
 
 def test_level_table_contents():
-    tab = lf.level_table(5, 2, 3)
-    L = 24
-    assert tab.L == L and tab.teich.shape == (L, tab.ring.blow)
-    g = ff.multiplicative_generator(tab.field)
-    x = tab.field.one()
-    for e in range(L):
-        assert tab.log_of(x) == e
-        assert tab.trace[e] == ff.absolute_trace_int(x)
-        assert tab.ring.from_coords(tab.teich[e]) == padic.teichmueller(x, tab.ring)
-        x = x * g
-    th = padic.ring_embed(padic.theta_one(padic.ring_create(5, 1, 3)), tab.ring)
-    assert tab.theta[1] == th and tab.theta[4] == th**4
+    # the doubling walks against one product per power, including tables
+    # whose L is not a power of two
+    for p, s, M in [(5, 2, 3), (3, 1, 3), (3, 5, 2), (5, 3, 2), (7, 2, 2)]:
+        tab = lf.level_table(p, s, M)
+        L = p**s - 1
+        assert tab.L == L and tab.teich.shape == (L, tab.ring.blow)
+        assert (tab.log >= 0).sum() == L and tab.log[0] == -1
+        g = ff.multiplicative_generator(tab.field)
+        x = tab.field.one()
+        for e in range(L):
+            assert tab.log_of(x) == e
+            assert tab.trace[e] == ff.absolute_trace_int(x)
+            assert tab.ring.from_coords(tab.teich[e]) == padic.teichmueller(
+                x, tab.ring
+            )
+            x = x * g
+        th = padic.ring_embed(padic.theta_one(padic.ring_create(p, 1, M)), tab.ring)
+        assert tab.theta[1] == th and tab.theta[p - 1] == th ** (p - 1)
 
 
 def test_non_generator_makes_the_oracle_raise(monkeypatch):
@@ -224,6 +230,15 @@ def test_reducible_modulus_table_raises():
     for cand in ff.enumerate_units(fake):
         with pytest.raises(NotAField):
             lf.LevelTable(fake, ring, cand)
+    # the message names the first zero or repeated power: b^2 = 0 in
+    # F_3[b]/(b^2), and 4 has order 2 in F_5^*
+    nil = ff.FqParams(3, 2)
+    nil.modulus = (0, 0, 1)
+    with pytest.raises(NotAField, match="only 2 < 8 distinct powers"):
+        lf.LevelTable(nil, ring, nil.gen())
+    F5 = ff.FqParams(5, 1)
+    with pytest.raises(NotAField, match="only 2 < 4 distinct powers"):
+        lf.LevelTable(F5, padic.ring_create(5, 1, 3), F5.from_int(4))
 
 
 def test_characters_at_degree_six():

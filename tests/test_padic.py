@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -247,16 +248,64 @@ def test_sigma_linear_bound():
 # splitting function and theta(1)
 # ----------------------------------------------------------------------
 
+def pi_power_over_factorial(params, k):
+    """pi^k / k! as a ring element from the exact integer k! = p^e u: since
+    p = -pi^(p-1), pi^k / p^e = (-1)^e pi^(k - e (p-1))."""
+    p = params.p
+    u, e = math.factorial(k), 0
+    while u % p == 0:
+        u //= p
+        e += 1
+    return params.pi() ** (k - e * (p - 1)) * ((-1) ** e * pow(u, -1, params.pM))
+
+
+def reference_splitting(params, Q, i_max):
+    """c_0..c_i_max of exp(pi z - pi z^Q), one ring product per a + Q b = i."""
+    pf = [pi_power_over_factorial(params, k) for k in range(i_max + 1)]
+    out = []
+    for i in range(i_max + 1):
+        acc = params.zero()
+        for b in range(i // Q + 1):
+            term = pf[i - Q * b] * pf[b]
+            acc = acc - term if b % 2 else acc + term
+        out.append(acc)
+    return out
+
+
 def test_splitting_first_coefficients():
     params = padic.ring_create(3, 1, 4)
     coeffs = padic.splitting_coefficients(params, 3, 40)
-    assert coeffs[0][0] == params.one()
-    assert coeffs[1][0] == params.pi()
+    floors = padic.splitting_floors(3, 3, 40)
+    assert params.from_coords(coeffs[0]) == params.one()
+    assert params.from_coords(coeffs[1]) == params.pi()
     # below Q the series agrees with exp(pi z): c_i = pi^i / i!
-    fact = padic._FactorialData(params)
     for i in range(3):
-        assert coeffs[i][0] == padic.pi_power_over_factorial(params, i, fact)
-        assert coeffs[i][1] == Fraction(padic.sigma_digit_sum(i, 3), 2) if i else True
+        assert params.from_coords(coeffs[i]) == pi_power_over_factorial(params, i)
+        assert floors[i] == Fraction(padic.sigma_digit_sum(i, 3), 2) if i else True
+
+
+def test_splitting_coefficients_match_reference_sweep():
+    # the array kernel against the term-by-term ring sum; p^M >= 2^32 in the
+    # two fixed cases, where products of residues overflow int64
+    import numpy as np
+
+    rng = random.Random(1729)
+    cases = [(3, 1, 21, 3), (13, 1, 9, 13), (3, 2, 2, 27)]
+    for p in (3, 5, 7, 11, 13):
+        for f in (1, 2):
+            M = rng.randint(1, 4)
+            Q = p ** rng.randint(1, 3)
+            while M * p * Q // (p - 1) > 400 and Q > p:
+                Q //= p
+            cases.append((p, f, M, Q))
+    assert any(p**M >= 2**32 for p, _, M, _ in cases)
+    for p, f, M, Q in cases:
+        params = padic.ring_create(p, f, M)
+        i_max = -((-M * p * Q) // (p - 1)) + rng.randint(0, 2 * Q)
+        got = padic.splitting_coefficients(params, Q, i_max)
+        assert got.shape == (i_max + 1, params.blow) and got.dtype == np.int64
+        want = reference_splitting(params, Q, i_max)
+        assert [params.from_coords(c) for c in got] == want, (p, f, M, Q, i_max)
 
 
 def test_splitting_floor_certificates():
@@ -264,10 +313,11 @@ def test_splitting_floor_certificates():
         params = padic.ring_create(p, 1, M)
         i_max = -((-M * p * Q) // (p - 1)) + 1
         coeffs = padic.splitting_coefficients(params, Q, i_max)
-        for i, (c, floor) in enumerate(coeffs):
+        floors = padic.splitting_floors(p, Q, i_max)
+        for i, (c, floor) in enumerate(zip(coeffs, floors)):
             coarse = Fraction((p - 1) * i, p * Q)
             assert floor >= coarse
-            measured = padic.pi_ord(c)
+            measured = padic.pi_ord(params.from_coords(c))
             assert measured.known_at_least(min(floor, Fraction(M)))
 
 
