@@ -232,6 +232,7 @@ def cmd_gkz(job: JobConfig) -> dict:
 
 
 def cmd_sums(job: JobConfig) -> dict:
+    lf.require_level_budget(job.p, job.f, job.m_max, job.config.n)
     out = {"levels": []}
     for m in range(1, job.m_max + 1):
         Sc, pc = lf.sums_oracle_characters(
@@ -335,11 +336,9 @@ def _sums_to(job: JobConfig, order: int):
 
 def _recognize(job: JobConfig, sums):
     """Rational recognition needs the series to order volume + 3; extend the
-    sums beyond the job's m_max when necessary, after checking that the
-    highest extra level fits the torus budget."""
+    sums beyond the job's m_max when necessary."""
     need = job.volume + 3
     if len(sums) < need:
-        lf.require_torus_budget(job.q, need, job.config.n)
         sums = list(sums) + [
             lf.sums_oracle_characters(
                 job.config, job.a_residues, job.twist, m, job.M
@@ -361,6 +360,9 @@ def _series_pair(job: JobConfig):
 
 
 def cmd_lfunction(job: JobConfig) -> dict:
+    # refuse before any work when the top character-oracle level is over budget
+    top = max(job.m_max, job.volume + 3)
+    lf.require_level_budget(job.p, job.f, top, job.config.n)
     sums, L_sums, L_char, dm = _series_pair(job)
     mprime = job.comparison_precision()
     agree = all(
@@ -413,6 +415,9 @@ def cmd_check(job: JobConfig) -> dict:
         raise ValidationError(
             "precision.M too small for the identity suite at this m_max"
         )
+    # refuse before any work when the top character-oracle level is over budget
+    top = max(job.m_max, job.volume + 3)
+    lf.require_level_budget(job.p, job.f, top, job.config.n)
     checks = []
 
     def record(name, passed, detail=None):

@@ -15,8 +15,9 @@ log of every element of F_{p^s}^* to the distinguished generator g, Tr(g^e)
 for every e, the Teichmueller powers teich(g)^e and the powers of theta(1).
 Both walks over e are built by doubling, the first 2^k powers times g^(2^k)
 (as an F_p matrix, and as the regular representation of teich(g)^(2^k))
-giving the next 2^k, and a level whose torus has more than TORUS_LIMIT
-points is refused before its table is built.
+giving the next 2^k.  ``require_level_budget`` refuses a level before its
+table is built when the level, its torus points or its table coordinates
+pass a module limit.
 A torus point u = g^l enters the character sum only through the twist class
 k = shift(m) . l mod L and the trace c = sum_j Tr(g^(log a_j + A_j . l)) in
 F_p (the trace is F_p-linear), so with N(k, c) the number of points of each
@@ -54,20 +55,41 @@ from .padic import RamifiedElement, RingParams
 # whatever the size of the torus
 _BLOCK = 1 << 16
 
-# torus points above which the character oracle refuses a level: its work is
-# linear in the (q^m - 1)^n points, and for n = 1 its table holds L rows of
-# blow coordinates (the largest torus of the sample and bench jobs is 58,564)
-TORUS_LIMIT = 1 << 20
+# levels above which the character oracle refuses outright
+LEVEL_LIMIT = 6
+
+# torus points above which the character oracle refuses a level: its numpy
+# work is linear in the (q^m - 1)^n points, about 8 M points/s on 2 vCPUs
+# (level 4 of A = I_3, p = 5, 624^3 = 2.4e8 points, takes 30 s), so the
+# limit is about half a minute of counting
+TORUS_LIMIT = 1 << 28
+
+# coordinates above which the character oracle refuses a level table: L rows
+# of Teichmueller powers plus the (blow, blow, blow) multiplication tensor of
+# R(p, s, M); p = 13, s = 5 (22.5 M coordinates) peaks at 354 MB in 8 s
+LEVEL_TABLE_LIMIT = 1 << 25
 
 
-def require_torus_budget(q: int, m: int, n: int) -> None:
-    """Refuse level m before any table is built when its torus has more than
-    TORUS_LIMIT points."""
-    points = (q**m - 1) ** n
+def require_level_budget(p: int, f: int, m: int, n: int) -> None:
+    """Refuse level m over F_{p^f} before any table is built: above
+    LEVEL_LIMIT, with more than TORUS_LIMIT torus points, or with a table of
+    more than LEVEL_TABLE_LIMIT coordinates.  Every count grows with m, so
+    checking the top level of a run checks them all."""
+    if m > LEVEL_LIMIT:
+        raise LevelTooLarge(f"level {m} exceeds the budget {LEVEL_LIMIT}")
+    L = p ** (f * m) - 1
+    points = L**n
     if points > TORUS_LIMIT:
         raise BudgetExceeded(
             f"level {m} needs {points} torus points, above the limit "
             f"{TORUS_LIMIT}"
+        )
+    blow = (p - 1) * f * m
+    size = L * blow + blow**3
+    if size > LEVEL_TABLE_LIMIT:
+        raise BudgetExceeded(
+            f"level {m} needs a table of {size} coordinates, above the limit "
+            f"{LEVEL_TABLE_LIMIT}"
         )
 
 
@@ -171,7 +193,6 @@ def sums_oracle_characters(
     twist: dwork.TwistData,
     m: int,
     M: int,
-    level_budget: int = 6,
 ) -> tuple[RamifiedElement, Fraction]:
     """S_m as the character sum over (F_{q^m}^*)^n, by the (k, c) histogram.
 
@@ -179,12 +200,10 @@ def sums_oracle_characters(
     the base ring R(p, f, M); the numpy work is linear in the (q^m - 1)^n
     points, the ring work is p products.
     """
-    if m > level_budget:
-        raise LevelTooLarge(f"level {m} exceeds the budget {level_budget}")
     base_field = a_residues[0].params
     p, f = base_field.p, base_field.degree
     assert twist.q == p**f
-    require_torus_budget(twist.q, m, config.n)
+    require_level_budget(p, f, m, config.n)
     tab = level_table(p, f * m, M)
     big_ring, L = tab.ring, tab.L
     base_ring = padic.ring_create(p, f, M)

@@ -243,3 +243,55 @@ def test_lfunction_refuses_oversized_recognition_torus(tmp_path, capsys):
     assert time.monotonic() - start < 10
     err = capsys.readouterr().err
     assert "level 4" in err and str(2400**3) in err
+
+
+def test_check_refuses_oversized_recognition_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    # the top level volume + 3 = 4 is known when the job is read, so check
+    # refuses before any oracle, operator or nondegeneracy work
+    from dworksum import dwork, lfunction as lf, polytope as pt
+
+    def never(*args, **kwargs):
+        raise AssertionError("work done before the budget refusal")
+
+    for module, name in [
+        (lf, "sums_oracle_characters"),
+        (dwork, "build_operator"),
+        (pt, "nondegeneracy_check"),
+    ]:
+        monkeypatch.setattr(module, name, never)
+    job = tmp_path / "job.json"
+    job.write_text(
+        json.dumps(
+            {
+                "p": 7,
+                "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                "gamma_k": [0, 0, 0],
+                "a": [1, 1, 1],
+                "precision": {"M": 5, "m_max": 1},
+            }
+        )
+    )
+    assert cli.main(["check", "--job", str(job)]) == 4
+    assert "level 4" in capsys.readouterr().err
+
+
+def test_sums_refuses_oversized_level_table(tmp_path, capsys):
+    # p = 1021, f = 2: level 1 has about 10^6 torus points, but its table
+    # would hold L = 1021^2 - 1 rows of 2040 coordinates
+    job = tmp_path / "job.json"
+    job.write_text(
+        json.dumps(
+            {
+                "p": 1021,
+                "f": 2,
+                "A": [[1]],
+                "gamma_k": [0],
+                "a": [[1, 0]],
+                "precision": {"M": 2, "m_max": 1},
+            }
+        )
+    )
+    assert cli.main(["sums", "--job", str(job)]) == 4
+    assert "level 1 needs a table of" in capsys.readouterr().err

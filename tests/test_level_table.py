@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dworksum import dwork, finitefield as ff, lfunction as lf, padic
-from dworksum.errors import NotAField
+from dworksum.errors import BudgetExceeded, LevelTooLarge, NotAField
 from dworksum.polytope import ExponentConfig, newton_data
 
 
@@ -255,3 +255,18 @@ def test_characters_at_degree_six():
     flat = dwork.TwistData(segment, [0], 3)
     S, _ = lf.sums_oracle_characters(segment, [F3.one()], flat, 6, 3)
     assert S == padic.ring_create(3, 1, 3).from_int(-1)
+
+
+def test_level_budget_admits_measured_levels_and_refuses_the_rest():
+    # A = I_3, p = 5 at level 4: 624^3 points, counted in about 30 s
+    lf.require_level_budget(5, 1, 4, 3)
+    # p = 13, n = 1 at level 5: a table of 22.5 M coordinates
+    lf.require_level_budget(13, 1, 5, 1)
+    with pytest.raises(BudgetExceeded, match=f"level 4 needs {2400**3} torus"):
+        lf.require_level_budget(7, 1, 4, 3)
+    # n = 1 keeps the torus small but not the table: L = 1021^2 - 1 rows
+    # of blow = 2040 coordinates
+    with pytest.raises(BudgetExceeded, match="level 1 needs a table of"):
+        lf.require_level_budget(1021, 2, 1, 1)
+    with pytest.raises(LevelTooLarge, match="level 7 exceeds the budget 6"):
+        lf.require_level_budget(3, 1, 7, 1)
