@@ -14,11 +14,8 @@ Numbers that must be exact are integers; rationals are emitted as [num, den]
 pairs.  gamma_i = gamma_k[i] / (1 - q).  Coefficients a_j are residues in
 F_q, given as bare integers when f = 1 or as coefficient vectors of length f.
 Every reported ring element carries its certified precision, and reports are
-byte-identical across runs.  ``--workers`` is accepted for compatibility and
-parallelises nothing: the sums are numpy histograms, not per-point loops.
-``precision.K_max`` is likewise parsed and echoed in the report, and no
-command reads it: no command calls ``polytope.monoid_membership``, the search
-it would bound.
+byte-identical across runs.  ``precision.K_max`` is parsed and echoed in
+the report, and no command reads it.
 
 Exit codes: 0 success, 2 validation, 3 identity failure (check), 4 budget.
 """
@@ -499,10 +496,8 @@ COMMAND_FNS = {
 }
 
 
-def run(command: str, raw_job: dict, workers: int = 1) -> dict:
-    """Execute a command against a parsed job; returns the report dict.
-
-    workers is accepted for compatibility and ignored."""
+def run(command: str, raw_job: dict) -> dict:
+    """Execute a command against a parsed job; returns the report dict."""
     if command not in COMMAND_FNS:
         raise ParseError(f"unknown command {command!r}")
     job = JobConfig(raw_job)
@@ -527,9 +522,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--job", required=True, help="path to the JSON job file")
     parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument(
-        "--workers", type=int, default=1, help="accepted and ignored"
-    )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 

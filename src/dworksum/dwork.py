@@ -21,8 +21,8 @@ Ring data here are int64 coordinate arrays, as in padic's matrix kernels:
 H_m is its support, exponents (S, n) beside coefficient coordinates
 (S, blow), expanded by folding the splitting series in one column at a time
 on a dense table; the matrix gathers c_{q w - u} for all basis pairs at once
-into an (n, n, blow) array that the traces and both characteristic-series
-kernels read directly.
+into an (n, n, blow) array that the traces and the characteristic-series
+kernel read directly.
 """
 
 from __future__ import annotations
@@ -356,13 +356,10 @@ def diagonal_sum(series: SeriesOnCone) -> RamifiedElement:
 
 
 def char_series(dm: DworkMatrix, max_degree: int | None = None):
-    """det(I - T G) coefficients with their shared certified precision.
-
-    Full degree uses the Berkowitz recursion; a max_degree prefix uses the
-    clow dynamic program.  Both are division-free.
-    """
+    """det(I - T G) coefficients through T^max_degree (all of them when
+    max_degree is None) with their shared certified precision, by the
+    division-free clow dynamic program."""
     params = dm.params
     prec = min(Fraction(params.M), dm.tail_bound)
-    if max_degree is not None and max_degree < dm.dim:
-        return padic.char_series_prefix(params, dm.coords, max_degree), prec
-    return padic.char_series_division_free(params, dm.coords), prec
+    K = dm.dim if max_degree is None else max_degree
+    return padic.char_series_prefix(params, dm.coords, K), prec

@@ -64,6 +64,10 @@ LEVEL_LIMIT = 6
 # limit is about half a minute of counting
 TORUS_LIMIT = 1 << 28
 
+# coefficient points q^N above which hyp_table refuses: each point runs the
+# character oracle once
+HYP_LIMIT = 4096
+
 # coordinates above which the character oracle refuses a level table: L rows
 # of Teichmueller powers plus the (blow, blow, blow) multiplication tensor of
 # R(p, s, M); p = 13, s = 5 (22.5 M coordinates) peaks at 354 MB in 8 s
@@ -262,14 +266,13 @@ def hyp_table(
     twist: dwork.TwistData,
     field: ff.FqParams,
     M: int,
-    budget: int = 4096,
 ) -> dict:
     """The twisted sum at every rational coefficient point x in F_q^N."""
     import itertools
 
-    if field.q**config.N > budget:
+    if field.q**config.N > HYP_LIMIT:
         raise BudgetExceeded(
-            f"q^N = {field.q ** config.N} exceeds the table budget {budget}"
+            f"q^N = {field.q ** config.N} exceeds the table budget {HYP_LIMIT}"
         )
     out = {}
     for x in itertools.product(field.all_elements(), repeat=config.N):

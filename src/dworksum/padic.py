@@ -707,63 +707,21 @@ def encoded_trace(params: RingParams, E: np.ndarray) -> RamifiedElement:
     read off from column 0 of each block (the image of 1)."""
     blow = params.blow
     n = E.shape[0] // blow
-    acc = [0] * blow
-    for u in range(n):
-        col = E[u * blow : (u + 1) * blow, u * blow]
-        for g in range(blow):
-            acc[g] += int(col[g])
-    return params.from_coords(acc)
+    d = np.arange(n)
+    return params.from_coords(E.reshape(n, blow, n, blow)[d, :, d, 0].sum(axis=0))
 
 
 # ----------------------------------------------------------------------
 # division-free characteristic series
 # ----------------------------------------------------------------------
 
-def char_series_division_free(params: RingParams, coords: np.ndarray) -> list[RamifiedElement]:
-    """Coefficients of det(I - T*mat), ascending, exact mod p^M, by the
-    Berkowitz Toeplitz recursion -- no divisions, so no p-adic precision loss.
+def char_series_prefix(params: RingParams, coords: np.ndarray, K: int) -> list[RamifiedElement]:
+    """Coefficients 1, c_1..c_K of det(I - T*mat), ascending, exact mod p^M,
+    by the closed-ordered-walk (clow) dynamic program of Mahajan and Vinay:
+    one ring matmul per degree and no divisions, so no p-adic precision loss.
+    K is clamped to the order n, so K = n gives the whole series.
 
     coords: the square matrix as an (n, n, blow) coordinate array.
-    """
-    n = coords.shape[0]
-    if n == 0:
-        return [params.one()]
-    blow, pM = params.blow, params.pM
-    E = encode_ring_matrix(params, coords)
-
-    one = params.one()
-    vec = [one, -params.from_coords(coords[n - 1, n - 1])]
-    for r in range(2, n + 1):
-        off = n - r
-        col = [one, -params.from_coords(coords[off, off])]
-        # Krylov values -R A^k C on the trailing (r-1) block
-        sub = E[(off + 1) * blow :, (off + 1) * blow :]
-        v = E[(off + 1) * blow :, off * blow].copy()  # coords of column C
-        R_enc = E[off * blow : (off + 1) * blow, (off + 1) * blow :]
-        for k in range(r - 1):
-            t = matmul_mod(R_enc, v, pM)
-            col.append(-params.from_coords(t.tolist()))
-            if k < r - 2:
-                v = matmul_mod(sub, v, pM)
-        # Toeplitz multiply: new[i] = sum_j col[i-j] * vec[j]
-        new = [params.zero() for _ in range(r + 1)]
-        for j, vj in enumerate(vec):
-            if vj.is_zero():
-                continue
-            for d, cd in enumerate(col):
-                if d + j <= r and not cd.is_zero():
-                    new[d + j] = new[d + j] + cd * vj
-        vec = new
-    return vec
-
-
-def char_series_prefix(params: RingParams, coords: np.ndarray, K: int) -> list[RamifiedElement]:
-    """First K+1 coefficients of det(I - T*mat), division-free, via a
-    closed-ordered-walk (clow) dynamic program: one ring matmul per degree.
-
-    coords: the square matrix as an (n, n, blow) coordinate array.  Matches
-    char_series_division_free on the shared prefix; meant for large
-    matrices where only low T-degrees are needed.
     """
     n = coords.shape[0]
     K = min(K, n)
@@ -772,21 +730,19 @@ def char_series_prefix(params: RingParams, coords: np.ndarray, K: int) -> list[R
         return out
     blow, pM = params.blow, params.pM
     E = encode_ring_matrix(params, coords)
+    T = params.mult_tensor()
     G = np.eye(n * blow, dtype=np.int64)
     upper = np.triu(np.ones((n, n), dtype=np.int64), k=1)
+    d = np.arange(n)
     for _ in range(K):
-        P = matmul_mod(G, E, pM)
-        P4 = P.reshape(n, blow, n, blow)
-        close = [params.from_coords(P4[h, :, h, 0].tolist()) for h in range(n)]
-        total = params.zero()
-        for c in close:
-            total = total + c
-        out.append(-total)
-        # keep open-walk extensions v > h; restart summed closures on the diagonal
+        P4 = matmul_mod(G, E, pM).reshape(n, blow, n, blow)
+        close = P4[d, :, d, 0]  # (n, blow): walks closing at each head
+        out.append(params.from_coords(-close.sum(axis=0)))
+        # keep open-walk extensions v > h; restart summed closures on the
+        # diagonal as the negated regular representation of each prefix sum
         P4 *= upper[:, None, :, None]
-        prefix = params.zero()
-        for h in range(1, n):
-            prefix = prefix + close[h - 1]
-            P4[h, :, h, :] = (-params.reg_rep(prefix.coords)) % pM
+        prefix = np.cumsum(close[:-1], axis=0) % pM
+        reps = np.tensordot(prefix, T, axes=(1, 0)).transpose(0, 2, 1)
+        P4[d[1:], :, d[1:], :] = -reps % pM
         G = P4.reshape(n * blow, n * blow)
     return out

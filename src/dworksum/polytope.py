@@ -20,8 +20,8 @@ Two exact elimination kernels carry all of the linear algebra:
   ``_solve_in_span`` (affine-hull and simplicial-cone coordinates, the cell
   points), the affine-hull basis and ``Simplex.det``;
 * ``column_hermite`` (unimodular column reduction over Z) gives
-  ``solve_integer`` (integer-span membership in ``monoid_membership``) and
-  the relation lattice ``gkz.lattice_kernel``.
+  ``solve_integer`` (integer-span membership of a point) and the relation
+  lattice ``gkz.lattice_kernel``.
 """
 
 from __future__ import annotations
@@ -376,89 +376,6 @@ class LatticePointSet:
 
 def enumerate_points(nd: NewtonData, cap, offset=None) -> LatticePointSet:
     return LatticePointSet(nd, cap, offset)
-
-
-# ----------------------------------------------------------------------
-# monoid membership
-# ----------------------------------------------------------------------
-
-class InCA:
-    def __init__(self, witness):
-        self.witness = tuple(witness)
-
-    def __repr__(self):
-        return f"InCA(witness={list(self.witness)})"
-
-
-class NotInCA:
-    def __repr__(self):
-        return "NotInCA"
-
-
-class Unknown:
-    def __repr__(self):
-        return "Unknown"
-
-
-def monoid_membership(config: ExponentConfig, w, K_max: int = 50, node_budget: int = 200000):
-    """Is w a nonnegative integer combination of the columns?
-
-    Bounded breadth-first search over partial sums, at most K_max terms.  For
-    a pointed cone a positive functional turns the verdict into a proof either
-    way; otherwise an exhausted search reports Unknown.
-    """
-    w = tuple(int(x) for x in w)
-    nd = newton_data(config)
-    if not nd.in_cone(w):
-        return NotInCA()
-    if solve_integer(config.columns, w) is None:
-        return NotInCA()  # not even in the integer column span
-    if all(x == 0 for x in w):
-        return InCA([0] * config.N)
-
-    # pointedness certificate: the sum of cone facet functionals is positive
-    # on every nonzero generator iff the cone is pointed
-    h = None
-    if nd.cone_facets:
-        cand = tuple(sum(col) for col in zip(*nd.cone_facets))
-        vals = [_dot(cand, wj) for wj in config.columns if any(wj)]
-        if all(v > 0 for v in vals):
-            h = cand
-            hmin = min(vals)
-            K_proof = _dot(h, w) // hmin
-    pointed = h is not None
-
-    cap = min(K_max, K_proof) if pointed else K_max
-    origin = tuple([0] * config.n)
-    parent = {origin: None}
-    frontier = [origin]
-    for _ in range(cap):
-        nxt = []
-        for x in frontier:
-            for j, wj in enumerate(config.columns):
-                y = tuple(a + b for a, b in zip(x, wj))
-                if y in parent:
-                    continue
-                if pointed and _dot(h, y) > _dot(h, w):
-                    continue
-                if len(parent) >= node_budget:
-                    return Unknown()
-                parent[y] = (x, j)
-                if y == w:
-                    k = [0] * config.N
-                    cur = y
-                    while parent[cur] is not None:
-                        prev, j0 = parent[cur]
-                        k[j0] += 1
-                        cur = prev
-                    return InCA(k)
-                nxt.append(y)
-        frontier = nxt
-        if not frontier:
-            break
-    if pointed and cap == K_proof:
-        return NotInCA()
-    return Unknown()
 
 
 # ----------------------------------------------------------------------

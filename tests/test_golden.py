@@ -20,6 +20,11 @@ segment and twist jobs were taken while the level-m series was still a dict
 of ring elements built by a per-term recursion, the operator matrix was
 filled one basis pair at a time, and the Berkowitz recursion read it back as
 a list of ring-element rows, before all three became coordinate arrays.
+
+The three full-degree ``charpoly`` digests of the inline jobs square_D6
+(dim 49), kl_p3f2 (dim 23) and twist_p3f2 (dim 24) were taken while a
+full-degree characteristic series still ran the Berkowitz recursion, before
+the clow dynamic program became the only kernel.
 """
 
 import hashlib
@@ -37,6 +42,17 @@ INLINE = {
     "triangle": [[1, 0, -1], [0, 1, -1]],
     "cube_corner": [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
     "mixed3": [[2, 0, 1, 1], [0, 2, 1, -1], [1, 1, 2, 0]],
+}
+
+KL_P3F2 = {"p": 3, "f": 2, "A": [[1, -1]], "gamma_k": [0],
+           "a": [[1, 0], [0, 1]], "precision": {"M": 5, "m_max": 2}}
+
+INLINE_JOBS = {
+    "square_D6": {"p": 3, "f": 1, "A": [[1, 0, 1], [0, 1, 1]],
+                  "gamma_k": [0, 0], "a": [1, 1, 1],
+                  "precision": {"M": 6, "m_max": 2, "D": 6}},
+    "kl_p3f2": KL_P3F2,
+    "twist_p3f2": {**KL_P3F2, "gamma_k": [1]},
 }
 
 GOLDEN = [
@@ -114,10 +130,18 @@ GOLDEN = [
      "465d2db8be0bdddd4654cb62a4018d856eb07d4aa4eeb092462632c0bd467654"),
     ("lfunction", "jobs/twist_p5.json",
      "9a58ce85ca26a26ec6ee5cf06034a476471ea514e2d54f015a46eb4414a7363a"),
+    ("charpoly", "square_D6",
+     "1f608fbb6b8fabf94789edfc8ed03b3b75a961e61b8e462ccc55662942696be6"),
+    ("charpoly", "kl_p3f2",
+     "c994c71a656fd048921d831337ae25a51d5b29a15bb172dd652dc4f443975cf9"),
+    ("charpoly", "twist_p3f2",
+     "06d924309505cae0e3e4cf15ea41ee1eb9a933b33d1b5fa922405f50e2c1f91a"),
 ]
 
 
 def load_job(job):
+    if job in INLINE_JOBS:
+        return INLINE_JOBS[job]
     if job in INLINE:
         A = INLINE[job]
         return {"p": 3, "A": A, "gamma_k": [0] * len(A), "a": [1] * len(A[0])}

@@ -85,14 +85,15 @@ def test_oracle_equivalence_with_field_extension():
     assert S1c == S1s == params.from_int(-1)
 
 
-def test_hyp_table():
+def test_hyp_table(monkeypatch):
     params, F, config, nd, twist, a_res = setup(3, 5, [[1]], [1], [0])
     table = lf.hyp_table(config, twist, F, 5)
     assert table[((0,),)] == params.from_int(2)
     assert table[((1,),)] == params.from_int(-1)
     assert table[((2,),)] == params.from_int(-1)
+    monkeypatch.setattr(lf, "HYP_LIMIT", 2)
     with pytest.raises(BudgetExceeded):
-        lf.hyp_table(config, twist, F, 5, budget=2)
+        lf.hyp_table(config, twist, F, 5)
 
 
 # ----------------------------------------------------------------------

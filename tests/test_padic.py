@@ -429,14 +429,14 @@ def test_char_series_trivial_examples():
     params = padic.ring_create(5, 1, 4)
     one, zero, pi = params.one(), params.zero(), params.pi()
     ident = [[one, zero], [zero, one]]
-    assert padic.char_series_division_free(params, coords_of(ident)) == [
+    assert padic.char_series_prefix(params, coords_of(ident), 2) == [
         one, params.from_int(-2), one
     ]
     upper = [[zero, one], [zero, zero]]
-    upper_series = padic.char_series_division_free(params, coords_of(upper))
+    upper_series = padic.char_series_prefix(params, coords_of(upper), 2)
     assert upper_series == [one, zero, zero]
     diag = [[pi, zero], [zero, params.from_int(5)]]
-    got = padic.char_series_division_free(params, coords_of(diag))
+    got = padic.char_series_prefix(params, coords_of(diag), 2)
     assert got == [one, -(pi + params.from_int(5)), pi * params.from_int(5)]
 
 
@@ -452,7 +452,7 @@ def test_char_series_companion_reversal():
             C[i][i - 1] = params.one()
         for i in range(n):
             C[i][n - 1] = -a[i]
-        got = padic.char_series_division_free(params, coords_of(C))
+        got = padic.char_series_prefix(params, coords_of(C), n)
         expected = [params.one()] + a[::-1]
         assert got == expected
 
@@ -463,11 +463,43 @@ def test_char_series_matches_leibniz_and_prefix():
         params = padic.ring_create(p, s, M)
         rows = [[rand_element(params, rng) for _ in range(n)] for _ in range(n)]
         oracle = brute_char_series(rows, params)
-        fast = padic.char_series_division_free(params, coords_of(rows))
+        fast = padic.char_series_prefix(params, coords_of(rows), n)
         assert fast == oracle
         for K in range(n + 1):
             prefix = padic.char_series_prefix(params, coords_of(rows), K)
             assert prefix == oracle[: K + 1]
+
+
+def test_char_series_matches_leibniz_on_operator_matrices():
+    # real Dwork matrices, whose sparsity pattern random matrices lack:
+    # a twisted one (gamma = -1/4) and one with an a_j = 0 column
+    import numpy as np
+
+    from dworksum import dwork
+    from dworksum.polytope import ExponentConfig, newton_data
+
+    cases = [
+        (5, 8, [[1, -1]], [1, 2], [1], 3, 6),
+        (3, 8, [[1, 0, 1], [0, 1, 1]], [1, 0, 2], [0, 0], Fraction(3, 2), 4),
+    ]
+    for p, M, A, a_ints, k_vec, cap, dim in cases:
+        params = padic.ring_create(p, 1, M)
+        F = ff.FqParams(p, 1)
+        config = ExponentConfig(A)
+        twist = dwork.TwistData(config, k_vec, p)
+        a_lifts = [padic.teichmueller(F.from_int(x), params) for x in a_ints]
+        dm = dwork.build_operator(config, newton_data(config), a_lifts, twist, cap=cap)
+        assert dm.dim == dim
+        rows = [[params.from_coords(e) for e in row] for row in dm.coords]
+        oracle = brute_char_series(rows, params)
+        assert padic.char_series_prefix(params, dm.coords, dm.dim) == oracle
+        assert not oracle[dim - 1].is_zero()
+    # n = 0 and n = 1, K above the order
+    params = padic.ring_create(5, 1, 4)
+    empty = np.zeros((0, 0, params.blow), dtype=np.int64)
+    assert padic.char_series_prefix(params, empty, 3) == [params.one()]
+    x = rand_element(params, random.Random(7))
+    assert padic.char_series_prefix(params, coords_of([[x]]), 3) == [params.one(), -x]
 
 
 def test_matmul_mod_strategies():

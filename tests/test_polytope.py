@@ -172,27 +172,6 @@ def test_enumerate_ordering_and_monotone():
         assert len(pt.enumerate_points(ndk, D)) == 2 * D + 1
 
 
-def test_monoid_membership():
-    c1 = cfg(A_SEGMENT)
-    r = pt.monoid_membership(c1, (1,), 10)
-    assert isinstance(r, pt.InCA) and r.witness == (1,)
-    c2 = cfg([[2]])
-    assert isinstance(pt.monoid_membership(c2, (1,), 10), pt.NotInCA)
-    c3 = cfg(A_KLOOSTERMAN)
-    r3 = pt.monoid_membership(c3, (-3,), 10)
-    assert isinstance(r3, pt.InCA) and r3.witness == (0, 3)
-    # witness reconstruction: A * k = w
-    c4 = cfg(A_SQUARE)
-    r4 = pt.monoid_membership(c4, (4, 3), 20)
-    assert isinstance(r4, pt.InCA)
-    k = r4.witness
-    assert tuple(
-        sum(k[j] * c4.columns[j][i] for j in range(3)) for i in range(2)
-    ) == (4, 3)
-    # outside the cone
-    assert isinstance(pt.monoid_membership(c1, (-2,), 10), pt.NotInCA)
-
-
 def _combine(columns, k):
     return tuple(sum(kj * c[i] for kj, c in zip(k, columns))
                  for i in range(len(columns[0])))
