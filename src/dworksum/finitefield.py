@@ -10,6 +10,7 @@ residue map and Teichmueller lifts commute with everything here.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .errors import DivisionByZero, NoRoot, NotASubfield, NotPrime, UnsupportedPrime
 
@@ -302,11 +303,13 @@ def multiplicative_generator(params: FqParams) -> FqElement:
     raise NoRoot("no multiplicative generator found")  # unreachable for a field
 
 
+@lru_cache(maxsize=None)
 def embed_root(src: FqParams, dst: FqParams) -> FqElement:
     """The distinguished root of src.modulus in the bigger field dst: among all
     roots, the one with lexicographically smallest coefficient vector.  This
     pins down a single embedding F_{p^s} -> F_{p^s'}, matching the root choice
-    Hensel-lifted by the p-adic ring embedding."""
+    Hensel-lifted by the p-adic ring embedding.  The scan runs once per
+    (src, dst) in a process."""
     if src.p != dst.p or dst.degree % src.degree != 0:
         raise NotASubfield(f"{src!r} does not embed in {dst!r}")
     if src.degree == 1:

@@ -12,12 +12,13 @@ Two independent evaluations of the twisted sums S_m over F_{q^m}, L = q^m - 1:
 
 The character route reads one cached table per (p, s = f m, M): the discrete
 log of every element of F_{p^s}^* to the distinguished generator g, Tr(g^e)
-for every e, the Teichmueller powers teich(g)^e and the powers of theta(1).
-Both walks over e are built by doubling, the first 2^k powers times g^(2^k)
-(as an F_p matrix, and as the regular representation of teich(g)^(2^k))
-giving the next 2^k.  ``require_level_budget`` refuses a level before its
-table is built when the level, its torus points or its table coordinates
-pass a module limit.
+for every e, the Teichmueller powers teich(g)^e and ``theta_rep``, the
+regular representations of theta(1)^c for c < p stacked into one
+(p blow, blow) matrix.  The walks over powers are built by doubling, the
+first 2^k powers times y^(2^k) giving the next 2^k (as an F_p matrix for
+y = g, as a regular representation for y = teich(g) and theta(1)).
+``require_level_budget`` refuses a level before its table is built when the
+level, its torus points or its table coordinates pass a module limit.
 A torus point u = g^l enters the character sum only through the twist class
 k = shift(m) . l mod L and the trace c = sum_j Tr(g^(log a_j + A_j . l)) in
 F_p (the trace is F_p-linear), so with N(k, c) the number of points of each
@@ -25,10 +26,16 @@ class
 
     S_m = sum_{k, c} N(k, c) teich(g)^k theta(1)^c.
 
-The counts are numpy histograms over the (q^m - 1)^n points, taken a block of
-points at a time; the ring work is one (p, L) x (L, blow) modular matmul and
-p ring products, and the result is restricted back to the base ring, which
-doubles as a Galois-invariance check.  L-series come either from
+One kernel, ``_character_values``, evaluates this for a batch of X
+coefficient rows x at once: one ``np.bincount`` per block gives the (x, k, c)
+histogram N_x(k, c), with a zero coefficient read as the appended trace 0,
+and the ring work is two modular matmuls, (X p, L) x (L, blow) against the
+Teichmueller powers and (X, p blow) x (p blow, blow) against ``theta_rep``
+for the sum over c.  Rows and torus points are taken in blocks, so memory is
+bounded whatever q^N and (q^m - 1)^n are.  ``sums_oracle_characters`` runs it
+on one row and restricts the value back to the base ring, which doubles as a
+Galois-invariance check; ``hyp_table`` runs it on all q^N rows of level 1,
+whose ring is the base ring.  L-series come either from
 exp(sum S_m T^m / m) -- with the valuation of every division recorded as a
 per-coefficient precision loss -- or, exactly, from the binomial product of
 characteristic series of the operator.
@@ -64,8 +71,8 @@ LEVEL_LIMIT = 6
 # limit is about half a minute of counting
 TORUS_LIMIT = 1 << 28
 
-# coefficient points q^N above which hyp_table refuses: each point runs the
-# character oracle once
+# coefficient points q^N above which hyp_table refuses: it bounds the table,
+# the q^N entries of the report and the q^N rows of the batched histogram
 HYP_LIMIT = 4096
 
 # coordinates above which the character oracle refuses a level table: L rows
@@ -97,16 +104,6 @@ def require_level_budget(p: int, f: int, m: int, n: int) -> None:
         )
 
 
-def _theta_powers(params: RingParams) -> list[RamifiedElement]:
-    th = padic.ring_embed(
-        padic.theta_one(padic.ring_create(params.p, 1, params.M)), params
-    )
-    out = [params.one()]
-    for _ in range(params.p - 1):
-        out.append(out[-1] * th)
-    return out
-
-
 def _powers(one, step, count: int, mod: int) -> np.ndarray:
     """Coordinate rows one * y^e for e < count (count >= 2), where step is
     the matrix of x -> x y on coordinate rows: the first 2^k rows times
@@ -129,7 +126,9 @@ class LevelTable:
     log[code] is the log of the element with coefficient vector c, where
     code = sum_j c_j p^j (-1 for zero); trace[e] = Tr(g^e) in 0..p-1;
     teich[e] holds the coordinates of teich(g)^e in R(p, s, M), shape
-    (L, blow); theta[c] = theta(1)^c for c = 0..p-1.
+    (L, blow); theta_rep, shape (p blow, blow), stacks the transposed regular
+    representations of theta(1)^c for c = 0..p-1, so that a row holding y_c
+    in block c times theta_rep is sum_c theta(1)^c y_c.
     """
 
     def __init__(self, field: ff.FqParams, ring: RingParams, gen: ff.FqElement):
@@ -166,12 +165,18 @@ class LevelTable:
         self.trace = coeffs[:L] @ basis_traces % p
         tg = padic.teichmueller(gen, ring)
         self.teich = _powers(ring.one().coords, ring.reg_rep(tg.coords).T, L, ring.pM)
-        self.theta = _theta_powers(ring)
-        for arr in (self.log, self.trace, self.teich):
+        th = padic.ring_embed(padic.theta_one(padic.ring_create(p, 1, ring.M)), ring)
+        theta = _powers(ring.one().coords, ring.reg_rep(th.coords).T, p, ring.pM)
+        self.theta_rep = (
+            np.tensordot(theta, ring.mult_tensor(), axes=(1, 0)) % ring.pM
+        ).reshape(p * ring.blow, ring.blow)
+        for arr in (self.log, self.trace, self.teich, self.theta_rep):
             arr.flags.writeable = False  # shared by every caller of the cache
 
     def log_of(self, x: ff.FqElement) -> int:
-        return int(self.log[int(np.array(x.coeffs, dtype=np.int64) @ self.codes)])
+        """The discrete log of x, and L for x = 0."""
+        e = int(self.log[int(np.array(x.coeffs, dtype=np.int64) @ self.codes)])
+        return self.L if e < 0 else e
 
 
 @lru_cache(maxsize=None)
@@ -191,6 +196,41 @@ def _torus_blocks(L: int, n: int, size: int):
         yield np.stack([idx // L ** (n - 1 - i) % L for i in range(n)], axis=1)
 
 
+def _character_values(tab: LevelTable, config, x_logs, tw) -> np.ndarray:
+    """The character sum over (F_{p^s}^*)^n for a batch of coefficient rows.
+
+    x_logs: (X, N) discrete logs of the coefficients in tab, L for a zero
+    coefficient; tw: the twist shift mod L.  Row i of the (X, blow) result
+    holds the coordinates in tab.ring of sum_{k, c} N_i(k, c) teich(g)^k
+    theta(1)^c.  Rows are taken so many at a time, and the torus so many
+    points a block, that no array passes _BLOCK x (N or p) entries unless
+    one row alone needs more.
+    """
+    L, p, pM = tab.L, tab.field.p, tab.ring.pM
+    n = config.n
+    A = np.array(config.A, dtype=np.int64).reshape(n, config.N) % L
+    # a zero coefficient reads the appended Tr = 0, so adds nothing to c
+    trace = np.append(tab.trace, 0)
+    rows = max(1, _BLOCK // L**n)
+    out = np.empty((len(x_logs), tab.ring.blow), dtype=np.int64)
+    for start in range(0, len(x_logs), rows):
+        x = x_logs[start:start + rows, None, :]
+        X = len(x)
+        counts = np.zeros(X * p * L, dtype=np.int64)
+        for logs in _torus_blocks(L, n, _BLOCK // X):
+            k = logs @ tw % L
+            e = np.where(x == L, L, (logs @ A + x) % L)
+            c = trace[e].sum(axis=2) % p
+            key = (np.arange(X)[:, None] * p + c) * L + k
+            counts += np.bincount(key.ravel(), minlength=X * p * L)
+        # row (x, c): sum_k N(k, c) teich(g)^k; then the sum over c
+        by_trace = padic.matmul_mod(counts.reshape(X * p, L) % pM, tab.teich, pM)
+        out[start:start + X] = padic.matmul_mod(
+            by_trace.reshape(X, p * tab.ring.blow), tab.theta_rep, pM
+        )
+    return out
+
+
 def sums_oracle_characters(
     config,
     a_residues,
@@ -202,40 +242,23 @@ def sums_oracle_characters(
 
     a_residues: the coefficients as elements of F_q.  The value is returned in
     the base ring R(p, f, M); the numpy work is linear in the (q^m - 1)^n
-    points, the ring work is p products.
+    points.
     """
     base_field = a_residues[0].params
     p, f = base_field.p, base_field.degree
     assert twist.q == p**f
     require_level_budget(p, f, m, config.n)
     tab = level_table(p, f * m, M)
-    big_ring, L = tab.ring, tab.L
-    base_ring = padic.ring_create(p, f, M)
-
-    # columns with a_j = 0 contribute nothing to the trace
-    cols, a_logs = [], []
-    for j, a in enumerate(a_residues):
-        x = ff.embed(a, tab.field)
-        if not x.is_zero():
-            cols.append(j)
-            a_logs.append(tab.log_of(x))
-    A = np.array(config.A, dtype=np.int64).reshape(config.n, config.N)[:, cols] % L
-    a_logs = np.array(a_logs, dtype=np.int64)
+    L = tab.L
+    x_logs = np.array(
+        [[tab.log_of(ff.embed(a, tab.field)) for a in a_residues]], dtype=np.int64
+    )
     tw = np.array([e % L for e in twist.shift(m)], dtype=np.int64)
-
-    counts = np.zeros(L * p, dtype=np.int64)
-    for logs in _torus_blocks(L, config.n, _BLOCK):
-        k = logs @ tw % L
-        c = tab.trace[(logs @ A + a_logs) % L].sum(axis=1) % p
-        counts += np.bincount(k * p + c, minlength=L * p)
-    # row c: sum_k N(k, c) teich(g)^k
-    pM = big_ring.pM
-    by_trace = padic.matmul_mod(counts.reshape(L, p).T % pM, tab.teich, pM)
-    total = big_ring.zero()
-    for c in range(p):
-        if by_trace[c].any():
-            total = total + tab.theta[c] * big_ring.from_coords(by_trace[c])
-    return padic.ring_restrict(total, base_ring), Fraction(M)
+    (value,) = _character_values(tab, config, x_logs, tw)
+    return (
+        padic.ring_restrict(tab.ring.from_coords(value), padic.ring_create(p, f, M)),
+        Fraction(M),
+    )
 
 
 def sums_oracle_series(
@@ -267,18 +290,29 @@ def hyp_table(
     field: ff.FqParams,
     M: int,
 ) -> dict:
-    """The twisted sum at every rational coefficient point x in F_q^N."""
+    """The twisted sum at every rational coefficient point x in F_q^N, all
+    q^N character sums from one batched histogram of level 1."""
     import itertools
 
     if field.q**config.N > HYP_LIMIT:
         raise BudgetExceeded(
             f"q^N = {field.q ** config.N} exceeds the table budget {HYP_LIMIT}"
         )
-    out = {}
-    for x in itertools.product(field.all_elements(), repeat=config.N):
-        value, _ = sums_oracle_characters(config, list(x), twist, 1, M)
-        out[tuple(e.coeffs for e in x)] = value
-    return out
+    p, f = field.p, field.degree
+    assert twist.q == field.q
+    require_level_budget(p, f, 1, config.n)
+    tab = level_table(p, f, M)
+    # level 1's ring is the base ring: the values need no restriction
+    assert tab.ring == padic.ring_create(p, f, M)
+    elements = list(field.all_elements())
+    x_logs = np.array(
+        list(itertools.product([tab.log_of(e) for e in elements], repeat=config.N)),
+        dtype=np.int64,
+    )
+    tw = np.array([e % tab.L for e in twist.shift(1)], dtype=np.int64)
+    values = _character_values(tab, config, x_logs, tw)
+    keys = itertools.product([e.coeffs for e in elements], repeat=config.N)
+    return {x: tab.ring.from_coords(v) for x, v in zip(keys, values)}
 
 
 # ----------------------------------------------------------------------

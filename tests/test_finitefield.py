@@ -122,6 +122,26 @@ def test_embedding_is_a_field_hom():
     assert acc.is_zero()
 
 
+@pytest.mark.parametrize("p,s,t", [(3, 2, 4), (5, 2, 4)])
+def test_embed_root_is_the_smallest_root_and_cached(p, s, t):
+    src, dst = ff.FqParams(p, s), ff.FqParams(p, t)
+
+    def value(x):
+        acc, xp = dst.zero(), dst.one()
+        for c in src.modulus:
+            acc = acc + dst.from_int(c) * xp
+            xp = xp * x
+        return acc
+
+    roots = [x for x in dst.all_elements() if value(x).is_zero()]
+    root = ff.embed_root(src, dst)
+    assert value(root).is_zero()
+    assert root.coeffs == min(r.coeffs for r in roots)
+    hits = ff.embed_root.cache_info().hits
+    assert ff.embed_root(ff.FqParams(p, s), ff.FqParams(p, t)) is root
+    assert ff.embed_root.cache_info().hits == hits + 1
+
+
 def test_multiplicative_generator():
     for p, s in [(3, 1), (5, 1), (3, 2), (7, 1)]:
         F = ff.FqParams(p, s)

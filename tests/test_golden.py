@@ -25,6 +25,11 @@ The three full-degree ``charpoly`` digests of the inline jobs square_D6
 (dim 49), kl_p3f2 (dim 23) and twist_p3f2 (dim 24) were taken while a
 full-degree characteristic series still ran the Berkowitz recursion, before
 the clow dynamic program became the only kernel.
+
+The ``hyp`` digests of square_p3, twist_p5 and twist_p3f2 and the ``sums``
+digests of kl_p3f2 and twist_p3f2 were taken while ``hyp_table`` still made
+one character-oracle call per coefficient point, before one batched (x, k, c)
+histogram served the whole table and the single-row oracle alike.
 """
 
 import hashlib
@@ -136,6 +141,16 @@ GOLDEN = [
      "c994c71a656fd048921d831337ae25a51d5b29a15bb172dd652dc4f443975cf9"),
     ("charpoly", "twist_p3f2",
      "06d924309505cae0e3e4cf15ea41ee1eb9a933b33d1b5fa922405f50e2c1f91a"),
+    ("hyp", "jobs/square_p3.json",
+     "f92b99b3636c667a3fed5bbf29df9814b966994be6cacc4c8b7390b9c67c5a37"),
+    ("hyp", "jobs/twist_p5.json",
+     "ae038a3e201814b93e9ab1bef0ac1e2e2976edc0efef25f1495f1c101c11d34d"),
+    ("hyp", "twist_p3f2",
+     "49258bcceee0eb43a0627fd1e4d6568858b3ad67a4175449d0ec1b1e52321766"),
+    ("sums", "kl_p3f2",
+     "103d25a6a0be1ff6e670ff2a2bfc9dfb7cdb4e0fc9b76653b6f4cdf65d60ec63"),
+    ("sums", "twist_p3f2",
+     "c4de9629077778aadb5df959db328521cd431049b3f936283e4ed550441fa368"),
 ]
 
 

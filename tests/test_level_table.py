@@ -8,14 +8,19 @@ rounding).
 """
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dworksum import dwork, finitefield as ff, lfunction as lf, padic
+from dworksum.cli import JobConfig
 from dworksum.errors import BudgetExceeded, LevelTooLarge, NotAField
 from dworksum.polytope import ExponentConfig, newton_data
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def reference_characters(config, a_residues, twist, m, M):
@@ -88,16 +93,20 @@ def reference_series(config, a_residues, twist, m, M, nd):
     return padic.ring_restrict(total, base_ring)
 
 
+def random_config(rng, n, N):
+    while True:
+        try:
+            return ExponentConfig(
+                [[rng.randint(-2, 2) for _ in range(N)] for _ in range(n)]
+            )
+        except Exception:
+            continue
+
+
 def random_case(rng, p, f):
     n = rng.choice((1, 2))
     N = rng.randint(n, 3)
-    while True:
-        A = [[rng.randint(-2, 2) for _ in range(N)] for _ in range(n)]
-        try:
-            config = ExponentConfig(A)
-            break
-        except Exception:
-            continue
+    config = random_config(rng, n, N)
     q = p**f
     F = ff.FqParams(p, f)
     units = [x for x in F.all_elements() if not x.is_zero()]
@@ -128,6 +137,76 @@ def test_characters_match_per_point_reference():
                 assert prec == M
                 checked += 1
     assert checked >= 20
+
+
+# (p, f, n, N): q^N <= 81, zero coordinates in every table
+HYP_CASES = [
+    (3, 1, 1, 3), (3, 1, 2, 4), (5, 1, 1, 2), (5, 1, 2, 2),
+    (3, 2, 1, 2), (3, 2, 2, 2), (5, 2, 1, 1),
+]
+
+
+def hyp_case(rng, p, f, n, N):
+    q = p**f
+    config = random_config(rng, n, N)
+    twist = dwork.TwistData(
+        config, [rng.randrange(1, q - 1) for _ in range(n)], q
+    )
+    return config, twist, ff.FqParams(p, f), rng.randint(2, 4)
+
+
+def test_hyp_table_matches_per_point_reference():
+    # every entry of the batched table against the literal torus sum
+    rng = random.Random(20240808)
+    for p, f, n, N in HYP_CASES:
+        config, twist, F, M = hyp_case(rng, p, f, n, N)
+        table = lf.hyp_table(config, twist, F, M)
+        assert len(table) == F.q**N
+        for x in itertools.product(list(F.all_elements()), repeat=N):
+            want = reference_characters(config, list(x), twist, 1, M)
+            assert table[tuple(e.coeffs for e in x)] == want, (
+                p, f, config.A, [e.coeffs for e in x], twist.k, M
+            )
+
+
+def test_character_values_independent_of_block_size(monkeypatch):
+    # rows and torus points split across blocks give the same values
+    rng = random.Random(11)
+    cases = [hyp_case(rng, *case) for case in HYP_CASES]
+
+    def values():
+        out = []
+        for config, twist, F, M in cases:
+            out.append(lf.hyp_table(config, twist, F, M))
+            a = [F.one()] * (config.N - 1) + [F.zero()]
+            for m in (1, 2):
+                if (F.q**m - 1) ** config.n <= 700:
+                    out.append(lf.sums_oracle_characters(config, a, twist, m, M))
+        return out
+
+    want = values()
+    for block in (7, 1):
+        monkeypatch.setattr(lf, "_BLOCK", block)
+        assert values() == want, block
+
+
+def test_hyp_entry_at_the_job_coefficients_is_the_level_one_sum():
+    jobs = sorted((ROOT / "jobs").glob("*.json"))
+    jobs.append(ROOT / "bench" / "jobs" / "hyp_twist_p5f2.json")
+    for path in jobs:
+        job = JobConfig(json.loads(path.read_text()))
+        table = lf.hyp_table(job.config, job.twist, job.field, job.M)
+        S, _ = lf.sums_oracle_characters(
+            job.config, job.a_residues, job.twist, 1, job.M
+        )
+        assert table[tuple(a.coeffs for a in job.a_residues)] == S, path.name
+    rng = random.Random(5)
+    for p, f, n, N in HYP_CASES:
+        config, twist, F, M = hyp_case(rng, p, f, n, N)
+        a = [rng.choice(list(F.all_elements())) for _ in range(N)]
+        table = lf.hyp_table(config, twist, F, M)
+        S, _ = lf.sums_oracle_characters(config, a, twist, 1, M)
+        assert table[tuple(e.coeffs for e in a)] == S
 
 
 def test_series_oracle_matches_characters_on_random_twists():
@@ -195,6 +274,7 @@ def test_level_table_contents():
         L = p**s - 1
         assert tab.L == L and tab.teich.shape == (L, tab.ring.blow)
         assert (tab.log >= 0).sum() == L and tab.log[0] == -1
+        assert tab.log_of(tab.field.zero()) == L
         g = ff.multiplicative_generator(tab.field)
         x = tab.field.one()
         for e in range(L):
@@ -205,7 +285,12 @@ def test_level_table_contents():
             )
             x = x * g
         th = padic.ring_embed(padic.theta_one(padic.ring_create(p, 1, M)), tab.ring)
-        assert tab.theta[1] == th and tab.theta[p - 1] == th ** (p - 1)
+        blow = tab.ring.blow
+        assert tab.theta_rep.shape == (p * blow, blow)
+        for c in range(p):
+            block = tab.theta_rep[c * blow:(c + 1) * blow]
+            assert tab.ring.from_coords(block[0]) == th**c
+            assert (block == tab.ring.reg_rep((th**c).coords).T).all()
 
 
 def test_non_generator_makes_the_oracle_raise(monkeypatch):
