@@ -22,7 +22,7 @@ H_m is its support, exponents (S, n) beside coefficient coordinates
 (S, blow), expanded by folding the splitting series in one column at a time
 on a dense table; the matrix gathers c_{q w - u} for all basis pairs at once
 into an (n, n, blow) array that the traces and the characteristic-series
-kernel read directly.
+kernel read directly, as coordinate rows times its row-layout encoding.
 """
 
 from __future__ import annotations
@@ -296,6 +296,9 @@ class DworkMatrix:
         self.tail_bound = Fraction((p - 1) * (q - 1), p * q) * self.cap
 
     def encoded(self) -> np.ndarray:
+        """Row-layout encoding (padic.encode_ring_matrix), built once; a trace
+        needs it only between its free first degree and its last, which reads
+        just the closing diagonal (padic.diagonal_product_sum)."""
         if self._encoded is None:
             self._encoded = padic.encode_ring_matrix(self.params, self.coords)
         return self._encoded
@@ -332,14 +335,19 @@ def build_operator(
 
 def trace(dm: DworkMatrix, m: int = 1) -> tuple[RamifiedElement, Fraction]:
     """Tr(G^m) through the m-th power of the level-1 matrix, with a certified
-    precision (min of p^M and the tail floor)."""
+    precision (min of p^M and the tail floor): the diagonal sum for m = 1,
+    else m - 2 row products and the closing diagonal of the last one."""
     params = dm.params
-    E = dm.encoded()
-    P = E
-    for _ in range(m - 1):
-        P = padic.matmul_mod(P, E, params.pM)
-    value = padic.encoded_trace(params, P)
-    return value, min(Fraction(params.M), dm.power_tail_bound(m))
+    C = dm.coords
+    if m == 1:
+        value = np.einsum("hhb->b", C)
+    else:
+        P = C
+        for _ in range(m - 2):
+            rows = P.reshape(dm.dim, dm.dim * params.blow)
+            P = padic.matmul_mod(rows, dm.encoded(), params.pM).reshape(C.shape)
+        value = padic.diagonal_product_sum(params, P, C)
+    return params.from_coords(value), min(Fraction(params.M), dm.power_tail_bound(m))
 
 
 def diagonal_sum(series: SeriesOnCone) -> RamifiedElement:

@@ -13,9 +13,9 @@ Conventions
   min over nonzero coordinates of ( i/(p-1) + ord_p(c_ij) ), because
   {pi^i b^j} is an orthogonal basis of the free (Z/p^M)-module R.
 
-The block-encoding helpers at the bottom turn matrices over R into integer
-matrices (regular representation), so that matrix products, traces of powers
-and characteristic series reduce to modular integer matmuls.
+Matrices over R are (n, m, blow) coordinate arrays.  The row-layout block
+encoding at the bottom makes a matrix product the left factor's coordinate
+rows times one integer matrix, so traces and series reduce to modular matmuls.
 """
 
 from __future__ import annotations
@@ -116,15 +116,6 @@ class RingParams:
         c = [0] * self.blow
         c[0] = n % self.pM
         return RamifiedElement(self, tuple(c))
-
-    def element(self, coeff_rows) -> "RamifiedElement":
-        """From nested c[i][j], i < p-1, j < s."""
-        flat = []
-        for i in range(self.p - 1):
-            row = coeff_rows[i]
-            for j in range(self.s):
-                flat.append(int(row[j]) % self.pM)
-        return RamifiedElement(self, tuple(flat))
 
     def from_coords(self, flat) -> "RamifiedElement":
         return RamifiedElement(self, tuple(int(c) % self.pM for c in flat))
@@ -282,13 +273,6 @@ class RamifiedElement:
             base = base * base
             e >>= 1
         return result
-
-    def coeff_rows(self):
-        """Nested (p-1) x s tuple view of the coordinates."""
-        s = self.params.s
-        return tuple(
-            self.coords[i * s : (i + 1) * s] for i in range(self.params.p - 1)
-        )
 
     def residue(self) -> ff.FqElement:
         """Image in the residue field R/(pi) = F_{p^s}."""
@@ -653,7 +637,7 @@ def ring_restrict(x: RamifiedElement, target: RingParams) -> RamifiedElement:
 
 
 # ----------------------------------------------------------------------
-# integer matrix kernels (regular-representation block encoding)
+# integer matrix kernels (coordinate rows times the row-layout block encoding)
 # ----------------------------------------------------------------------
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, mod: int) -> np.ndarray:
@@ -695,20 +679,26 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, mod: int) -> np.ndarray:
 
 
 def encode_ring_matrix(params: RingParams, coords: np.ndarray) -> np.ndarray:
-    """coords (n, m, blow) -> block integer matrix (n*blow, m*blow)."""
+    """coords (n, m, blow) -> row-layout integer matrix (n*blow, m*blow), block
+    (u, v) = reg_rep(coords[u, v]).T: X.reshape(k, n*blow) @ it is X coords."""
     T = params.mult_tensor()
     n, m = coords.shape[0], coords.shape[1]
-    blk = np.einsum("uwa,abg->ugwb", coords, T)
+    blk = np.einsum("uva,abg->ubvg", coords, T)
     return (blk.reshape(n * params.blow, m * params.blow)) % params.pM
 
 
-def encoded_trace(params: RingParams, E: np.ndarray) -> RamifiedElement:
-    """Ring trace of a block-encoded square matrix: sum of diagonal blocks,
-    read off from column 0 of each block (the image of 1)."""
-    blow = params.blow
-    n = E.shape[0] // blow
-    d = np.arange(n)
-    return params.from_coords(E.reshape(n, blow, n, blow)[d, :, d, 0].sum(axis=0))
+def diagonal_product_sum(params: RingParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Coordinates of sum over h, u of A[h, u] B[u, h] for (n, n, blow) arrays of
+    residues: the ring trace of A B without the product.  The pairs go blow
+    heads at a time, so no matmul_mod contracts more than the n*blow terms of
+    a row product, and its strategy and overflow guard stay those of one."""
+    blow, pM = params.blow, params.pM
+    S = np.zeros((blow, blow), dtype=np.int64)  # summed outer products
+    for h in range(0, len(A), blow):
+        X, Y = A[h:h + blow], B[:, h:h + blow].transpose(1, 0, 2)
+        S = (S + matmul_mod(X.reshape(-1, blow).T, Y.reshape(-1, blow), pM)) % pM
+    # sum of S[a, b] e_a e_b with blow signed terms per sum, as in reg_rep
+    return (np.einsum("ab,abg->ag", S, params.mult_tensor()) % pM).sum(axis=0) % pM
 
 
 # ----------------------------------------------------------------------
@@ -721,7 +711,10 @@ def char_series_prefix(params: RingParams, coords: np.ndarray, K: int) -> list[R
     one ring matmul per degree and no divisions, so no p-adic precision loss.
     K is clamped to the order n, so K = n gives the whole series.
 
-    coords: the square matrix as an (n, n, blow) coordinate array.
+    coords: the square matrix as an (n, n, blow) array of residues.  The walk
+    state G[h, v] has the same shape; degree 1 is free (I E = E), a middle
+    degree is G's coordinate rows times the row-layout encoding E, and degree
+    K reads only the closing diagonal of G E.
     """
     n = coords.shape[0]
     K = min(K, n)
@@ -729,20 +722,19 @@ def char_series_prefix(params: RingParams, coords: np.ndarray, K: int) -> list[R
     if K == 0:
         return out
     blow, pM = params.blow, params.pM
-    E = encode_ring_matrix(params, coords)
-    T = params.mult_tensor()
-    G = np.eye(n * blow, dtype=np.int64)
-    upper = np.triu(np.ones((n, n), dtype=np.int64), k=1)
+    E = encode_ring_matrix(params, coords) if K > 2 else None
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)[:, :, None]
     d = np.arange(n)
-    for _ in range(K):
-        P4 = matmul_mod(G, E, pM).reshape(n, blow, n, blow)
-        close = P4[d, :, d, 0]  # (n, blow): walks closing at each head
+    P = coords
+    for k in range(1, K):
+        close = P[d, d]  # (n, blow): walks closing at each head
         out.append(params.from_coords(-close.sum(axis=0)))
-        # keep open-walk extensions v > h; restart summed closures on the
-        # diagonal as the negated regular representation of each prefix sum
-        P4 *= upper[:, None, :, None]
-        prefix = np.cumsum(close[:-1], axis=0) % pM
-        reps = np.tensordot(prefix, T, axes=(1, 0)).transpose(0, 2, 1)
-        P4[d[1:], :, d[1:], :] = -reps % pM
-        G = P4.reshape(n * blow, n * blow)
+        # keep open-walk extensions v > h; restart each head d on the
+        # diagonal with minus the closures at all heads below d
+        G = np.where(upper, P, 0)
+        G[d[1:], d[1:]] = -np.cumsum(close[:-1], axis=0) % pM
+        if k + 1 < K:
+            P = matmul_mod(G.reshape(n, n * blow), E, pM).reshape(n, n, blow)
+    last = np.einsum("hhb->b", P) if K == 1 else diagonal_product_sum(params, G, coords)
+    out.append(params.from_coords(-last))
     return out

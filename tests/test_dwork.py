@@ -157,6 +157,33 @@ def test_trace_formula_over_extension_field():
             assert t * ((q**m - 1) ** config.n) == Sc
 
 
+def test_trace_matches_ring_matrix_power():
+    # Tr(G^m), m = 1..4, against ring-element loops on the f = 2 Kloosterman
+    # operator and its twist (gamma = -1/8); dim 23 is not a multiple of the
+    # blow = 4 heads that padic.diagonal_product_sum takes at a time
+    p, f, M = 3, 2, 5
+    params = padic.ring_create(p, f, M)
+    F9 = ff.FqParams(p, f)
+    config = ExponentConfig([[1, -1]])
+    nd = newton_data(config)
+    lifts = [padic.teichmueller(F9.element(c), params) for c in ((1, 0), (0, 1))]
+    for k_vec, dim in (([0], 23), ([1], 24)):
+        twist = dwork.TwistData(config, k_vec, p**f)
+        dm = dwork.build_operator(config, nd, lifts, twist)
+        assert dm.dim == dim
+        G = [[params.from_coords(e) for e in row] for row in dm.coords]
+        power = [[params.one() if h == u else params.zero() for u in range(dim)]
+                 for h in range(dim)]
+        for m in range(1, 5):
+            power = [
+                [sum((power[h][w] * G[w][u] for w in range(dim)), params.zero())
+                 for u in range(dim)]
+                for h in range(dim)
+            ]
+            want = sum((power[h][h] for h in range(dim)), params.zero())
+            assert dwork.trace(dm, m)[0] == want
+
+
 def test_trace_formula_with_integral_twist():
     # gamma = k/(1-q) with d(gamma) >= 1: the operator basis must be the
     # shifted set {w : w + gamma in the cone}; the plain cone points miss

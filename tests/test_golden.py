@@ -30,6 +30,11 @@ The ``hyp`` digests of square_p3, twist_p5 and twist_p3f2 and the ``sums``
 digests of kl_p3f2 and twist_p3f2 were taken while ``hyp_table`` still made
 one character-oracle call per coefficient point, before one batched (x, k, c)
 histogram served the whole table and the single-row oracle alike.
+
+The ``trace`` digests of kl_p3f2 and twist_p3f2, the first with f > 1, were
+taken while Tr(G^m) and the clow dynamic program still multiplied full
+regular-representation block matrices, before both ran on coordinate rows
+against the row-layout encoding.
 """
 
 import hashlib
@@ -151,6 +156,10 @@ GOLDEN = [
      "103d25a6a0be1ff6e670ff2a2bfc9dfb7cdb4e0fc9b76653b6f4cdf65d60ec63"),
     ("sums", "twist_p3f2",
      "c4de9629077778aadb5df959db328521cd431049b3f936283e4ed550441fa368"),
+    ("trace", "kl_p3f2",
+     "bcf667191d072fc7637258bd5ae7daa04429b1257711de8d3257693853342565"),
+    ("trace", "twist_p3f2",
+     "997441339b6ea92959fa0cf630bb3558c2bde0c3eebc42ae7967ce228f5525b1"),
 ]
 
 

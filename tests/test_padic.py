@@ -425,6 +425,44 @@ def coords_of(rows):
     return np.array([[e.coords for e in row] for row in rows], dtype=np.int64)
 
 
+def test_encode_ring_matrix_row_layout():
+    # coordinate rows times the encoding are ring sums: x E -> sum_u x_u E_uv
+    import numpy as np
+
+    rng = random.Random(43)
+    for p, s in [(3, 1), (5, 1), (3, 2), (5, 2)]:
+        params = padic.ring_create(p, s, 3)
+        n, m = 3, 2
+        rows = [[rand_element(params, rng) for _ in range(m)] for _ in range(n)]
+        x = [rand_element(params, rng) for _ in range(n)]
+        E = padic.encode_ring_matrix(params, coords_of(rows))
+        assert E.shape == (n * params.blow, m * params.blow)
+        got = np.array([e.coords for e in x]).reshape(-1) @ E % params.pM
+        want = []
+        for v in range(m):
+            acc = params.zero()
+            for u in range(n):
+                acc = acc + x[u] * rows[u][v]
+            want.extend(acc.coords)
+        assert got.tolist() == want
+
+
+def test_diagonal_product_sum_matches_ring_loops():
+    # at p = 7, M = 12 matmul_mod's hi/lo split admits at most 2541 terms:
+    # 53^2 pairs in one contraction would be refused, 6 heads at a time are not
+    rng = random.Random(47)
+    for p, s, M, n in [(3, 2, 4, 5), (7, 1, 12, 53)]:
+        params = padic.ring_create(p, s, M)
+        A = [[rand_element(params, rng) for _ in range(n)] for _ in range(n)]
+        B = [[rand_element(params, rng) for _ in range(n)] for _ in range(n)]
+        want = params.zero()
+        for h in range(n):
+            for u in range(n):
+                want = want + A[h][u] * B[u][h]
+        got = padic.diagonal_product_sum(params, coords_of(A), coords_of(B))
+        assert got.tolist() == list(want.coords)
+
+
 def test_char_series_trivial_examples():
     params = padic.ring_create(5, 1, 4)
     one, zero, pi = params.one(), params.zero(), params.pi()
@@ -459,7 +497,11 @@ def test_char_series_companion_reversal():
 
 def test_char_series_matches_leibniz_and_prefix():
     rng = random.Random(41)
-    for p, s, M, n in [(3, 1, 4, 3), (5, 1, 3, 3), (3, 2, 3, 2), (7, 1, 2, 4)]:
+    # the last three reach matmul_mod's hi/lo split (7^12), float64 (5^6)
+    # and int64 (3^17) strategies; K runs through 1, 2, n - 1 and n
+    cases = [(3, 1, 4, 3), (5, 1, 3, 3), (3, 2, 3, 2), (7, 1, 2, 4),
+             (7, 1, 12, 5), (5, 2, 6, 6), (3, 2, 17, 4)]
+    for p, s, M, n in cases:
         params = padic.ring_create(p, s, M)
         rows = [[rand_element(params, rng) for _ in range(n)] for _ in range(n)]
         oracle = brute_char_series(rows, params)
