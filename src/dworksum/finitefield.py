@@ -297,8 +297,8 @@ def multiplicative_generator(params: FqParams) -> FqElement:
         d += 1
     if m > 1:
         factors.append(m)
-    for x in enumerate_units(params):
-        if all((x ** (n // ell)) != params.one() for ell in factors):
+    for x in params.all_elements():
+        if not x.is_zero() and all(x ** (n // ell) != params.one() for ell in factors):
             return x
     raise NoRoot("no multiplicative generator found")  # unreachable for a field
 

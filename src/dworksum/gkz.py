@@ -197,23 +197,19 @@ class SystemPresentation:
         return lines
 
 
-def emit_system(config: ExponentConfig, gamma, saturate: bool = False) -> SystemPresentation:
-    """n Euler equations plus one box equation per kernel basis vector; with
-    saturate=True the box list is the completed generating set."""
+def emit_system(config: ExponentConfig, gamma) -> SystemPresentation:
+    """n Euler equations plus one box equation per kernel basis vector."""
     gamma = [Fraction(g) for g in gamma]
     if len(gamma) != config.n:
         raise ValueError("gamma must have one entry per row")
     basis = lattice_kernel(config)
-    lams = list(basis)
-    if saturate:
-        lams = toric_saturation(config, basis)
     euler = [EulerOperator(config, i, gamma[i]) for i in range(config.n)]
-    boxes = [BoxOperator(config, lam) for lam in lams if any(lam)]
+    boxes = [BoxOperator(config, lam) for lam in basis if any(lam)]
     return SystemPresentation(config, gamma, euler, boxes, basis)
 
 
 # ----------------------------------------------------------------------
-# saturation of the binomial ideal (optional)
+# saturation of the binomial ideal
 # ----------------------------------------------------------------------
 
 def _term_cmp_key(mono):

@@ -10,32 +10,39 @@ Two independent evaluations of the twisted sums S_m over F_{q^m}, L = q^m - 1:
   (q^m - 1)^n times the sum of the series coefficients whose exponents
   q^m - 1 divides (``dwork.diagonal_sum``), with no torus enumeration.
 
-The character route reads one cached table per (p, s = f m, M): the discrete
-log of every element of F_{p^s}^* to the distinguished generator g, Tr(g^e)
-for every e, the Teichmueller powers teich(g)^e and ``theta_rep``, the
-regular representations of theta(1)^c for c < p stacked into one
-(p blow, blow) matrix.  The walks over powers are built by doubling, the
-first 2^k powers times y^(2^k) giving the next 2^k (as an F_p matrix for
-y = g, as a regular representation for y = teich(g) and theta(1)).
-``require_level_budget`` refuses a level before its table is built when the
-level, its torus points or its table coordinates pass a module limit.
-A torus point u = g^l enters the character sum only through the twist class
-k = shift(m) . l mod L and the trace c = sum_j Tr(g^(log a_j + A_j . l)) in
-F_p (the trace is F_p-linear), so with N(k, c) the number of points of each
-class
+The character route evaluates every level in the base ring R(p, f, M).  It
+reads the cached table of F_{q^m} (the discrete log of every element to the
+distinguished generator g, the F_p coefficients of g^e and Tr(g^e) for
+every e) and that of F_q with its ring data: the Teichmueller powers
+teich(g_q)^e, e < q - 1, and ``theta_rep``, the regular representations of
+theta(1)^c for c < p stacked into one (p blow, blow) matrix.  The walks over
+powers are built by doubling, the first 2^k powers times y^(2^k) giving the
+next 2^k (as an F_p matrix for y = g, as a regular representation for
+y = teich(g_q) and theta(1)).  ``require_level_budget`` refuses a level
+before its tables are built when the level, its torus points or its table
+coordinates pass a module limit.  No ring of the level is needed: with
+d = (q^m - 1)/(q - 1) the twist is teich(g)^(shift(m) . l) = teich(h)^(k . l)
+for h = g^d, a generator of the copy of F_q^*, and theta(1) lies in
+Z_p[pi].  A torus point u = g^l therefore enters the character sum only
+through its twist class, k . l read as a power of the base generator g_q,
+and the trace c = sum_j Tr(g^(log a_j + A_j . l)) in F_p (the trace is
+F_p-linear), so with N(k, c) the number of points of each class
 
-    S_m = sum_{k, c} N(k, c) teich(g)^k theta(1)^c.
+    S_m = sum_{k, c} N(k, c) teich(g_q)^k theta(1)^c.
+
+F_q enters F_{q^m} along the first root of its modulus found among the h^t;
+two embeddings differ by a Frobenius, which permutes the torus and leaves
+S_m unchanged, so any root gives the same value.
 
 One kernel, ``_character_values``, evaluates this for a batch of X
 coefficient rows x at once: one ``np.bincount`` per block gives the (x, k, c)
 histogram N_x(k, c), with a zero coefficient read as the appended trace 0,
-and the ring work is two modular matmuls, (X p, L) x (L, blow) against the
-Teichmueller powers and (X, p blow) x (p blow, blow) against ``theta_rep``
-for the sum over c.  Rows and torus points are taken in blocks, so memory is
-bounded whatever q^N and (q^m - 1)^n are.  ``sums_oracle_characters`` runs it
-on one row and restricts the value back to the base ring, which doubles as a
-Galois-invariance check; ``hyp_table`` runs it on all q^N rows of level 1,
-whose ring is the base ring.  L-series come either from
+and the ring work is two modular matmuls, (X p, q - 1) x (q - 1, blow)
+against the Teichmueller powers and (X, p blow) x (p blow, blow) against
+``theta_rep`` for the sum over c.  Rows and torus points are taken in
+blocks, so memory is bounded whatever q^N and (q^m - 1)^n are.
+``sums_oracle_characters`` runs it on one row at any level, ``hyp_table`` on
+all q^N rows of level 1.  L-series come either from
 exp(sum S_m T^m / m) -- with the valuation of every division recorded as a
 per-coefficient precision loss -- or, exactly, from the binomial product of
 characteristic series of the operator.
@@ -75,9 +82,11 @@ TORUS_LIMIT = 1 << 28
 # the q^N entries of the report and the q^N rows of the batched histogram
 HYP_LIMIT = 4096
 
-# coordinates above which the character oracle refuses a level table: L rows
-# of Teichmueller powers plus the (blow, blow, blow) multiplication tensor of
-# R(p, s, M); p = 13, s = 5 (22.5 M coordinates) peaks at 354 MB in 8 s
+# coordinates above which the character oracle refuses a level: the logs,
+# traces and power rows of F_{q^m} plus the Teichmueller powers, the
+# (blow, blow, blow) multiplication tensor and theta_rep of R(p, f, M);
+# p = 19, f = 1, m = 5 (17.3 M coordinates) peaks at 203 MB in 0.9 s on
+# 2 vCPUs
 LEVEL_TABLE_LIMIT = 1 << 25
 
 
@@ -95,8 +104,10 @@ def require_level_budget(p: int, f: int, m: int, n: int) -> None:
             f"level {m} needs {points} torus points, above the limit "
             f"{TORUS_LIMIT}"
         )
-    blow = (p - 1) * f * m
-    size = L * blow + blow**3
+    blow = (p - 1) * f
+    # the logs, traces and power rows of F_{q^m}; the Teichmueller powers,
+    # the multiplication tensor and theta_rep of R(p, f, M)
+    size = (L + 1) + L * (1 + f * m) + (p**f - 1) * blow + blow**3 + p * blow**2
     if size > LEVEL_TABLE_LIMIT:
         raise BudgetExceeded(
             f"level {m} needs a table of {size} coordinates, above the limit "
@@ -120,21 +131,18 @@ def _powers(one, step, count: int, mod: int) -> np.ndarray:
         step = padic.matmul_mod(step, step, mod)
 
 
-class LevelTable:
+class FieldTable:
     """F_{p^s}^* by discrete logarithm to a generator g, L = p^s - 1.
 
-    log[code] is the log of the element with coefficient vector c, where
-    code = sum_j c_j p^j (-1 for zero); trace[e] = Tr(g^e) in 0..p-1;
-    teich[e] holds the coordinates of teich(g)^e in R(p, s, M), shape
-    (L, blow); theta_rep, shape (p blow, blow), stacks the transposed regular
-    representations of theta(1)^c for c = 0..p-1, so that a row holding y_c
-    in block c times theta_rep is sum_c theta(1)^c y_c.
+    powers[e] holds the F_p coefficients of g^e, shape (L, s); log[code] is
+    the log of the element with coefficient vector c, where
+    code = sum_j c_j p^j (-1 for zero); trace[e] = Tr(g^e) in 0..p-1.
     """
 
-    def __init__(self, field: ff.FqParams, ring: RingParams, gen: ff.FqElement):
+    def __init__(self, field: ff.FqParams, gen: ff.FqElement):
         p, s = field.p, field.degree
         L = field.q - 1
-        self.field, self.ring, self.L = field, ring, L
+        self.field, self.L = field, L
         self.codes = p ** np.arange(s, dtype=np.int64)
         # row j of the F_p step matrix: the coefficients of b^j g
         basis = [field.element([int(i == j) for i in range(s)]) for j in range(s)]
@@ -156,27 +164,46 @@ class LevelTable:
             )
         if tuple(coeffs[L]) != field.one().coeffs:
             raise NotAField(f"{gen!r}^{L} != 1 in {field!r}")
+        self.powers = coeffs[:L]
         self.log = np.full(field.q, -1, dtype=np.int64)
         self.log[codes] = np.arange(L)
         # the trace is F_p-linear: Tr(g^e) = sum_j coeff_j(g^e) Tr(b^j)
         basis_traces = np.array(
             [ff.absolute_trace_int(b) for b in basis], dtype=np.int64
         )
-        self.trace = coeffs[:L] @ basis_traces % p
-        tg = padic.teichmueller(gen, ring)
-        self.teich = _powers(ring.one().coords, ring.reg_rep(tg.coords).T, L, ring.pM)
-        th = padic.ring_embed(padic.theta_one(padic.ring_create(p, 1, ring.M)), ring)
-        theta = _powers(ring.one().coords, ring.reg_rep(th.coords).T, p, ring.pM)
-        self.theta_rep = (
-            np.tensordot(theta, ring.mult_tensor(), axes=(1, 0)) % ring.pM
-        ).reshape(p * ring.blow, ring.blow)
-        for arr in (self.log, self.trace, self.teich, self.theta_rep):
+        self.trace = self.powers @ basis_traces % p
+        for arr in (self.powers, self.log, self.trace):
             arr.flags.writeable = False  # shared by every caller of the cache
 
-    def log_of(self, x: ff.FqElement) -> int:
-        """The discrete log of x, and L for x = 0."""
-        e = int(self.log[int(np.array(x.coeffs, dtype=np.int64) @ self.codes)])
-        return self.L if e < 0 else e
+    def logs(self, coeffs) -> np.ndarray:
+        """The discrete logs of coefficient rows (..., s), L for zero."""
+        e = self.log[np.asarray(coeffs, dtype=np.int64) @ self.codes]
+        return np.where(e < 0, self.L, e)
+
+
+class LevelTable(FieldTable):
+    """The FieldTable of F_q = F_{p^s} with its generator g, and the ring
+    data of R(p, s, M) that every level's character sum is evaluated with.
+
+    teich[e] holds the coordinates of teich(g)^e, shape (L, blow);
+    theta_rep, shape (p blow, blow), stacks the transposed regular
+    representations of theta(1)^c for c = 0..p-1, so that a row holding y_c
+    in block c times theta_rep is sum_c theta(1)^c y_c.
+    """
+
+    def __init__(self, field: ff.FqParams, ring: RingParams, gen: ff.FqElement):
+        super().__init__(field, gen)
+        self.ring = ring
+        tg = padic.teichmueller(gen, ring)
+        one = ring.one().coords
+        self.teich = _powers(one, ring.reg_rep(tg.coords).T, self.L, ring.pM)
+        th = padic.theta_one(ring)
+        theta = _powers(one, ring.reg_rep(th.coords).T, field.p, ring.pM)
+        self.theta_rep = (
+            np.tensordot(theta, ring.mult_tensor(), axes=(1, 0)) % ring.pM
+        ).reshape(field.p * ring.blow, ring.blow)
+        for arr in (self.teich, self.theta_rep):
+            arr.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
@@ -188,6 +215,13 @@ def level_table(p: int, s: int, M: int) -> LevelTable:
     )
 
 
+@lru_cache(maxsize=None)
+def field_table(p: int, s: int) -> FieldTable:
+    """The table of F_{p^s} alone, built once per process."""
+    field = ff.FqParams(p, s)
+    return FieldTable(field, ff.multiplicative_generator(field))
+
+
 def _torus_blocks(L: int, n: int, size: int):
     """The torus (Z/L)^n as rows of discrete logs, at most size rows a block."""
     total = L**n
@@ -196,35 +230,59 @@ def _torus_blocks(L: int, n: int, size: int):
         yield np.stack([idx // L ** (n - 1 - i) % L for i in range(n)], axis=1)
 
 
-def _character_values(tab: LevelTable, config, x_logs, tw) -> np.ndarray:
-    """The character sum over (F_{p^s}^*)^n for a batch of coefficient rows.
+def _modulus_roots(tab: LevelTable, big: FieldTable) -> np.ndarray:
+    """The discrete logs in big of the roots of tab's modulus.
 
-    x_logs: (X, N) discrete logs of the coefficients in tab, L for a zero
-    coefficient; tw: the twist shift mod L.  Row i of the (X, blow) result
-    holds the coordinates in tab.ring of sum_{k, c} N_i(k, c) teich(g)^k
-    theta(1)^c.  Rows are taken so many at a time, and the torus so many
-    points a block, that no array passes _BLOCK x (N or p) entries unless
-    one row alone needs more.
+    The roots lie in the copy of F_q^* that h = g^d generates,
+    d = (q^m - 1)/(q - 1), so the modulus is evaluated at every h^t, t < q - 1,
+    as one sum of antilog rows.  For f = 1 the modulus is b, whose root 0 has
+    no log; log 0 then stands in, since only b^0 = 1 is ever embedded.
     """
-    L, p, pM = tab.L, tab.field.p, tab.ring.pM
-    n = config.n
+    if tab.field.degree == 1:
+        return np.zeros(1, dtype=np.int64)
+    d = big.L // tab.L
+    exps = np.arange(tab.L) * d
+    i = np.arange(tab.field.degree + 1)[:, None]
+    values = np.tensordot(tab.field.modulus, big.powers[i * exps % big.L], axes=1)
+    return exps[~(values % tab.field.p).any(axis=1)]
+
+
+def _character_values(tab: LevelTable, big: FieldTable, config, coeffs, k):
+    """The level character sum for a batch of coefficient rows, in the base
+    ring: row i of the (X, blow) result holds the coordinates in tab.ring of
+    S_m at coefficient row i.
+
+    tab: the table of F_q and R(p, f, M); big: the table of F_{q^m} (tab
+    itself at m = 1); coeffs: (X, N, f) coefficients in F_q; k: the twist
+    exponents.  With b -> rho the first root of the modulus, h = g^d and
+    rho(g_q) = h^t0, a point l has teich(h)^(k . l) = teich(g_q)^(k . l / t0),
+    so the histogram runs over the q - 1 classes k . l / t0.  Rows are taken
+    so many at a time, and the torus so many points a block, that no array
+    passes _BLOCK x (N or p) entries unless one row alone needs more.
+    """
+    p, pM, f = tab.field.p, tab.ring.pM, tab.field.degree
+    L, Lq, n = big.L, tab.L, config.n
+    rows = big.powers[np.arange(f) * int(_modulus_roots(tab, big)[0]) % L]
+    x_logs = big.logs(np.asarray(coeffs) @ rows % p)
+    t0 = int(big.logs(tab.powers[1] @ rows % p)) // (L // Lq)
+    tw = np.array(k, dtype=np.int64) * pow(t0, -1, Lq) % Lq
     A = np.array(config.A, dtype=np.int64).reshape(n, config.N) % L
     # a zero coefficient reads the appended Tr = 0, so adds nothing to c
-    trace = np.append(tab.trace, 0)
-    rows = max(1, _BLOCK // L**n)
+    trace = np.append(big.trace, 0)
+    batch = max(1, _BLOCK // L**n)
     out = np.empty((len(x_logs), tab.ring.blow), dtype=np.int64)
-    for start in range(0, len(x_logs), rows):
-        x = x_logs[start:start + rows, None, :]
+    for start in range(0, len(x_logs), batch):
+        x = x_logs[start:start + batch, None, :]
         X = len(x)
-        counts = np.zeros(X * p * L, dtype=np.int64)
+        counts = np.zeros(X * p * Lq, dtype=np.int64)
         for logs in _torus_blocks(L, n, _BLOCK // X):
-            k = logs @ tw % L
+            cls = logs @ tw % Lq
             e = np.where(x == L, L, (logs @ A + x) % L)
             c = trace[e].sum(axis=2) % p
-            key = (np.arange(X)[:, None] * p + c) * L + k
-            counts += np.bincount(key.ravel(), minlength=X * p * L)
-        # row (x, c): sum_k N(k, c) teich(g)^k; then the sum over c
-        by_trace = padic.matmul_mod(counts.reshape(X * p, L) % pM, tab.teich, pM)
+            key = (np.arange(X)[:, None] * p + c) * Lq + cls
+            counts += np.bincount(key.ravel(), minlength=X * p * Lq)
+        # row (x, c): sum_k N(k, c) teich(g_q)^k; then the sum over c
+        by_trace = padic.matmul_mod(counts.reshape(X * p, Lq) % pM, tab.teich, pM)
         out[start:start + X] = padic.matmul_mod(
             by_trace.reshape(X, p * tab.ring.blow), tab.theta_rep, pM
         )
@@ -240,25 +298,18 @@ def sums_oracle_characters(
 ) -> tuple[RamifiedElement, Fraction]:
     """S_m as the character sum over (F_{q^m}^*)^n, by the (k, c) histogram.
 
-    a_residues: the coefficients as elements of F_q.  The value is returned in
-    the base ring R(p, f, M); the numpy work is linear in the (q^m - 1)^n
-    points.
+    a_residues: the coefficients as elements of F_q.  The value lies in the
+    base ring R(p, f, M); the numpy work is linear in the (q^m - 1)^n points.
     """
     base_field = a_residues[0].params
     p, f = base_field.p, base_field.degree
     assert twist.q == p**f
     require_level_budget(p, f, m, config.n)
-    tab = level_table(p, f * m, M)
-    L = tab.L
-    x_logs = np.array(
-        [[tab.log_of(ff.embed(a, tab.field)) for a in a_residues]], dtype=np.int64
-    )
-    tw = np.array([e % L for e in twist.shift(m)], dtype=np.int64)
-    (value,) = _character_values(tab, config, x_logs, tw)
-    return (
-        padic.ring_restrict(tab.ring.from_coords(value), padic.ring_create(p, f, M)),
-        Fraction(M),
-    )
+    tab = level_table(p, f, M)
+    big = tab if m == 1 else field_table(p, f * m)
+    coeffs = [[a.coeffs for a in a_residues]]
+    (value,) = _character_values(tab, big, config, coeffs, twist.k)
+    return tab.ring.from_coords(value), Fraction(M)
 
 
 def sums_oracle_series(
@@ -302,16 +353,10 @@ def hyp_table(
     assert twist.q == field.q
     require_level_budget(p, f, 1, config.n)
     tab = level_table(p, f, M)
-    # level 1's ring is the base ring: the values need no restriction
-    assert tab.ring == padic.ring_create(p, f, M)
-    elements = list(field.all_elements())
-    x_logs = np.array(
-        list(itertools.product([tab.log_of(e) for e in elements], repeat=config.N)),
-        dtype=np.int64,
+    keys = list(
+        itertools.product([e.coeffs for e in field.all_elements()], repeat=config.N)
     )
-    tw = np.array([e % tab.L for e in twist.shift(1)], dtype=np.int64)
-    values = _character_values(tab, config, x_logs, tw)
-    keys = itertools.product([e.coeffs for e in elements], repeat=config.N)
+    values = _character_values(tab, tab, config, keys, twist.k)
     return {x: tab.ring.from_coords(v) for x, v in zip(keys, values)}
 
 

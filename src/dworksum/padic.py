@@ -586,56 +586,6 @@ def ring_embed(x: RamifiedElement, target: RingParams) -> RamifiedElement:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _embed_matrix(src: RingParams, target: RingParams) -> tuple:
-    """Columns: coordinates in target of the embedded source basis pi^i b^j."""
-    cols = []
-    for i in range(src.p - 1):
-        for j in range(src.s):
-            c = [0] * src.blow
-            c[i * src.s + j] = 1
-            cols.append(ring_embed(src.from_coords(c), target).coords)
-    return tuple(cols)
-
-
-def ring_restrict(x: RamifiedElement, target: RingParams) -> RamifiedElement:
-    """Inverse of ring_embed on its image; raises ArithmeticError when x does
-    not lie in the embedded subring (a Galois-invariance failure upstream)."""
-    src_big = x.params
-    if src_big == target:
-        return x
-    cols = _embed_matrix(target, src_big)
-    B, S = src_big.blow, target.blow
-    p, pM = src_big.p, src_big.pM
-    aug = [[cols[c][r] for c in range(S)] + [x.coords[r]] for r in range(B)]
-    pivot_rows = []
-    used = [False] * B
-    for c in range(S):
-        r_piv = next(
-            (r for r in range(B) if not used[r] and aug[r][c] % p != 0), None
-        )
-        if r_piv is None:
-            raise ArithmeticError("embedding matrix lost rank; modulus bug")
-        used[r_piv] = True
-        pivot_rows.append(r_piv)
-        inv = pow(aug[r_piv][c], -1, pM)
-        aug[r_piv] = [(v * inv) % pM for v in aug[r_piv]]
-        for r in range(B):
-            if r != r_piv and aug[r][c] % pM:
-                f = aug[r][c]
-                aug[r] = [(a - f * b) % pM for a, b in zip(aug[r], aug[r_piv])]
-    for r in range(B):
-        if not used[r] and aug[r][S] % pM:
-            raise ArithmeticError("element does not lie in the base subring")
-    y = [0] * S
-    for c, r_piv in enumerate(pivot_rows):
-        y[c] = aug[r_piv][S]
-    out = target.from_coords(y)
-    if ring_embed(out, src_big) != x:
-        raise ArithmeticError("element does not lie in the base subring")
-    return out
-
-
 # ----------------------------------------------------------------------
 # integer matrix kernels (coordinate rows times the row-layout block encoding)
 # ----------------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_trace_routes_agree():
 
 def test_trace_formula_over_extension_field():
     # q = 9: coefficients in F_9, torus sums over F_9 and F_81, operator over
-    # R(3, 2, M); exercises embeddings, restriction and the twist at f = 2
+    # R(3, 2, M); exercises the embedding of F_9 and the twist at f = 2
     p, f, M = 3, 2, 5
     from dworksum import lfunction as lf
 

@@ -35,6 +35,12 @@ The ``trace`` digests of kl_p3f2 and twist_p3f2, the first with f > 1, were
 taken while Tr(G^m) and the clow dynamic program still multiplied full
 regular-representation block matrices, before both ran on coordinate rows
 against the row-layout encoding.
+
+The ``lfunction`` and ``check`` digests of kl_p3f2 and the ``lfunction``
+digest of twist_p3f2 reach F_{3^10} at recognition's level 5.  They were
+taken, about 6 s each in a fresh process, while every level m >= 2 still
+summed in the level ring R(p, f m, M) and restricted the value back to
+R(p, f, M), before every level was evaluated in the base ring.
 """
 
 import hashlib
@@ -160,6 +166,12 @@ GOLDEN = [
      "bcf667191d072fc7637258bd5ae7daa04429b1257711de8d3257693853342565"),
     ("trace", "twist_p3f2",
      "997441339b6ea92959fa0cf630bb3558c2bde0c3eebc42ae7967ce228f5525b1"),
+    ("lfunction", "kl_p3f2",
+     "926e50cf96ee2614a32d0085046613d58e3cb706a5510bb7eb9977b529fbd794"),
+    ("check", "kl_p3f2",
+     "7caffd8c64c4a28687b8592e22e8fe3b3a83c7dbc2ac6be49f6fd509f3495b6d"),
+    ("lfunction", "twist_p3f2",
+     "b250b218dab8503967777d2bd0856455014a73aebd7075cac2c0d09320ce04a6"),
 ]
 
 

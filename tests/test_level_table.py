@@ -2,9 +2,11 @@
 
 The character reference is the literal sum over the torus: one absolute trace
 and one ring product per point.  The series reference evaluates the level-m
-series at every Teichmueller point of the torus.  The oracles must agree with
-them exactly (the arithmetic is exact mod p^M, so any difference is a bug, not
-rounding).
+series at every Teichmueller point of the torus.  Both references sum in the
+level ring R(p, f m, M), while the oracles return a value of the base ring
+R(p, f, M); the embedding is injective, so the embedded oracle value must
+equal the reference exactly (the arithmetic is exact mod p^M, so any
+difference is a bug, not rounding).
 """
 
 import itertools
@@ -25,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def reference_characters(config, a_residues, twist, m, M):
     """S_m point by point: sum over u in (F_{q^m}^*)^n of
-    teich(u)^shift(m) theta(1)^Tr(sum_j a_j u^A_j), restricted to R(p, f, M)."""
+    teich(u)^shift(m) theta(1)^Tr(sum_j a_j u^A_j), in R(p, f m, M)."""
     base = a_residues[0].params
     p, f = base.p, base.degree
     big_field = ff.FqParams(p, f * m)
@@ -53,13 +55,12 @@ def reference_characters(config, a_residues, twist, m, M):
                 val = val + a_big[j] * gen_pows[e]
         k = sum(tw[i] * logs[i] for i in range(config.n)) % L
         total = total + teich_pow[k] * theta_pow[ff.absolute_trace_int(val)]
-    return padic.ring_restrict(total, padic.ring_create(p, f, M))
+    return total
 
 
 def reference_series(config, a_residues, twist, m, M, nd):
     """H_m summed point by point over the torus: at u = g^l the value
-    sum_e c_e teich(g)^(e . l) in R(p, f m, M), summed over every l and
-    restricted to R(p, f, M)."""
+    sum_e c_e teich(g)^(e . l) in R(p, f m, M), summed over every l."""
     base = a_residues[0].params
     p, f = base.p, base.degree
     base_ring = padic.ring_create(p, f, M)
@@ -90,7 +91,7 @@ def reference_series(config, a_residues, twist, m, M, nd):
                     (by_power[k] % big_ring.pM).tolist()
                 ) * teich_pow[k]
         total = total + value
-    return padic.ring_restrict(total, base_ring)
+    return total
 
 
 def random_config(rng, n, N):
@@ -133,7 +134,9 @@ def test_characters_match_per_point_reference():
                     continue
                 got, prec = lf.sums_oracle_characters(config, a, twist, m, M)
                 want = reference_characters(config, a, twist, m, M)
-                assert got == want, (p, f, config, a, twist.k, m, M)
+                assert padic.ring_embed(got, want.params) == want, (
+                    p, f, config, a, twist.k, m, M
+                )
                 assert prec == M
                 checked += 1
     assert checked >= 20
@@ -259,7 +262,8 @@ def test_series_oracle_matches_per_point_reference():
         nonzero_twist = nonzero_twist or any(twist.k)
         for m in levels:
             got, prec = lf.sums_oracle_series(config, a, twist, m, M, nd)
-            assert got == reference_series(config, a, twist, m, M, nd), (
+            want = reference_series(config, a, twist, m, M, nd)
+            assert padic.ring_embed(got, want.params) == want, (
                 p, f, A, [x.coeffs for x in a], twist.k, m, M
             )
             assert prec == M
@@ -274,11 +278,11 @@ def test_level_table_contents():
         L = p**s - 1
         assert tab.L == L and tab.teich.shape == (L, tab.ring.blow)
         assert (tab.log >= 0).sum() == L and tab.log[0] == -1
-        assert tab.log_of(tab.field.zero()) == L
+        assert tab.logs(tab.field.zero().coeffs) == L
         g = ff.multiplicative_generator(tab.field)
         x = tab.field.one()
         for e in range(L):
-            assert tab.log_of(x) == e
+            assert tab.logs(x.coeffs) == e
             assert tab.trace[e] == ff.absolute_trace_int(x)
             assert tab.ring.from_coords(tab.teich[e]) == padic.teichmueller(
                 x, tab.ring
@@ -334,7 +338,8 @@ def test_characters_at_degree_six():
     twist = dwork.TwistData(config, [0], 9)
     a = [F9.one(), F9.gen()]
     got, _ = lf.sums_oracle_characters(config, a, twist, 3, 3)
-    assert got == reference_characters(config, a, twist, 3, 3)
+    want = reference_characters(config, a, twist, 3, 3)
+    assert padic.ring_embed(got, want.params) == want
     F3 = ff.FqParams(3, 1)
     segment = ExponentConfig([[1]])
     flat = dwork.TwistData(segment, [0], 3)
@@ -342,10 +347,51 @@ def test_characters_at_degree_six():
     assert S == padic.ring_create(3, 1, 3).from_int(-1)
 
 
+def test_level_value_is_the_same_for_every_root(monkeypatch):
+    # F_q enters F_{q^m} along any root of its modulus: each root in turn
+    # taken as the first gives the same value, twist and zero coefficient
+    # included
+    cases = [
+        (2, 3, ExponentConfig([[1, -1]]), [[1, 0], [0, 1]], [1]),
+        (3, 2, ExponentConfig([[1, 2, -1]]), [[0, 1, 0], [0, 0, 0], [2, 1, 1]], [5]),
+    ]
+    roots = lf._modulus_roots
+    for f, m, config, a, k in cases:
+        F = ff.FqParams(3, f)
+        a = [F.element(c) for c in a]
+        twist = dwork.TwistData(config, k, F.q)
+        found = roots(lf.level_table(3, f, 3), lf.field_table(3, f * m))
+        assert len(set(found.tolist())) == f
+        values = set()
+        for r in range(f):
+            def rotated(tab, big, r=r):
+                return np.roll(roots(tab, big), -r)
+
+            monkeypatch.setattr(lf, "_modulus_roots", rotated)
+            values.add(lf.sums_oracle_characters(config, a, twist, m, 3)[0])
+        assert len(values) == 1, (f, m)
+
+
+def test_level_oracle_builds_no_level_ring():
+    # every level is evaluated in the base ring: the only ring the oracle
+    # creates is R(p, f, M)
+    F9 = ff.FqParams(3, 2)
+    config = ExponentConfig([[1, -1]])
+    twist = dwork.TwistData(config, [1], 9)
+    lf.level_table.cache_clear()
+    padic.ring_create.cache_clear()
+    for m in (1, 2, 3):
+        lf.sums_oracle_characters(config, [F9.one(), F9.gen()], twist, m, 3)
+    info = padic.ring_create.cache_info()
+    assert info.currsize == 1
+    padic.ring_create(3, 2, 3)
+    assert padic.ring_create.cache_info().hits == info.hits + 1
+
+
 def test_level_budget_admits_measured_levels_and_refuses_the_rest():
     # A = I_3, p = 5 at level 4: 624^3 points, counted in about 30 s
     lf.require_level_budget(5, 1, 4, 3)
-    # p = 13, n = 1 at level 5: a table of 22.5 M coordinates
+    # p = 13, n = 1 at level 5: a table of 2.6 M coordinates
     lf.require_level_budget(13, 1, 5, 1)
     with pytest.raises(BudgetExceeded, match=f"level 4 needs {2400**3} torus"):
         lf.require_level_budget(7, 1, 4, 3)
