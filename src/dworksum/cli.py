@@ -312,13 +312,13 @@ def cmd_charpoly(job: JobConfig) -> dict:
 
 
 def cmd_nondegeneracy(job: JobConfig) -> dict:
-    verdict = pt.nondegeneracy_check(job.config, job.a_residues, job.s_max)
-    if isinstance(verdict, pt.NondegenerateUpTo):
+    verdict = lf.nondegeneracy_check(job.config, job.a_residues, job.s_max)
+    if isinstance(verdict, lf.NondegenerateUpTo):
         return {"verdict": "NondegenerateUpTo", "s_max": verdict.s_max}
     return {
         "verdict": "DegenerateWitness",
         "face_columns": list(verdict.face),
-        "point": [list(x.coeffs) for x in verdict.point],
+        "point": [list(x) for x in verdict.point],
     }
 
 
@@ -412,8 +412,9 @@ def cmd_check(job: JobConfig) -> dict:
         raise ValidationError(
             "precision.M too small for the identity suite at this m_max"
         )
-    # refuse before any work when the top character-oracle level is over budget
-    top = max(job.m_max, job.volume + 3)
+    # refuse before any work when the top character-oracle level or the
+    # top nondegeneracy level is over budget
+    top = max(job.m_max, job.volume + 3, job.s_max)
     lf.require_level_budget(job.p, job.f, top, job.config.n)
     checks = []
 
@@ -462,8 +463,8 @@ def cmd_check(job: JobConfig) -> dict:
     record("l_identity", ok)
 
     # degree law: recognized iff the bounded certificate says nondegenerate
-    verdict = pt.nondegeneracy_check(job.config, job.a_residues, job.s_max)
-    nondeg = isinstance(verdict, pt.NondegenerateUpTo)
+    verdict = lf.nondegeneracy_check(job.config, job.a_residues, job.s_max)
+    nondeg = isinstance(verdict, lf.NondegenerateUpTo)
     rec, _ = _recognize(job, sums)
     recognized = isinstance(rec, lf.LPolynomial)
     if nondeg:

@@ -1,16 +1,19 @@
-"""Arithmetic in F_q = F_{p^s} and its extensions.
+"""Arithmetic in F_q = F_{p^s}, one element at a time.
 
 Elements are coefficient vectors of length s over Z/p with respect to the
 power basis 1, b, ..., b^(s-1) of F_p[b]/(g).  The modulus g is the
 deterministic irreducible polynomial produced by min_irreducible_poly, and
 the p-adic coefficient ring (padic.RingParams) uses *the same* g, so the
-residue map and Teichmueller lifts commute with everything here.
+residue map and Teichmueller lifts commute with everything here.  Torus
+walks and embeddings between fields run on the discrete-log tables of
+``lfunction``; this module serves the modulus and generator searches, the
+step matrix and basis traces of a table, and the residues of a job and of
+the p-adic ring.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .errors import DivisionByZero, NoRoot, NotASubfield, NotPrime, UnsupportedPrime
 
@@ -278,11 +281,6 @@ def absolute_trace_int(x: FqElement) -> int:
     return tr.coeffs[0]
 
 
-def enumerate_units(params: FqParams) -> list[FqElement]:
-    """All q-1 nonzero elements, lexicographic in the coefficient vector."""
-    return [x for x in params.all_elements() if not x.is_zero()]
-
-
 def multiplicative_generator(params: FqParams) -> FqElement:
     """Lex-smallest generator of F_q^*.  Order test by prime factors of q-1."""
     n = params.q - 1
@@ -301,44 +299,3 @@ def multiplicative_generator(params: FqParams) -> FqElement:
         if not x.is_zero() and all(x ** (n // ell) != params.one() for ell in factors):
             return x
     raise NoRoot("no multiplicative generator found")  # unreachable for a field
-
-
-@lru_cache(maxsize=None)
-def embed_root(src: FqParams, dst: FqParams) -> FqElement:
-    """The distinguished root of src.modulus in the bigger field dst: among all
-    roots, the one with lexicographically smallest coefficient vector.  This
-    pins down a single embedding F_{p^s} -> F_{p^s'}, matching the root choice
-    Hensel-lifted by the p-adic ring embedding.  The scan runs once per
-    (src, dst) in a process."""
-    if src.p != dst.p or dst.degree % src.degree != 0:
-        raise NotASubfield(f"{src!r} does not embed in {dst!r}")
-    if src.degree == 1:
-        return dst.zero()
-    g = src.modulus
-    roots = []
-    for x in dst.all_elements():
-        acc = dst.zero()
-        xp = dst.one()
-        for c in g:
-            if c:
-                acc = acc + dst.from_int(c) * xp
-            xp = xp * x
-        if acc.is_zero():
-            roots.append(x)
-    if not roots:
-        raise NoRoot(f"{g} has no root in {dst!r}")
-    return min(roots, key=lambda r: r.coeffs)
-
-
-def embed(x: FqElement, dst: FqParams) -> FqElement:
-    """Field embedding along the distinguished root."""
-    if x.params == dst:
-        return x
-    root = embed_root(x.params, dst)
-    acc = dst.zero()
-    xp = dst.one()
-    for c in x.coeffs:
-        if c:
-            acc = acc + dst.from_int(c) * xp
-        xp = xp * root
-    return acc

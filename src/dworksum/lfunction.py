@@ -1,4 +1,5 @@
-"""Torus character sums, L-series assembly and rational recognition.
+"""Torus character sums, the nondegeneracy certificate, L-series assembly
+and rational recognition.
 
 Two independent evaluations of the twisted sums S_m over F_{q^m}, L = q^m - 1:
 
@@ -30,9 +31,12 @@ F_p-linear), so with N(k, c) the number of points of each class
 
     S_m = sum_{k, c} N(k, c) teich(g_q)^k theta(1)^c.
 
-F_q enters F_{q^m} along the first root of its modulus found among the h^t;
-two embeddings differ by a Frobenius, which permutes the torus and leaves
-S_m unchanged, so any root gives the same value.
+F_q enters F_{q^m} along ``_embedding``, the one embedding of both torus
+walks: for m > 1, b goes to the lexicographically smallest root of the
+modulus of F_q among the h^t.  Two embeddings differ by a Frobenius, which
+permutes the torus and leaves S_m unchanged, so any root gives the same
+value; the nondegeneracy witness is a point of the torus, so it does
+depend on the root.
 
 One kernel, ``_character_values``, evaluates this for a batch of X
 coefficient rows x at once: one ``np.bincount`` per block gives the (x, k, c)
@@ -42,10 +46,13 @@ against the Teichmueller powers and (X, p blow) x (p blow, blow) against
 ``theta_rep`` for the sum over c.  Rows and torus points are taken in
 blocks, so memory is bounded whatever q^N and (q^m - 1)^n are.
 ``sums_oracle_characters`` runs it on one row at any level, ``hyp_table`` on
-all q^N rows of level 1.  L-series come either from
-exp(sum S_m T^m / m) -- with the valuation of every division recorded as a
-per-coefficient precision loss -- or, exactly, from the binomial product of
-characteristic series of the operator.
+all q^N rows of level 1.  ``nondegeneracy_check`` walks the torus of
+F_{q^s}, s <= s_max, on the same tables and in the same blocks, reading
+the F_p rows of each term of the toric derivatives from ``powers``.
+
+L-series come either from exp(sum S_m T^m / m) -- with the valuation of
+every division recorded as a per-coefficient precision loss -- or, exactly,
+from the binomial product of characteristic series of the operator.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from math import comb
 
 import numpy as np
 
-from . import dwork, finitefield as ff, padic
+from . import dwork, finitefield as ff, padic, polytope as pt
 from .errors import BudgetExceeded, LevelTooLarge, NonUnitConstantTerm, NotAField
 from .padic import RamifiedElement, RingParams
 
@@ -230,7 +237,7 @@ def _torus_blocks(L: int, n: int, size: int):
         yield np.stack([idx // L ** (n - 1 - i) % L for i in range(n)], axis=1)
 
 
-def _modulus_roots(tab: LevelTable, big: FieldTable) -> np.ndarray:
+def _modulus_roots(tab: FieldTable, big: FieldTable) -> np.ndarray:
     """The discrete logs in big of the roots of tab's modulus.
 
     The roots lie in the copy of F_q^* that h = g^d generates,
@@ -247,6 +254,22 @@ def _modulus_roots(tab: LevelTable, big: FieldTable) -> np.ndarray:
     return exps[~(values % tab.field.p).any(axis=1)]
 
 
+def _embedding(tab: FieldTable, big: FieldTable) -> np.ndarray:
+    """The F_p rows in big of the images of b^i, i < f, where F_q = F_{p^f}
+    is tab's field: the one embedding that both torus walks use.
+
+    It is the identity when big is F_q itself.  Otherwise b goes to the root
+    of the modulus among ``_modulus_roots`` whose coefficient vector, read
+    with c_0 most significant, is lexicographically smallest.
+    """
+    f = tab.field.degree
+    if big.field.degree == f:
+        return np.eye(f, dtype=np.int64)
+    roots = _modulus_roots(tab, big)
+    root = int(roots[np.argmin(big.powers[roots] @ big.codes[::-1])])
+    return big.powers[np.arange(f) * root % big.L]
+
+
 def _character_values(tab: LevelTable, big: FieldTable, config, coeffs, k):
     """The level character sum for a batch of coefficient rows, in the base
     ring: row i of the (X, blow) result holds the coordinates in tab.ring of
@@ -254,15 +277,15 @@ def _character_values(tab: LevelTable, big: FieldTable, config, coeffs, k):
 
     tab: the table of F_q and R(p, f, M); big: the table of F_{q^m} (tab
     itself at m = 1); coeffs: (X, N, f) coefficients in F_q; k: the twist
-    exponents.  With b -> rho the first root of the modulus, h = g^d and
+    exponents.  With b -> rho the root ``_embedding`` picks, h = g^d and
     rho(g_q) = h^t0, a point l has teich(h)^(k . l) = teich(g_q)^(k . l / t0),
     so the histogram runs over the q - 1 classes k . l / t0.  Rows are taken
     so many at a time, and the torus so many points a block, that no array
     passes _BLOCK x (N or p) entries unless one row alone needs more.
     """
-    p, pM, f = tab.field.p, tab.ring.pM, tab.field.degree
+    p, pM = tab.field.p, tab.ring.pM
     L, Lq, n = big.L, tab.L, config.n
-    rows = big.powers[np.arange(f) * int(_modulus_roots(tab, big)[0]) % L]
+    rows = _embedding(tab, big)
     x_logs = big.logs(np.asarray(coeffs) @ rows % p)
     t0 = int(big.logs(tab.powers[1] @ rows % p)) // (L // Lq)
     tw = np.array(k, dtype=np.int64) * pow(t0, -1, Lq) % Lq
@@ -358,6 +381,80 @@ def hyp_table(
     )
     values = _character_values(tab, tab, config, keys, twist.k)
     return {x: tab.ring.from_coords(v) for x, v in zip(keys, values)}
+
+
+# ----------------------------------------------------------------------
+# nondegeneracy
+# ----------------------------------------------------------------------
+
+class NondegenerateUpTo:
+    def __init__(self, s_max):
+        self.s_max = s_max
+
+    def __repr__(self):
+        return f"NondegenerateUpTo({self.s_max})"
+
+
+class DegenerateWitness:
+    """A common zero on the torus of the face's toric derivatives: point is
+    one coefficient tuple per torus coordinate, face the column indices."""
+
+    def __init__(self, point, face):
+        self.point = point
+        self.face = face
+
+    def __repr__(self):
+        return f"DegenerateWitness(point={self.point}, face={self.face})"
+
+
+def nondegeneracy_check(config, a_coeffs, s_max: int = 2):
+    """Bounded certificate: for every proper face avoiding the origin check
+    that the face-restricted toric derivatives t_i dF/dt_i have no common zero
+    on the torus over F_{q^s}, s <= s_max.  A verdict NondegenerateUpTo(s_max)
+    is not a proof over the algebraic closure.
+
+    a_coeffs: list of N coefficients in a common FqParams field.  Each
+    level s reads the table of F_{q^s}: with a_j = g^(x_j) along
+    ``_embedding``, the terms of t_i dF/dt_i at the point g^l are
+    A[i][j] g^(x_j + A_j . l), summed from their F_p rows in blocks of
+    torus points small enough that no array passes _BLOCK x N entries.
+    The logs are walked sorted by coefficient vector, so the witness
+    reported is the first in itertools.product order of the coefficient
+    vectors: levels from s = 1 up, faces in ``faces_off_origin`` order.
+    """
+    if len(a_coeffs) != config.N:
+        raise ValueError("need one coefficient per column")
+    base = a_coeffs[0].params
+    p, f, n = base.p, base.degree, config.n
+    require_level_budget(p, f, s_max, n)
+    faces = pt.newton_data(config).faces_off_origin()
+    A = np.array(config.A, dtype=np.int64).reshape(n, config.N)
+    coeffs = np.array([a.coeffs for a in a_coeffs], dtype=np.int64)
+    small = field_table(p, f)
+    for s in range(1, s_max + 1):
+        big = field_table(p, f * s)
+        L = big.L
+        x = big.logs(coeffs @ _embedding(small, big) % p)
+        # the logs of the nonzero coefficient vectors in itertools.product
+        # order, c_0 most significant
+        vectors = np.arange(1, L + 1)[:, None] // big.codes[::-1] % p
+        order = big.log[vectors @ big.codes]
+        for face in faces:
+            live = [j for j in face if x[j] != L]
+            if not live:
+                # the face polynomial vanishes identically
+                one = tuple(big.powers[0].tolist())
+                return DegenerateWitness((one,) * n, face)
+            exps, mults, x_live = A[:, live] % L, A[:, live] % p, x[live]
+            for idx in _torus_blocks(L, n, max(1, _BLOCK // (f * s))):
+                logs = order[idx]
+                terms = big.powers[(logs @ exps + x_live) % L]
+                derivs = np.tensordot(terms, mults, axes=(1, 1)) % p
+                hits = np.flatnonzero(~derivs.any(axis=(1, 2)))
+                if len(hits):
+                    point = big.powers[logs[hits[0]]].tolist()
+                    return DegenerateWitness(tuple(map(tuple, point)), face)
+    return NondegenerateUpTo(s_max)
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ import numpy as np
 from . import finitefield as ff
 from .errors import (
     DivisionByZero,
-    NoRoot,
     ParamsMismatch,
     PrecisionBudgetExceeded,
 )
@@ -524,66 +523,6 @@ def theta_one(params: RingParams) -> RamifiedElement:
     p, M = params.p, params.M
     i_max = -((-M * p * p) // (p - 1)) + p
     return params.from_coords(splitting_coefficients(params, p, i_max).sum(axis=0))
-
-
-# ----------------------------------------------------------------------
-# ring embeddings R(p, s, M) -> R(p, s*k, M)
-# ----------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _embed_powers(src: RingParams, dst: RingParams) -> tuple:
-    """Powers of the distinguished image of the source generator b in dst.
-
-    The image is the Hensel lift of the lex-smallest root of the source
-    modulus in the residue field of dst, matching finitefield.embed_root.
-    """
-    if src.p != dst.p or src.M != dst.M or dst.s % src.s != 0:
-        raise ParamsMismatch(f"cannot embed {src!r} into {dst!r}")
-    root_res = ff.embed_root(src.fq, dst.fq)
-    r = teichmueller_section_lift(root_res, dst)
-    g = src.g
-    # Newton: r <- r - g(r)/g'(r); g separable mod p so g'(r) is a unit
-    for _ in range(src.M.bit_length() + 3):
-        gr = dst.zero()
-        dgr = dst.zero()
-        rp = dst.one()
-        for k, c in enumerate(g):
-            if c:
-                gr = gr + rp * c
-            if k + 1 < len(g) and g[k + 1]:
-                dgr = dgr + rp * ((k + 1) * g[k + 1])
-            rp = rp * r
-        if gr.is_zero():
-            break
-        r = r - gr * dgr.inv()
-    else:
-        raise NoRoot(f"Hensel lift of {root_res!r} failed; modulus selection bug")
-    pows = [dst.one()]
-    for _ in range(src.s - 1):
-        pows.append(pows[-1] * r)
-    return tuple(pows)
-
-
-def ring_embed(x: RamifiedElement, target: RingParams) -> RamifiedElement:
-    """Unramified embedding fixing pi, commuting with Teichmueller lifts."""
-    src = x.params
-    if src == target:
-        return x
-    pows = _embed_powers(src, target)
-    p, s = src.p, src.s
-    acc = target.zero()
-    pi_pow = target.one()
-    pi_t = target.pi()
-    for i in range(p - 1):
-        row = target.zero()
-        for j in range(s):
-            c = x.coords[i * s + j]
-            if c:
-                row = row + pows[j] * c
-        if not row.is_zero():
-            acc = acc + pi_pow * row
-        pi_pow = pi_pow * pi_t
-    return acc
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Combinatorics of the exponent matrix A.
+"""Combinatorics of the exponent matrix A: lattice geometry only, with no
+finite field (the nondegeneracy certificate over F_{q^s} walks the field
+tables in ``lfunction``).
 
 Everything here is exact: functionals and weights are Fractions, facet and
 face enumeration is brute force over small point subsets (intended scale is
@@ -31,7 +33,6 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import finitefield as ff
 from .errors import BudgetExceeded, RankDeficient
 
 
@@ -498,66 +499,3 @@ def normalized_volume(config: ExponentConfig) -> int:
     """n! vol of the hull: sum of |det| over the pulling triangulation coned
     at the origin (facets through the origin contribute nothing)."""
     return sum(s.det for s in SimplicialDecomposition(config).simplices)
-
-
-# ----------------------------------------------------------------------
-# nondegeneracy
-# ----------------------------------------------------------------------
-
-class NondegenerateUpTo:
-    def __init__(self, s_max):
-        self.s_max = s_max
-
-    def __repr__(self):
-        return f"NondegenerateUpTo({self.s_max})"
-
-
-class DegenerateWitness:
-    def __init__(self, point, face):
-        self.point = point
-        self.face = face
-
-    def __repr__(self):
-        return f"DegenerateWitness(point={self.point}, face={self.face})"
-
-
-def nondegeneracy_check(config: ExponentConfig, a_coeffs, s_max: int = 2):
-    """Bounded certificate: for every proper face avoiding the origin check
-    that the face-restricted toric derivatives t_i dF/dt_i have no common zero
-    on the torus over F_{q^s}, s <= s_max.  A verdict NondegenerateUpTo(s_max)
-    is not a proof over the algebraic closure.
-
-    a_coeffs: list of N coefficients in a common FqParams field.
-    """
-    if len(a_coeffs) != config.N:
-        raise ValueError("need one coefficient per column")
-    base = a_coeffs[0].params
-    nd = newton_data(config)
-    faces = nd.faces_off_origin()
-    for s in range(1, s_max + 1):
-        big = ff.FqParams(base.p, base.degree * s)
-        a_emb = [ff.embed(a, big) for a in a_coeffs]
-        units = ff.enumerate_units(big)
-        for face in faces:
-            live = [j for j in face if not a_emb[j].is_zero()]
-            if not live:
-                # the face polynomial vanishes identically
-                point = tuple(big.one() for _ in range(config.n))
-                return DegenerateWitness(point, face)
-            for point in itertools.product(units, repeat=config.n):
-                degenerate = True
-                for i in range(config.n):
-                    acc = big.zero()
-                    for j in live:
-                        term = a_emb[j] * big.from_int(config.A[i][j])
-                        for t_idx in range(config.n):
-                            e = config.A[t_idx][j]
-                            if e:
-                                term = term * point[t_idx] ** e
-                        acc = acc + term
-                    if not acc.is_zero():
-                        degenerate = False
-                        break
-                if degenerate:
-                    return DegenerateWitness(point, face)
-    return NondegenerateUpTo(s_max)

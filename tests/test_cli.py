@@ -250,7 +250,7 @@ def test_check_refuses_oversized_recognition_before_any_work(
 ):
     # the top level volume + 3 = 4 is known when the job is read, so check
     # refuses before any oracle, operator or nondegeneracy work
-    from dworksum import dwork, lfunction as lf, polytope as pt
+    from dworksum import dwork, lfunction as lf
 
     def never(*args, **kwargs):
         raise AssertionError("work done before the budget refusal")
@@ -258,7 +258,7 @@ def test_check_refuses_oversized_recognition_before_any_work(
     for module, name in [
         (lf, "sums_oracle_characters"),
         (dwork, "build_operator"),
-        (pt, "nondegeneracy_check"),
+        (lf, "nondegeneracy_check"),
     ]:
         monkeypatch.setattr(module, name, never)
     job = tmp_path / "job.json"
@@ -275,6 +275,50 @@ def test_check_refuses_oversized_recognition_before_any_work(
     )
     assert cli.main(["check", "--job", str(job)]) == 4
     assert "level 4" in capsys.readouterr().err
+
+
+def test_nondegeneracy_and_check_refuse_oversized_s_max(
+    tmp_path, capsys, monkeypatch
+):
+    # A = I_3, p = 3: check's own top level volume + 3 = 4 is within budget,
+    # but s_max = 6 asks for a torus of (3^6 - 1)^3 points; both commands
+    # refuse it before any field table, oracle or operator is built
+    from dworksum import dwork, lfunction as lf
+
+    def never(*args, **kwargs):
+        raise AssertionError("work done before the budget refusal")
+
+    for module, name in [
+        (lf, "field_table"),
+        (lf, "level_table"),
+        (lf, "sums_oracle_characters"),
+        (dwork, "build_operator"),
+    ]:
+        monkeypatch.setattr(module, name, never)
+    job = tmp_path / "job.json"
+    job.write_text(
+        json.dumps(
+            {
+                "p": 3,
+                "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                "gamma_k": [0, 0, 0],
+                "a": [1, 1, 1],
+                "precision": {"M": 4, "m_max": 1, "s_max": 6},
+            }
+        )
+    )
+    for command in ("nondegeneracy", "check"):
+        assert cli.main([command, "--job", str(job)]) == 4, command
+        assert f"level 6 needs {728**3} torus points" in capsys.readouterr().err
+
+
+def test_nondegeneracy_beyond_desk_scale():
+    # x + y + 1/(xy) over F_25 at s <= 2: 624^2 torus points on each of six
+    # faces, every one with a monomial toric derivative
+    job = {"p": 5, "f": 2, "A": [[1, 0, -1], [0, 1, -1]], "gamma_k": [0, 0],
+           "a": [[1, 0], [1, 0], [1, 0]], "precision": {"M": 4}}
+    result = cli.run("nondegeneracy", job)["result"]
+    assert result == {"verdict": "NondegenerateUpTo", "s_max": 2}
 
 
 def test_sums_refuses_oversized_level_table(tmp_path, capsys):

@@ -41,6 +41,15 @@ digest of twist_p3f2 reach F_{3^10} at recognition's level 5.  They were
 taken, about 6 s each in a fresh process, while every level m >= 2 still
 summed in the level ring R(p, f m, M) and restricted the value back to
 R(p, f, M), before every level was evaluated in the base ring.
+
+The ``nondegeneracy`` digests were taken while the check still walked the
+torus one ``FqElement`` at a time, embedding the coefficients by a scan of
+the whole big field, before it ran on the field tables.  Beside the
+committed jobs they pin three witnesses: x + x^3 over F_3, whose vertex
+x^3 has the toric derivative 3 x^3 = 0; the edge x (1 + 2 y + y^2) over
+F_5, a double root at y = 4; and the edge x (y^2 + b y + b)^2 over
+F_9 = F_3[b]/(b^2 + 1), whose double roots first appear over F_81, so the
+report shows which root of b^2 + 1 the embedding into F_81 takes.
 """
 
 import hashlib
@@ -69,6 +78,12 @@ INLINE_JOBS = {
                   "precision": {"M": 6, "m_max": 2, "D": 6}},
     "kl_p3f2": KL_P3F2,
     "twist_p3f2": {**KL_P3F2, "gamma_k": [1]},
+    "x_plus_x3": {"p": 3, "A": [[1, 3]], "gamma_k": [0], "a": [1, 1]},
+    "edge_p5": {"p": 5, "A": [[1, 1, 1], [0, 1, 2]], "gamma_k": [0, 0],
+                "a": [1, 2, 1]},
+    "edge_p3f2": {"p": 3, "f": 2, "A": [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]],
+                  "gamma_k": [0, 0],
+                  "a": [[2, 0], [1, 0], [2, 2], [0, 2], [1, 0]]},
 }
 
 GOLDEN = [
@@ -172,6 +187,20 @@ GOLDEN = [
      "7caffd8c64c4a28687b8592e22e8fe3b3a83c7dbc2ac6be49f6fd509f3495b6d"),
     ("lfunction", "twist_p3f2",
      "b250b218dab8503967777d2bd0856455014a73aebd7075cac2c0d09320ce04a6"),
+    ("nondegeneracy", "jobs/kloosterman_p5.json",
+     "5640567b2a8b823529ccbf79bcbcf6563bbe1eadcb8831e62fa7c656049aac6f"),
+    ("nondegeneracy", "jobs/segment_p3.json",
+     "2326eda3f5bf32a00c80f60dfb4f6ffa3a97d62df937a0f54f78982986b3acde"),
+    ("nondegeneracy", "jobs/square_p3.json",
+     "b52262383cd92b2c57fdfd8af845a33130b6664485911342808a931f27d07f35"),
+    ("nondegeneracy", "jobs/twist_p5.json",
+     "f99dae11e63627836690279c96886e651fe35ab1641286b4b4b8f6b9719ae922"),
+    ("nondegeneracy", "x_plus_x3",
+     "9312c7ba4d58e9e64c1faa0c36ea7c7d62a8301aa7edf491905e8983eb1bbbae"),
+    ("nondegeneracy", "edge_p5",
+     "9600045c8dc492ce49eb5d2172fc0768006e1891aca3a1ae2c031aa1f39a2eca"),
+    ("nondegeneracy", "edge_p3f2",
+     "b32d16602eb712f414fe451418946d949faec9db5dc55d06246c924b6a10590d"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""The sum oracles against per-point references.
+"""The torus walks on the field tables against per-point references.
 
 The character reference is the literal sum over the torus: one absolute trace
 and one ring product per point.  The series reference evaluates the level-m
@@ -6,7 +6,9 @@ series at every Teichmueller point of the torus.  Both references sum in the
 level ring R(p, f m, M), while the oracles return a value of the base ring
 R(p, f, M); the embedding is injective, so the embedded oracle value must
 equal the reference exactly (the arithmetic is exact mod p^M, so any
-difference is a bug, not rounding).
+difference is a bug, not rounding).  The nondegeneracy reference tests the
+toric derivatives one torus point at a time in ``FqElement`` arithmetic, and
+must give the same verdict, face and witness.
 """
 
 import itertools
@@ -17,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import per_point
 from dworksum import dwork, finitefield as ff, lfunction as lf, padic
 from dworksum.cli import JobConfig
 from dworksum.errors import BudgetExceeded, LevelTooLarge, NotAField
@@ -40,11 +43,13 @@ def reference_characters(config, a_residues, twist, m, M):
     for _ in range(L - 1):
         teich_pow.append(teich_pow[-1] * tg)
         gen_pows.append(gen_pows[-1] * gen)
-    th = padic.ring_embed(padic.theta_one(padic.ring_create(p, 1, M)), big_ring)
+    th = per_point.ring_embed(
+        padic.theta_one(padic.ring_create(p, 1, M)), big_ring
+    )
     theta_pow = [big_ring.one()]
     for _ in range(p - 1):
         theta_pow.append(theta_pow[-1] * th)
-    a_big = [ff.embed(a, big_field) for a in a_residues]
+    a_big = [per_point.embed(a, big_field) for a in a_residues]
     tw = twist.shift(m)
     total = big_ring.zero()
     for logs in itertools.product(range(L), repeat=config.n):
@@ -75,7 +80,7 @@ def reference_series(config, a_residues, twist, m, M, nd):
     series = dwork.h_series(lifts, twist, m, nd)
     exps = series.exponents
     coeffs = np.array(
-        [padic.ring_embed(base_ring.from_coords(c), big_ring).coords
+        [per_point.ring_embed(base_ring.from_coords(c), big_ring).coords
          for c in series.coeffs],
         dtype=np.int64,
     ).reshape(-1, big_ring.blow)
@@ -134,7 +139,7 @@ def test_characters_match_per_point_reference():
                     continue
                 got, prec = lf.sums_oracle_characters(config, a, twist, m, M)
                 want = reference_characters(config, a, twist, m, M)
-                assert padic.ring_embed(got, want.params) == want, (
+                assert per_point.ring_embed(got, want.params) == want, (
                     p, f, config, a, twist.k, m, M
                 )
                 assert prec == M
@@ -263,11 +268,67 @@ def test_series_oracle_matches_per_point_reference():
         for m in levels:
             got, prec = lf.sums_oracle_series(config, a, twist, m, M, nd)
             want = reference_series(config, a, twist, m, M, nd)
-            assert padic.ring_embed(got, want.params) == want, (
+            assert per_point.ring_embed(got, want.params) == want, (
                 p, f, A, [x.coeffs for x in a], twist.k, m, M
             )
             assert prec == M
     assert zero_column and nonzero_twist
+
+
+def square_of_irreducible(rng, F):
+    """c Q^2 for a random unit c and a random monic quadratic Q with no root
+    in F, as the coefficients of y^0..y^4: a double root first met over the
+    quadratic extension."""
+    els = list(F.all_elements())
+    while True:
+        q0, q1 = rng.choice(els), rng.choice(els)
+        if all(not (q0 + q1 * t + t * t).is_zero() for t in els):
+            break
+    c = rng.choice([x for x in els if not x.is_zero()])
+    two = F.from_int(2)
+    square = [q0 * q0, two * q0 * q1, q1 * q1 + two * q0, two * q1, F.one()]
+    return [c * x for x in square]
+
+
+def test_nondegeneracy_matches_per_point_reference(monkeypatch):
+    # random configurations over fields up to F_81, and edges y^k c Q(y)^2
+    # whose only witnesses live over F_{q^2}, where the choice of root for
+    # F_q -> F_{q^2} shows in the witness when f = 2; the table walk runs
+    # with its own block size and with blocks of 7 points
+    rng = random.Random(20181018)
+    cases = []
+    for p, f in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2)]:
+        F = ff.FqParams(p, f)
+        els = list(F.all_elements())
+        for _ in range(8):
+            n = rng.choice((1, 2)) if (F.q - 1) ** 2 <= 100 else 1
+            N = rng.randint(n, n + 2)
+            config = random_config(rng, n, N)
+            a = [rng.choice(els) for _ in range(N)]
+            s_max = max(
+                (s for s in range(1, 5)
+                 if F.q**s <= 81 and (F.q**s - 1) ** n <= 100),
+                default=1,
+            )
+            cases.append((config, a, s_max))
+    for p, f in [(3, 1), (5, 1), (3, 2)]:
+        F = ff.FqParams(p, f)
+        for _ in range(2):
+            k = rng.randint(-1, 1)
+            config = ExponentConfig([[1] * 5, list(range(k, k + 5))])
+            cases.append((config, square_of_irreducible(rng, F), 2))
+    degenerate = late = 0
+    for config, a, s_max in cases:
+        want = per_point.nondegeneracy_check(config, a, s_max)
+        for block in (lf._BLOCK, 7):
+            monkeypatch.setattr(lf, "_BLOCK", block)
+            got = lf.nondegeneracy_check(config, a, s_max)
+            assert repr(got) == repr(want), (config, [x.coeffs for x in a], block)
+        monkeypatch.undo()
+        if isinstance(want, lf.DegenerateWitness):
+            degenerate += 1
+            late += len(want.point[0]) > a[0].params.degree
+    assert degenerate >= 10 and late >= 4, (degenerate, late)
 
 
 def test_level_table_contents():
@@ -288,7 +349,9 @@ def test_level_table_contents():
                 x, tab.ring
             )
             x = x * g
-        th = padic.ring_embed(padic.theta_one(padic.ring_create(p, 1, M)), tab.ring)
+        th = per_point.ring_embed(
+            padic.theta_one(padic.ring_create(p, 1, M)), tab.ring
+        )
         blow = tab.ring.blow
         assert tab.theta_rep.shape == (p * blow, blow)
         for c in range(p):
@@ -316,7 +379,7 @@ def test_reducible_modulus_table_raises():
     ring = padic.ring_create(3, 2, 3)
     fake = ff.FqParams(3, 2)
     fake.modulus = (2, 0, 1)
-    for cand in ff.enumerate_units(fake):
+    for cand in per_point.enumerate_units(fake):
         with pytest.raises(NotAField):
             lf.LevelTable(fake, ring, cand)
     # the message names the first zero or repeated power: b^2 = 0 in
@@ -339,7 +402,7 @@ def test_characters_at_degree_six():
     a = [F9.one(), F9.gen()]
     got, _ = lf.sums_oracle_characters(config, a, twist, 3, 3)
     want = reference_characters(config, a, twist, 3, 3)
-    assert padic.ring_embed(got, want.params) == want
+    assert per_point.ring_embed(got, want.params) == want
     F3 = ff.FqParams(3, 1)
     segment = ExponentConfig([[1]])
     flat = dwork.TwistData(segment, [0], 3)
@@ -348,26 +411,26 @@ def test_characters_at_degree_six():
 
 
 def test_level_value_is_the_same_for_every_root(monkeypatch):
-    # F_q enters F_{q^m} along any root of its modulus: each root in turn
-    # taken as the first gives the same value, twist and zero coefficient
+    # F_q enters F_{q^m} along any root of its modulus: an embedding along
+    # each root in turn gives the same value, twist and zero coefficient
     # included
     cases = [
         (2, 3, ExponentConfig([[1, -1]]), [[1, 0], [0, 1]], [1]),
         (3, 2, ExponentConfig([[1, 2, -1]]), [[0, 1, 0], [0, 0, 0], [2, 1, 1]], [5]),
     ]
-    roots = lf._modulus_roots
     for f, m, config, a, k in cases:
         F = ff.FqParams(3, f)
         a = [F.element(c) for c in a]
         twist = dwork.TwistData(config, k, F.q)
-        found = roots(lf.level_table(3, f, 3), lf.field_table(3, f * m))
+        found = lf._modulus_roots(lf.level_table(3, f, 3), lf.field_table(3, f * m))
         assert len(set(found.tolist())) == f
         values = set()
         for r in range(f):
-            def rotated(tab, big, r=r):
-                return np.roll(roots(tab, big), -r)
+            def embedding(tab, big, r=r, f=f):
+                root = int(lf._modulus_roots(tab, big)[r])
+                return big.powers[np.arange(f) * root % big.L]
 
-            monkeypatch.setattr(lf, "_modulus_roots", rotated)
+            monkeypatch.setattr(lf, "_embedding", embedding)
             values.add(lf.sums_oracle_characters(config, a, twist, m, 3)[0])
         assert len(values) == 1, (f, m)
 

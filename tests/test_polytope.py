@@ -6,6 +6,7 @@ import pytest
 
 from dworksum import finitefield as ff
 from dworksum import gkz
+from dworksum import lfunction as lf
 from dworksum import polytope as pt
 from dworksum.errors import RankDeficient
 
@@ -305,32 +306,32 @@ def test_faces_off_origin():
 def test_nondegeneracy_check():
     F5 = ff.FqParams(5, 1)
     c1 = cfg(A_SEGMENT)
-    r = pt.nondegeneracy_check(c1, [F5.from_int(1)], 2)
-    assert isinstance(r, pt.NondegenerateUpTo) and r.s_max == 2
+    r = lf.nondegeneracy_check(c1, [F5.from_int(1)], 2)
+    assert isinstance(r, lf.NondegenerateUpTo) and r.s_max == 2
     # single monomials with unit coefficients never have vanishing torus derivative
     ck = cfg(A_KLOOSTERMAN)
-    rk = pt.nondegeneracy_check(ck, [F5.from_int(1), F5.from_int(1)], 2)
-    assert isinstance(rk, pt.NondegenerateUpTo)
+    rk = lf.nondegeneracy_check(ck, [F5.from_int(1), F5.from_int(1)], 2)
+    assert isinstance(rk, lf.NondegenerateUpTo)
     F3 = ff.FqParams(3, 1)
     cs = cfg(A_SQUARE)
-    rs = pt.nondegeneracy_check(cs, [F3.from_int(1)] * 3, 2)
-    assert isinstance(rs, pt.NondegenerateUpTo)
+    rs = lf.nondegeneracy_check(cs, [F3.from_int(1)] * 3, 2)
+    assert isinstance(rs, lf.NondegenerateUpTo)
     # two-column edge face {(1,0),(1,2)}: its second toric derivative is a
     # single monomial, so unit coefficients stay nondegenerate
     c_edge = cfg([[1, 1], [0, 2]])
-    r_edge = pt.nondegeneracy_check(c_edge, [F3.from_int(1), F3.from_int(1)], 1)
-    assert isinstance(r_edge, pt.NondegenerateUpTo)
+    r_edge = lf.nondegeneracy_check(c_edge, [F3.from_int(1), F3.from_int(1)], 1)
+    assert isinstance(r_edge, lf.NondegenerateUpTo)
 
 
 def test_degenerate_witness_found():
     F3 = ff.FqParams(3, 1)
     # all-zero coefficients: every face polynomial vanishes identically
-    r0 = pt.nondegeneracy_check(cfg(A_SEGMENT), [F3.zero()], 1)
-    assert isinstance(r0, pt.DegenerateWitness)
+    r0 = lf.nondegeneracy_check(cfg(A_SEGMENT), [F3.zero()], 1)
+    assert isinstance(r0, lf.DegenerateWitness)
     assert r0.face == (0,)
     # duplicated column: the vertex face carries (a_1 + a_2) t^2, which
     # vanishes identically for a = (1, 2) over F_3
     c_dup = cfg([[2, 2]])
-    r = pt.nondegeneracy_check(c_dup, [F3.from_int(1), F3.from_int(2)], 1)
-    assert isinstance(r, pt.DegenerateWitness)
+    r = lf.nondegeneracy_check(c_dup, [F3.from_int(1), F3.from_int(2)], 1)
+    assert isinstance(r, lf.DegenerateWitness)
     assert r.face == (0, 1)
