@@ -230,6 +230,7 @@ def cmd_gkz(job: JobConfig) -> dict:
 
 def cmd_sums(job: JobConfig) -> dict:
     lf.require_level_budget(job.p, job.f, job.m_max, job.config.n)
+    dwork.require_fold_budget(job.params, job.q, job.m_max, job.config.n)
     out = {"levels": []}
     for m in range(1, job.m_max + 1):
         Sc, pc = lf.sums_oracle_characters(
@@ -265,7 +266,16 @@ def _operator(job: JobConfig) -> dwork.DworkMatrix:
     )
 
 
+def _series_diagonal(job: JobConfig, dm: dwork.DworkMatrix, m: int):
+    """Series side of the level-m trace formula: level 1 reads the series the
+    operator was built from, every higher level the diagonal fold."""
+    if m == 1:
+        return dwork.diagonal_sum(dm.series)
+    return dwork.level_diagonal_sum(job.a_lifts, job.twist, m, job.nd)
+
+
 def cmd_trace(job: JobConfig) -> dict:
+    dwork.require_fold_budget(job.params, job.q, job.m_max, job.config.n)
     dm = _operator(job)
     out = {
         "basis_size": dm.dim,
@@ -276,11 +286,7 @@ def cmd_trace(job: JobConfig) -> dict:
     }
     for m in range(1, job.m_max + 1):
         t_pow, prec_pow = dwork.trace(dm, m)
-        # level 1 is the series the operator was built from
-        series = dm.series if m == 1 else dwork.h_series(
-            job.a_lifts, job.twist, m, job.nd
-        )
-        t_ser = dwork.diagonal_sum(series)
+        t_ser = _series_diagonal(job, dm, m)
         scaled = t_pow * ((job.q**m - 1) ** job.config.n)
         out["levels"].append(
             {
@@ -412,10 +418,11 @@ def cmd_check(job: JobConfig) -> dict:
         raise ValidationError(
             "precision.M too small for the identity suite at this m_max"
         )
-    # refuse before any work when the top character-oracle level or the
-    # top nondegeneracy level is over budget
+    # refuse before any work when the top character-oracle level, the top
+    # nondegeneracy level or the top diagonal fold is over budget
     top = max(job.m_max, job.volume + 3, job.s_max)
     lf.require_level_budget(job.p, job.f, top, job.config.n)
+    dwork.require_fold_budget(job.params, job.q, job.m_max, job.config.n)
     checks = []
 
     def record(name, passed, detail=None):
@@ -424,26 +431,22 @@ def cmd_check(job: JobConfig) -> dict:
             entry["detail"] = detail
         checks.append(entry)
 
-    # oracle equivalence and trace formula, every level; the level-m series
-    # feeds both the series oracle and the series side of the trace formula,
-    # and level 1 is the series the operator was built from
+    # oracle equivalence and trace formula, every level; the level-m diagonal
+    # feeds both the series oracle and the series side of the trace formula
     dm = _operator(job)
     sums = []
     for m in range(1, job.m_max + 1):
         Sc, pc = lf.sums_oracle_characters(
             job.config, job.a_residues, job.twist, m, job.M
         )
-        series = dm.series if m == 1 else dwork.h_series(
-            job.a_lifts, job.twist, m, job.nd
-        )
+        t_ser = _series_diagonal(job, dm, m)
         Ss, _ = lf.sums_oracle_series(
             job.config, job.a_residues, job.twist, m, job.M, job.nd,
-            series=series
+            diagonal=t_ser
         )
         sums.append((Sc, pc))
         record(f"oracle_equivalence_m{m}", congruent(Sc, Ss, mprime))
         t_pow, prec_pow = dwork.trace(dm, m)
-        t_ser = dwork.diagonal_sum(series)
         record(f"trace_routes_m{m}", congruent(t_pow, t_ser, mprime))
         scaled = t_pow * ((job.q**m - 1) ** job.config.n)
         record(

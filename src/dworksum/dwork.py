@@ -17,12 +17,20 @@ to any characteristic-series coefficient) terms of valuation at least
 (p-1)(q^m-1)/(p q^m) d(u + gamma); the default weight cap inverts this so
 the tail sits above p^M.
 
-Ring data here are int64 coordinate arrays, as in padic's matrix kernels:
-H_m is its support, exponents (S, n) beside coefficient coordinates
-(S, blow), expanded by folding the splitting series in one column at a time
-on a dense table; the matrix gathers c_{q w - u} for all basis pairs at once
-into an (n, n, blow) array that the traces and the characteristic-series
-kernel read directly, as coordinate rows times its row-layout encoding.
+Ring data here are int64 coordinate arrays, as in padic's matrix kernels.
+Two kernels multiply the splitting series in one column at a time:
+
+* h_series expands H_m exponent by exponent on a dense box, as its support,
+  exponents (S, n) beside coefficient coordinates (S, blow).  The commands
+  build only H_1 this way, because the matrix reads c_{q w - u}; at m >= 2
+  it is the exact reference for the next kernel.  The matrix gathers
+  c_{q w - u} for all basis pairs at once into an (n, n, blow) array that
+  the traces and the characteristic-series kernel read directly, as
+  coordinate rows times its row-layout encoding;
+* level_diagonal_sum reads only the diagonal of H_m, the exponents
+  = 0 mod q^m - 1, so it multiplies on a table indexed by (Z/(q^m - 1))^n
+  instead of the box.  The trace formula at m >= 2 and the series oracle
+  use it.
 """
 
 from __future__ import annotations
@@ -135,31 +143,70 @@ class SeriesOnCone:
         return self._floor_scale * d
 
 
-# coordinates (box cells x blow) above which h_series refuses its table:
-# 2^24 int64 coordinates are 128 MB, and the fold holds two tables at once
+# coordinates above which h_series refuses its box table and
+# level_diagonal_sum its (Z/(q^m - 1))^n table: 2^24 int64 coordinates are
+# 128 MB, and either kernel holds a few tables at once
 TABLE_LIMIT = 2**24
 
 
-# coordinates of transposed term matrices that h_series holds at once
+# coordinates of transposed term matrices that either kernel holds at once
 _TERM_BLOCK = 1 << 20
 
+# coordinates that one chunk of level_diagonal_sum scatters.  Small chunks
+# stay in cache and below BLAS's threaded sizes: at 2^20 the level-3 fold of
+# p = 11, A = [[1, -1]] took 0.51 s against 0.28 s here, and the
+# kloosterman_p5 check peaked 1.3 MB higher
+_FOLD_BLOCK = 1 << 13
 
-def _term_matrices(params: RingParams, terms: np.ndarray):
-    """(i, reg_rep(terms[i]).T) for every nonzero row of terms, so that
-    x @ reg_rep(terms[i]).T is the coordinate rows of x times terms[i].  One
-    einsum against the multiplication tensor per block of rows."""
+
+def _term_blocks(params: RingParams, terms: np.ndarray):
+    """Blocks (idx, mats) over the nonzero rows of terms, with
+    mats[t] = reg_rep(terms[idx[t]]).T, so that x @ mats[t] is the
+    coordinate rows of x times terms[idx[t]].  One einsum against the
+    multiplication tensor per block of rows."""
     nonzero = np.flatnonzero(terms.any(axis=1))
     rows = max(1, _TERM_BLOCK // params.blow**2)
     for start in range(0, len(nonzero), rows):
         idx = nonzero[start:start + rows]
         mats = np.einsum("ia,abg->ibg", terms[idx], params.mult_tensor())
-        yield from zip(idx, mats % params.pM)
+        yield idx, mats % params.pM
 
 
 def precision_cut(params: RingParams, Q: int) -> int:
     """Terms of total splitting-series index above this bound vanish mod p^M."""
     p, M = params.p, params.M
     return -((-M * p * Q) // (p - 1))
+
+
+def _checked_ring(a_lifts, twist: TwistData, nd: NewtonData) -> RingParams:
+    """The common ring of the lifted coefficients, after the checks of both
+    level-m kernels: one lift per column, one ring, a^q = a, gamma in the
+    cone."""
+    if len(a_lifts) != twist.config.N:
+        raise ValueError("need one lifted coefficient per column")
+    params = a_lifts[0].params
+    for a in a_lifts:
+        if a.params != params:
+            raise ParamsMismatch("lifted coefficients live in different rings")
+        if a**twist.q != a:
+            raise NotTeichmueller("coefficients must satisfy a^q = a")
+    require_valid_twist(twist, nd)
+    return params
+
+
+def _column_terms(params: RingParams, base: np.ndarray, a: RamifiedElement, q: int):
+    """Rows base[i] times a^i.  a is a Teichmueller unit, so a^i depends only
+    on i mod (q - 1): one product per residue class gives every row."""
+    terms = np.zeros_like(base)
+    residue = np.arange(len(base)) % (q - 1)
+    apow = params.one()
+    for r in range(min(q - 1, len(base))):
+        cls = residue == r
+        terms[cls] = padic.matmul_mod(
+            base[cls], params.reg_rep(apow.coords).T, params.pM
+        )
+        apow = apow * a
+    return terms
 
 
 def h_series(
@@ -170,6 +217,11 @@ def h_series(
 ) -> SeriesOnCone:
     """Expand H_m by folding the one-monomial splitting series in, one column
     at a time, on a dense table of coordinates.
+
+    The exponent-exact series is what the level-1 matrix reads (c_(q w - u));
+    every higher level needs only its diagonal, which level_diagonal_sum
+    computes without this expansion.  At m >= 2 this stays as the exact
+    reference for that kernel.
 
     a_lifts: Teichmueller lifts of the coefficients in a common ring R.  The
     product is truncated to the terms prod_j c_(i_j) a_j^(i_j) with
@@ -184,18 +236,8 @@ def h_series(
     TABLE_LIMIT coordinates is refused before it is allocated.
     """
     config = twist.config
-    if len(a_lifts) != config.N:
-        raise ValueError("need one lifted coefficient per column")
-    params = a_lifts[0].params
-    q = twist.q
-    Q = q**m
-    for a in a_lifts:
-        if a.params != params:
-            raise ParamsMismatch("lifted coefficients live in different rings")
-        if a**q != a:
-            raise NotTeichmueller("coefficients must satisfy a^q = a")
-    require_valid_twist(twist, nd)
-
+    params = _checked_ring(a_lifts, twist, nd)
+    Q = twist.q**m
     i_cut = precision_cut(params, Q)
     blow, pM = params.blow, params.pM
     live = [j for j in range(config.N) if not a_lifts[j].is_zero()]
@@ -210,41 +252,112 @@ def h_series(
         )
 
     base = padic.splitting_coefficients(params, Q, i_cut)
-    residue = np.arange(i_cut + 1) % (q - 1)
     table = np.zeros((*dims, blow), dtype=np.int64)
     table[tuple(-lo)] = params.one().coords
     for j, w in zip(live, W):
-        # a_j is a Teichmueller unit, so a_j^i depends only on i mod (q - 1):
-        # one product per residue class gives every term c_i a_j^i
-        terms = np.zeros_like(base)
-        apow = params.one()
-        for r in range(min(q - 1, i_cut + 1)):
-            cls = residue == r
-            terms[cls] = padic.matmul_mod(
-                base[cls], params.reg_rep(apow.coords).T, pM
-            )
-            apow = apow * a_lifts[j]
+        terms = _column_terms(params, base, a_lifts[j], twist.q)
         # most of the box stays zero: read only the nonzero cells' bounding box
         filled = np.nonzero(table.any(axis=-1))
         src_lo = np.array([x.min() for x in filled])
         src_hi = np.array([x.max() + 1 for x in filled])
         new = np.zeros(table.shape, dtype=np.int64)
-        for i, R in _term_matrices(params, terms):
-            lo_i = np.maximum(src_lo + i * w, 0)
-            hi_i = np.minimum(src_hi + i * w, dims)
-            if (lo_i >= hi_i).any():
-                continue
-            dst = tuple(slice(a, b) for a, b in zip(lo_i, hi_i))
-            src = tuple(slice(a - s, b - s) for a, b, s in zip(lo_i, hi_i, i * w))
-            block = table[src]
-            new[dst] += padic.matmul_mod(
-                block.reshape(-1, blow), R, pM
-            ).reshape(block.shape)
+        for idx, mats in _term_blocks(params, terms):
+            for i, R in zip(idx, mats):
+                lo_i = np.maximum(src_lo + i * w, 0)
+                hi_i = np.minimum(src_hi + i * w, dims)
+                if (lo_i >= hi_i).any():
+                    continue
+                dst = tuple(slice(a, b) for a, b in zip(lo_i, hi_i))
+                src = tuple(
+                    slice(a - s, b - s) for a, b, s in zip(lo_i, hi_i, i * w)
+                )
+                block = table[src]
+                new[dst] += padic.matmul_mod(
+                    block.reshape(-1, blow), R, pM
+                ).reshape(block.shape)
         table = np.remainder(new, pM, out=new)
     shift = twist.shift(m)
     filled = np.nonzero(table.any(axis=-1))
     exponents = np.stack(filled, axis=1) + lo + np.array(shift)
     return SeriesOnCone(params, nd, shift, Q, exponents, table[filled])
+
+
+def require_fold_budget(params: RingParams, q: int, m: int, n: int) -> None:
+    """Refuse the level-m diagonal fold when its table, (q^m - 1)^n cells of
+    blow coordinates, passes TABLE_LIMIT.  The table grows with m, so the
+    commands test their top level before any work."""
+    size = (q**m - 1) ** n * params.blow
+    if size > TABLE_LIMIT:
+        raise BudgetExceeded(
+            f"level-{m} series table needs {size} coordinates for the "
+            f"diagonal fold on (Z/{q**m - 1})^{n}, above the limit {TABLE_LIMIT}"
+        )
+
+
+def level_diagonal_sum(
+    a_lifts,
+    twist: TwistData,
+    m: int,
+    nd: NewtonData,
+) -> RamifiedElement:
+    """diagonal_sum(h_series(a_lifts, twist, m, nd)) without expanding H_m.
+
+    The diagonal reads only the exponents = 0 mod L = q^m - 1, so the
+    product is taken on a table indexed by (Z/L)^n: each column's terms
+    c_i a_j^i are summed by class, C_j[r] = sum over i = r mod L, and a
+    column moves the table by r w_j mod L times C_j[r] for every class r.
+    The exponent shift + sum i_j w_j is then = 0 mod L at the cell
+    -shift mod L.  a_j^i depends only on i mod (q - 1), which divides L, so
+    C_j[r] is the class sum of the c_i times a_j^r.  The table holds every
+    product with each i_j <= i_cut; one with sum i_j > i_cut has
+    ord >= (p-1)(i_cut + 1)/(p q^m) > M, so it is zero mod p^M, as in the
+    box clip of h_series.
+
+    A column sends each nonzero cell c to c + r w_j for every class r, a
+    chunk of classes at once: one matmul_mod of the cells' coordinate rows
+    against the chunk's stacked term matrices, one scatter-add.  Same checks
+    as h_series; a table of more than TABLE_LIMIT coordinates is refused
+    before it is allocated (require_fold_budget).
+    """
+    config = twist.config
+    params = _checked_ring(a_lifts, twist, nd)
+    require_fold_budget(params, twist.q, m, config.n)
+    L = twist.q**m - 1
+    blow, pM = params.blow, params.pM
+    i_cut = precision_cut(params, L + 1)
+    base = padic.splitting_coefficients(params, L + 1, i_cut)
+    padded = np.zeros((-(-(i_cut + 1) // L) * L, blow), dtype=np.int64)
+    padded[:i_cut + 1] = base
+    classes = padded.reshape(-1, L, blow).sum(axis=0) % pM
+    # row-major cells of (Z/L)^n
+    strides = L ** np.arange(config.n - 1, -1, -1, dtype=np.int64)
+    table = np.zeros((L**config.n, blow), dtype=np.int64)
+    table[0] = params.one().coords
+    for a, w in zip(a_lifts, config.columns):
+        if a.is_zero():
+            continue  # a zero column contributes only c_0 = 1
+        cells = np.flatnonzero(table.any(axis=1))
+        at = cells[:, None] // strides % L
+        rows = table[cells]
+        chunk = max(1, _FOLD_BLOCK // (len(cells) * blow))
+        terms = _column_terms(params, classes, a, twist.q)
+        table = np.zeros_like(table)
+        for idx, mats in _term_blocks(params, terms):
+            for start in range(0, len(idx), chunk):
+                R = mats[start:start + chunk]
+                moved = padic.matmul_mod(
+                    rows, R.transpose(1, 0, 2).reshape(blow, -1), pM
+                )
+                dest = (at[:, None, :] + np.outer(idx[start:start + chunk], w)) % L
+                np.add.at(
+                    table.reshape(-1),
+                    ((dest @ strides)[:, :, None] * blow + np.arange(blow)).ravel(),
+                    moved.ravel(),
+                )
+        # each class adds at most one term per cell, so sums stay below L p^M
+        table %= pM
+    target = np.array([-s % L for s in twist.shift(m)]) @ strides
+    return params.from_coords(table[target])
 
 
 # ----------------------------------------------------------------------
@@ -369,5 +482,7 @@ def char_series(dm: DworkMatrix, max_degree: int | None = None):
     division-free clow dynamic program."""
     params = dm.params
     prec = min(Fraction(params.M), dm.tail_bound)
-    K = dm.dim if max_degree is None else max_degree
-    return padic.char_series_prefix(params, dm.coords, K), prec
+    K = dm.dim if max_degree is None else min(max_degree, dm.dim)
+    # the encoding the traces may already have built; degrees <= 2 skip it
+    encoded = dm.encoded() if K > 2 else None
+    return padic.char_series_prefix(params, dm.coords, K, encoded), prec

@@ -9,7 +9,9 @@ Two independent evaluations of the twisted sums S_m over F_{q^m}, L = q^m - 1:
 * series route: the truncated level-m twisted series summed over the
   Teichmueller points of the torus.  By orthogonality that sum is
   (q^m - 1)^n times the sum of the series coefficients whose exponents
-  q^m - 1 divides (``dwork.diagonal_sum``), with no torus enumeration.
+  q^m - 1 divides, with no torus enumeration; ``dwork.level_diagonal_sum``
+  takes that sum by a cyclic fold on (Z/(q^m - 1))^n, without expanding
+  the series.
 
 The character route evaluates every level in the base ring R(p, f, M).  It
 reads the cached table of F_{q^m} (the discrete log of every element to the
@@ -342,20 +344,21 @@ def sums_oracle_series(
     m: int,
     M: int,
     nd,
-    series: dwork.SeriesOnCone | None = None,
+    diagonal: RamifiedElement | None = None,
 ) -> tuple[RamifiedElement, Fraction]:
     """S_m by evaluating the truncated level-m twisted series at the
     Teichmueller points of the torus; agrees with the character oracle to
     certified precision (that agreement is the theta-identity under test).
 
     By orthogonality the sum over the (q^m - 1)^n points is (q^m - 1)^n times
-    the diagonal sum of the series, which already lies in the base ring."""
-    base_field = a_residues[0].params
-    if series is None:
+    the diagonal sum of the series, which already lies in the base ring and
+    is computed by the diagonal fold unless the caller has it."""
+    if diagonal is None:
+        base_field = a_residues[0].params
         base_ring = padic.ring_create(base_field.p, base_field.degree, M)
         a_lifts = [padic.teichmueller(a, base_ring) for a in a_residues]
-        series = dwork.h_series(a_lifts, twist, m, nd)
-    return dwork.diagonal_sum(series) * (twist.q**m - 1) ** config.n, Fraction(M)
+        diagonal = dwork.level_diagonal_sum(a_lifts, twist, m, nd)
+    return diagonal * (twist.q**m - 1) ** config.n, Fraction(M)
 
 
 def hyp_table(

@@ -594,7 +594,9 @@ def diagonal_product_sum(params: RingParams, A: np.ndarray, B: np.ndarray) -> np
 # division-free characteristic series
 # ----------------------------------------------------------------------
 
-def char_series_prefix(params: RingParams, coords: np.ndarray, K: int) -> list[RamifiedElement]:
+def char_series_prefix(
+    params: RingParams, coords: np.ndarray, K: int, encoded: np.ndarray | None = None
+) -> list[RamifiedElement]:
     """Coefficients 1, c_1..c_K of det(I - T*mat), ascending, exact mod p^M,
     by the closed-ordered-walk (clow) dynamic program of Mahajan and Vinay:
     one ring matmul per degree and no divisions, so no p-adic precision loss.
@@ -603,7 +605,9 @@ def char_series_prefix(params: RingParams, coords: np.ndarray, K: int) -> list[R
     coords: the square matrix as an (n, n, blow) array of residues.  The walk
     state G[h, v] has the same shape; degree 1 is free (I E = E), a middle
     degree is G's coordinate rows times the row-layout encoding E, and degree
-    K reads only the closing diagonal of G E.
+    K reads only the closing diagonal of G E.  encoded, when given, is E
+    (encode_ring_matrix of coords), so a caller that holds it does not
+    encode the matrix again.
     """
     n = coords.shape[0]
     K = min(K, n)
@@ -611,7 +615,9 @@ def char_series_prefix(params: RingParams, coords: np.ndarray, K: int) -> list[R
     if K == 0:
         return out
     blow, pM = params.blow, params.pM
-    E = encode_ring_matrix(params, coords) if K > 2 else None
+    E = None
+    if K > 2:
+        E = encode_ring_matrix(params, coords) if encoded is None else encoded
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)[:, :, None]
     d = np.arange(n)
     P = coords

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from dworksum import cli
 from dworksum.errors import BudgetExceeded, ParseError, ValidationError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FLAGSHIP = {
     "p": 3,
@@ -202,9 +205,16 @@ def test_reports_byte_identical(tmp_path):
     assert len(texts) == 1
 
 
-def test_trace_refuses_oversized_series_table(tmp_path, capsys):
-    # n = 3, p = 7, M = 5: the level-2 series would need a box of 287^3
-    # cells of 6 coordinates, so trace stops before allocating it
+def _never(*args, **kwargs):
+    raise AssertionError("work done before the budget refusal")
+
+
+def test_trace_refuses_oversized_series_table(tmp_path, capsys, monkeypatch):
+    # n = 3, p = 7, m_max = 3: the level-3 diagonal fold would need a table
+    # of 342^3 cells of 6 coordinates, so trace stops before the operator
+    from dworksum import dwork
+
+    monkeypatch.setattr(dwork, "build_operator", _never)
     job = tmp_path / "job.json"
     job.write_text(
         json.dumps(
@@ -213,12 +223,73 @@ def test_trace_refuses_oversized_series_table(tmp_path, capsys):
                 "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                 "gamma_k": [0, 0, 0],
                 "a": [1, 1, 1],
-                "precision": {"M": 5, "m_max": 2},
+                "precision": {"M": 3, "m_max": 3},
             }
         )
     )
     assert cli.main(["trace", "--job", str(job)]) == 4
-    assert "level-2 series table" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "level-3 series table" in err and str(342**3 * 6) in err
+
+
+def test_sums_and_check_refuse_oversized_fold_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    # x over F_41 with m_max = 4: the character oracle's level 4 is within
+    # budget, the fold's 41^4 - 1 cells of 40 coordinates are not
+    from dworksum import dwork, lfunction as lf
+
+    for module, name in [
+        (lf, "sums_oracle_characters"),
+        (dwork, "build_operator"),
+        (lf, "nondegeneracy_check"),
+    ]:
+        monkeypatch.setattr(module, name, _never)
+    job = tmp_path / "job.json"
+    job.write_text(
+        json.dumps(
+            {
+                "p": 41,
+                "A": [[1]],
+                "gamma_k": [0],
+                "a": [1],
+                "precision": {"M": 4, "m_max": 4},
+            }
+        )
+    )
+    for command in ("sums", "check"):
+        assert cli.main([command, "--job", str(job)]) == 4, command
+        err = capsys.readouterr().err
+        assert f"needs {(41**4 - 1) * 40} coordinates" in err, command
+
+
+def test_trace_beyond_desk_scale():
+    # A = I_3, p = 7, M = 5: the level-2 box would need 287^3 cells of 6
+    # coordinates; the diagonal fold needs 48^3 of them
+    job = {"p": 7, "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+           "gamma_k": [0, 0, 0], "a": [1, 1, 1],
+           "precision": {"M": 5, "m_max": 2}}
+    levels = cli.run("trace", job)["result"]["levels"]
+    assert [lv["routes_agree"] for lv in levels] == [True, True]
+
+
+def test_check_encodes_the_operator_once(monkeypatch):
+    # m_max = 3: Tr(G^3) and the degree-3 characteristic series both read
+    # the row-layout encoding of the same (31, 31, 4) matrix
+    from dworksum import padic
+
+    shapes = []
+    encode = padic.encode_ring_matrix
+
+    def counted(params, coords):
+        shapes.append(coords.shape)
+        return encode(params, coords)
+
+    monkeypatch.setattr(padic, "encode_ring_matrix", counted)
+    job = json.loads((ROOT / "jobs" / "kloosterman_p5.json").read_text())
+    assert job["precision"]["m_max"] == 3
+    assert cli.run("check", job)["result"]["all_pass"]
+    assert shapes == [(31, 31, 4)]
 
 
 def test_lfunction_refuses_oversized_recognition_torus(tmp_path, capsys):

@@ -86,6 +86,27 @@ def test_h_series_rejects_non_teichmueller():
         dwork.h_series([params.from_int(2)], twist, 1, nd)  # 2^3 != 2 mod 81
 
 
+def test_level_diagonal_sum_checks_and_budget():
+    # the fold makes the checks of h_series and refuses its table up front
+    from dworksum.errors import BudgetExceeded, ParamsMismatch
+
+    params, F, config, nd, twist, _, a_lifts = setup(3, 4, [[1]], [1], [0])
+    with pytest.raises(NotTeichmueller):
+        dwork.level_diagonal_sum([params.from_int(2)], twist, 2, nd)
+    with pytest.raises(TwistOutsideCone):
+        dwork.level_diagonal_sum(a_lifts, dwork.TwistData(config, [1], 3), 2, nd)
+    _, _, config2, nd2, twist2, a_res2, a_lifts2 = setup(3, 4, [[1, -1]], [1, 1], [0])
+    other = padic.teichmueller(a_res2[1], padic.ring_create(3, 1, 5))
+    with pytest.raises(ParamsMismatch):
+        dwork.level_diagonal_sum([a_lifts2[0], other], twist2, 2, nd2)
+    # 3^16 - 1 cells of 2 coordinates pass 2^24
+    with pytest.raises(BudgetExceeded, match="level-16 series table"):
+        dwork.level_diagonal_sum(a_lifts, twist, 16, nd)
+    # every column zero: H_m = 1, whose only exponent 0 is on the diagonal
+    zero = [padic.teichmueller(F.zero(), params)]
+    assert dwork.level_diagonal_sum(zero, twist, 2, nd) == params.one()
+
+
 def test_matrix_entries_and_sparsity():
     params, F, config, nd, twist, a_res, a_lifts = setup(3, 5, [[1]], [1], [0])
     dm = dwork.build_operator(config, nd, a_lifts, twist)
@@ -113,9 +134,10 @@ def test_degenerate_operator_trace_one():
 
 
 def test_trace_routes_agree():
-    # matrix power against the level-m diagonal sum up to m = 3 on the
-    # one-variable configs, m = 2 on the surface (its level-3 series is the
-    # one genuinely expensive object here)
+    # matrix power against the level-m diagonal sum, read from the expanded
+    # series and by the diagonal fold, up to m = 3 on the one-variable
+    # configs, m = 2 on the surface (its level-3 series is the one genuinely
+    # expensive object here)
     cases = [
         (3, 6, [[1]], [1], [0], 3),
         (5, 6, [[1, -1]], [1, 1], [0], 3),
@@ -130,6 +152,7 @@ def test_trace_routes_agree():
             tr_ser = dwork.diagonal_sum(dwork.h_series(a_lifts, twist, m, nd))
             assert prec_pow >= params.M
             assert tr_pow == tr_ser
+            assert dwork.level_diagonal_sum(a_lifts, twist, m, nd) == tr_ser
 
 
 def test_trace_formula_over_extension_field():
@@ -369,15 +392,15 @@ def reference_series(a_lifts, twist, m):
 
 def test_h_series_matches_brute_force_sweep(monkeypatch):
     # seeded sweep over p, f, m, n <= 3, zero columns and in-cone twists:
-    # the series, every matrix entry c_(Q w - u) and the diagonal sum must
-    # equal the brute-force expansion exactly; draws whose table would pass
-    # 2^20 coordinates are refused and redrawn, to keep the sweep small
+    # the series, every matrix entry c_(Q w - u), the diagonal sum and the
+    # diagonal fold must equal the brute-force expansion exactly; draws whose
+    # box table would pass 2^20 coordinates are refused and redrawn, to keep
+    # the sweep small
     import itertools
     import random
 
     from dworksum.errors import BudgetExceeded, RankDeficient
 
-    monkeypatch.setattr(dwork, "TABLE_LIMIT", 2**20)
     rng = random.Random(2718)
     nonzero = {}  # (ring, m) -> number of nonzero splitting coefficients
     ranks = set()
@@ -425,7 +448,9 @@ def test_h_series_matches_brute_force_sweep(monkeypatch):
                 twist = dwork.TwistData(config, rng.choice(ks), q)
                 a_lifts = [padic.teichmueller(a, params) for a in a_res]
                 try:
-                    series = dwork.h_series(a_lifts, twist, m, nd)
+                    with monkeypatch.context() as small:
+                        small.setattr(dwork, "TABLE_LIMIT", 2**20)
+                        series = dwork.h_series(a_lifts, twist, m, nd)
                 except BudgetExceeded:
                     continue
                 break
@@ -450,6 +475,7 @@ def test_h_series_matches_brute_force_sweep(monkeypatch):
                 if all(x % (Q - 1) == 0 for x in e):
                     diagonal = diagonal + params.from_coords(c)
             assert dwork.diagonal_sum(series) == diagonal
+            assert dwork.level_diagonal_sum(a_lifts, twist, m, nd) == diagonal
             ranks.add(n)
             zero_columns += any(a.is_zero() for a in a_res)
     assert ranks == {1, 2, 3} and zero_columns

@@ -50,6 +50,11 @@ x^3 has the toric derivative 3 x^3 = 0; the edge x (1 + 2 y + y^2) over
 F_5, a double root at y = 4; and the edge x (y^2 + b y + b)^2 over
 F_9 = F_3[b]/(b^2 + 1), whose double roots first appear over F_81, so the
 report shows which root of b^2 + 1 the embedding into F_81 takes.
+
+The ``trace`` digest of p11_kl (p = 11, level 3, i_cut 7,321) was taken
+while every level m >= 2 still expanded the whole level-m series on a dense
+box, before the series side read the diagonal by a cyclic fold on
+(Z/(q^m - 1))^n.
 """
 
 import hashlib
@@ -78,6 +83,8 @@ INLINE_JOBS = {
                   "precision": {"M": 6, "m_max": 2, "D": 6}},
     "kl_p3f2": KL_P3F2,
     "twist_p3f2": {**KL_P3F2, "gamma_k": [1]},
+    "p11_kl": {"p": 11, "A": [[1, -1]], "gamma_k": [0], "a": [1, 1],
+               "precision": {"M": 5, "m_max": 3}},
     "x_plus_x3": {"p": 3, "A": [[1, 3]], "gamma_k": [0], "a": [1, 1]},
     "edge_p5": {"p": 5, "A": [[1, 1, 1], [0, 1, 2]], "gamma_k": [0, 0],
                 "a": [1, 2, 1]},
@@ -181,6 +188,8 @@ GOLDEN = [
      "bcf667191d072fc7637258bd5ae7daa04429b1257711de8d3257693853342565"),
     ("trace", "twist_p3f2",
      "997441339b6ea92959fa0cf630bb3558c2bde0c3eebc42ae7967ce228f5525b1"),
+    ("trace", "p11_kl",
+     "42968def690d104391b51c6de3105f2844b11d9b371d43d6f1786351e32f48e2"),
     ("lfunction", "kl_p3f2",
      "926e50cf96ee2614a32d0085046613d58e3cb706a5510bb7eb9977b529fbd794"),
     ("check", "kl_p3f2",
