@@ -103,7 +103,12 @@ class JobConfig:
         self.D = prec.get("D")
         if self.D is not None:
             self.D = int(self.D)
+            if self.D < 0:
+                raise ValidationError("precision.D: must be >= 0")
         self.s_max = int(prec.get("s_max", 2))
+        if self.s_max < 1:
+            # s_max = 0 would certify nondegeneracy after testing no level
+            raise ValidationError("precision.s_max: must be >= 1")
         self.K_max = int(prec.get("K_max", 50))
         self.m_max_raw = prec.get("m_max")
 

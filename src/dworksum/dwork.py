@@ -18,18 +18,21 @@ to any characteristic-series coefficient) terms of valuation at least
 the tail sits above p^M.
 
 Ring data here are int64 coordinate arrays, as in padic's matrix kernels.
-Two kernels multiply the splitting series in one column at a time:
+One kernel, the torus product, multiplies the splitting series in one
+column at a time on a dense table indexed by a finite torus prod_k Z/dims[k].
+It runs on two index sets:
 
-* h_series expands H_m exponent by exponent on a dense box, as its support,
-  exponents (S, n) beside coefficient coordinates (S, blow).  The commands
-  build only H_1 this way, because the matrix reads c_{q w - u}; at m >= 2
-  it is the exact reference for the next kernel.  The matrix gathers
-  c_{q w - u} for all basis pairs at once into an (n, n, blow) array that
-  the traces and the characteristic-series kernel read directly, as
-  coordinate rows times its row-layout encoding;
+* h_series takes a box that holds every term of the truncated H_m, so the
+  table is H_m exponent by exponent: its support, exponents (S, n) beside
+  coefficient coordinates (S, blow).  The commands build only H_1 this way,
+  because the matrix reads c_{q w - u}; at m >= 2 it is the exact reference
+  for the diagonal fold.  The matrix gathers c_{q w - u} for all basis
+  pairs at once into an (n, n, blow) array that the traces and the
+  characteristic-series kernel read directly, as coordinate rows times its
+  row-layout encoding;
 * level_diagonal_sum reads only the diagonal of H_m, the exponents
-  = 0 mod q^m - 1, so it multiplies on a table indexed by (Z/(q^m - 1))^n
-  instead of the box.  The trace formula at m >= 2 and the series oracle
+  = 0 mod q^m - 1, so it takes (Z/(q^m - 1))^n and the splitting series
+  summed by class.  The trace formula at m >= 2 and the series oracle
   use it.
 """
 
@@ -143,16 +146,15 @@ class SeriesOnCone:
         return self._floor_scale * d
 
 
-# coordinates above which h_series refuses its box table and
-# level_diagonal_sum its (Z/(q^m - 1))^n table: 2^24 int64 coordinates are
-# 128 MB, and either kernel holds a few tables at once
+# coordinates above which a series table is refused: 2^24 int64 coordinates
+# are 128 MB, and the torus product holds a few tables at once
 TABLE_LIMIT = 2**24
 
 
-# coordinates of transposed term matrices that either kernel holds at once
+# coordinates of transposed term matrices held at once
 _TERM_BLOCK = 1 << 20
 
-# coordinates that one chunk of level_diagonal_sum scatters.  Small chunks
+# coordinates that one chunk of the torus product scatters.  Small chunks
 # stay in cache and below BLAS's threaded sizes: at 2^20 the level-3 fold of
 # p = 11, A = [[1, -1]] took 0.51 s against 0.28 s here, and the
 # kloosterman_p5 check peaked 1.3 MB higher
@@ -194,6 +196,18 @@ def _checked_ring(a_lifts, twist: TwistData, nd: NewtonData) -> RingParams:
     return params
 
 
+def _require_table(params: RingParams, m: int, dims) -> None:
+    """Refuse a level-m series table of prod(dims) cells of blow coordinates
+    above TABLE_LIMIT, before it is allocated."""
+    size = math.prod(int(d) for d in dims) * params.blow
+    if size > TABLE_LIMIT:
+        cells = " x ".join(str(int(d)) for d in dims)
+        raise BudgetExceeded(
+            f"level-{m} series table needs {size} coordinates ({cells} cells "
+            f"of {params.blow}), above the limit {TABLE_LIMIT}"
+        )
+
+
 def _column_terms(params: RingParams, base: np.ndarray, a: RamifiedElement, q: int):
     """Rows base[i] times a^i.  a is a Teichmueller unit, so a^i depends only
     on i mod (q - 1): one product per residue class gives every row."""
@@ -209,14 +223,62 @@ def _column_terms(params: RingParams, base: np.ndarray, a: RamifiedElement, q: i
     return terms
 
 
+def _torus_product(params: RingParams, a_lifts, twist: TwistData,
+                   series: np.ndarray, dims, origin) -> np.ndarray:
+    """prod_j sum_i series[i] a_j^i t^(i w_j) on the torus prod_k Z/dims[k],
+    starting from 1 at the cell origin: a row-major table of prod(dims)
+    cells of blow coordinates, mod p^M.
+
+    A live column sends each nonzero cell c to (c + i w_j) mod dims for every
+    term i, a chunk of terms at once: one matmul_mod of the cells'
+    coordinate rows against the chunk's stacked term matrices, one
+    scatter-add.  For a fixed term c -> c + i w_j is a bijection of the
+    torus, so a cell gains at most one product per term and the sums stay
+    below len(series) p^M.  So a chunk of one term adds by fancy indexing,
+    and a longer one sums per cell by bincount, exact in float64 while
+    chunk p^M <= 2^53.  (np.add.at would map about 0.1 MB more of numpy into
+    every operator command.)  A zero column contributes only its term 1.
+    """
+    blow, pM = params.blow, params.pM
+    dims = np.asarray(dims, dtype=np.int64)
+    strides = np.array([math.prod(dims[k + 1:]) for k in range(len(dims))])
+    table = np.zeros((math.prod(dims), blow), dtype=np.int64)
+    table[np.dot(origin, strides)] = params.one().coords
+    for a, w in zip(a_lifts, twist.config.columns):
+        if a.is_zero():
+            continue
+        cells = np.flatnonzero(table.any(axis=1))
+        at = np.stack(np.unravel_index(cells, dims), axis=1)
+        rows = table[cells]
+        chunk = max(1, min(_FOLD_BLOCK // (len(cells) * blow), 2**53 // pM))
+        terms = _column_terms(params, series, a, twist.q)
+        table = np.zeros_like(table)
+        for idx, mats in _term_blocks(params, terms):
+            for start in range(0, len(idx), chunk):
+                R = mats[start:start + chunk]
+                moved = padic.matmul_mod(
+                    rows, R.transpose(1, 0, 2).reshape(blow, -1), pM
+                ).ravel()
+                dest = (at[:, None, :] + np.outer(idx[start:start + chunk], w)) % dims
+                spots = ((dest @ strides)[:, :, None] * blow + np.arange(blow)).ravel()
+                if len(R) == 1:
+                    table.reshape(-1)[spots] += moved
+                else:
+                    table += np.bincount(spots, moved, table.size).astype(
+                        np.int64
+                    ).reshape(table.shape)
+        table %= pM
+    return table
+
+
 def h_series(
     a_lifts,
     twist: TwistData,
     m: int,
     nd: NewtonData,
 ) -> SeriesOnCone:
-    """Expand H_m by folding the one-monomial splitting series in, one column
-    at a time, on a dense table of coordinates.
+    """Expand H_m exponent by exponent: the torus product on a box that
+    holds every term of the truncated product.
 
     The exponent-exact series is what the level-1 matrix reads (c_(q w - u));
     every higher level needs only its diagonal, which level_diagonal_sum
@@ -228,57 +290,29 @@ def h_series(
     sum i_j <= the precision cut, because each term has ord >= (p-1)
     (sum i_j) / (p q^m), the coarse floor of padic.splitting_floors.  Those
     terms land in the box of shift + i_cut hull(0, w_j) over the columns
-    with a_j != 0 (a zero column contributes only c_0 = 1), so the table
-    spans that box and every write is clipped to it.  The clip is exact: a
-    term, or a partial product over the first columns, outside the box has
-    sum i_j > i_cut, so it vanishes mod p^M by that floor, and so does every
-    such term that the fold adds inside the box.  A table of more than
+    with a_j != 0 (a zero column contributes only c_0 = 1), and the box is
+    the torus of the product, so a product that leaves it wraps around.  The
+    wrap is exact: a term, or a partial product over the first columns, that
+    leaves the box has sum i_j > i_cut, so its coordinates are 0 mod p^M by
+    that floor and it adds nothing where it lands.  A table of more than
     TABLE_LIMIT coordinates is refused before it is allocated.
     """
     config = twist.config
     params = _checked_ring(a_lifts, twist, nd)
     Q = twist.q**m
     i_cut = precision_cut(params, Q)
-    blow, pM = params.blow, params.pM
-    live = [j for j in range(config.N) if not a_lifts[j].is_zero()]
-    W = np.array([config.columns[j] for j in live], dtype=np.int64).reshape(-1, config.n)
+    W = np.array(
+        [w for a, w in zip(a_lifts, config.columns) if not a.is_zero()],
+        dtype=np.int64,
+    ).reshape(-1, config.n)
     lo = i_cut * np.minimum(W, 0).min(axis=0, initial=0)
     dims = i_cut * np.maximum(W, 0).max(axis=0, initial=0) - lo + 1
-    size = math.prod(int(d) for d in dims) * blow
-    if size > TABLE_LIMIT:
-        raise BudgetExceeded(
-            f"level-{m} series table needs {size} coordinates "
-            f"(i_cut = {i_cut}), above the limit {TABLE_LIMIT}"
-        )
-
+    _require_table(params, m, dims)
     base = padic.splitting_coefficients(params, Q, i_cut)
-    table = np.zeros((*dims, blow), dtype=np.int64)
-    table[tuple(-lo)] = params.one().coords
-    for j, w in zip(live, W):
-        terms = _column_terms(params, base, a_lifts[j], twist.q)
-        # most of the box stays zero: read only the nonzero cells' bounding box
-        filled = np.nonzero(table.any(axis=-1))
-        src_lo = np.array([x.min() for x in filled])
-        src_hi = np.array([x.max() + 1 for x in filled])
-        new = np.zeros(table.shape, dtype=np.int64)
-        for idx, mats in _term_blocks(params, terms):
-            for i, R in zip(idx, mats):
-                lo_i = np.maximum(src_lo + i * w, 0)
-                hi_i = np.minimum(src_hi + i * w, dims)
-                if (lo_i >= hi_i).any():
-                    continue
-                dst = tuple(slice(a, b) for a, b in zip(lo_i, hi_i))
-                src = tuple(
-                    slice(a - s, b - s) for a, b, s in zip(lo_i, hi_i, i * w)
-                )
-                block = table[src]
-                new[dst] += padic.matmul_mod(
-                    block.reshape(-1, blow), R, pM
-                ).reshape(block.shape)
-        table = np.remainder(new, pM, out=new)
+    table = _torus_product(params, a_lifts, twist, base, dims, -lo)
     shift = twist.shift(m)
-    filled = np.nonzero(table.any(axis=-1))
-    exponents = np.stack(filled, axis=1) + lo + np.array(shift)
+    filled = np.flatnonzero(table.any(axis=1))
+    exponents = np.stack(np.unravel_index(filled, dims), axis=1) + lo + shift
     return SeriesOnCone(params, nd, shift, Q, exponents, table[filled])
 
 
@@ -286,12 +320,7 @@ def require_fold_budget(params: RingParams, q: int, m: int, n: int) -> None:
     """Refuse the level-m diagonal fold when its table, (q^m - 1)^n cells of
     blow coordinates, passes TABLE_LIMIT.  The table grows with m, so the
     commands test their top level before any work."""
-    size = (q**m - 1) ** n * params.blow
-    if size > TABLE_LIMIT:
-        raise BudgetExceeded(
-            f"level-{m} series table needs {size} coordinates for the "
-            f"diagonal fold on (Z/{q**m - 1})^{n}, above the limit {TABLE_LIMIT}"
-        )
+    _require_table(params, m, (q**m - 1,) * n)
 
 
 def level_diagonal_sum(
@@ -303,60 +332,28 @@ def level_diagonal_sum(
     """diagonal_sum(h_series(a_lifts, twist, m, nd)) without expanding H_m.
 
     The diagonal reads only the exponents = 0 mod L = q^m - 1, so the
-    product is taken on a table indexed by (Z/L)^n: each column's terms
-    c_i a_j^i are summed by class, C_j[r] = sum over i = r mod L, and a
-    column moves the table by r w_j mod L times C_j[r] for every class r.
-    The exponent shift + sum i_j w_j is then = 0 mod L at the cell
-    -shift mod L.  a_j^i depends only on i mod (q - 1), which divides L, so
-    C_j[r] is the class sum of the c_i times a_j^r.  The table holds every
-    product with each i_j <= i_cut; one with sum i_j > i_cut has
+    product is taken on the torus (Z/L)^n: each column's splitting
+    coefficients are summed by class, C[r] = sum of c_i over i = r mod L,
+    and the torus product moves the table by r w_j mod L times C[r] a_j^r
+    for every class r.  The exponent shift + sum i_j w_j is then = 0 mod L
+    at the cell -shift mod L.  a_j^i depends only on i mod (q - 1), which
+    divides L, so C[r] a_j^r is the class sum of the c_i a_j^i.  The table
+    holds every product with each i_j <= i_cut; one with sum i_j > i_cut has
     ord >= (p-1)(i_cut + 1)/(p q^m) > M, so it is zero mod p^M, as in the
-    box clip of h_series.
-
-    A column sends each nonzero cell c to c + r w_j for every class r, a
-    chunk of classes at once: one matmul_mod of the cells' coordinate rows
-    against the chunk's stacked term matrices, one scatter-add.  Same checks
-    as h_series; a table of more than TABLE_LIMIT coordinates is refused
-    before it is allocated (require_fold_budget).
+    wrap of h_series.  Same checks and table limit as h_series.
     """
     config = twist.config
     params = _checked_ring(a_lifts, twist, nd)
-    require_fold_budget(params, twist.q, m, config.n)
     L = twist.q**m - 1
-    blow, pM = params.blow, params.pM
+    dims = (L,) * config.n
+    _require_table(params, m, dims)
     i_cut = precision_cut(params, L + 1)
     base = padic.splitting_coefficients(params, L + 1, i_cut)
-    padded = np.zeros((-(-(i_cut + 1) // L) * L, blow), dtype=np.int64)
+    padded = np.zeros((-(-(i_cut + 1) // L) * L, params.blow), dtype=np.int64)
     padded[:i_cut + 1] = base
-    classes = padded.reshape(-1, L, blow).sum(axis=0) % pM
-    # row-major cells of (Z/L)^n
-    strides = L ** np.arange(config.n - 1, -1, -1, dtype=np.int64)
-    table = np.zeros((L**config.n, blow), dtype=np.int64)
-    table[0] = params.one().coords
-    for a, w in zip(a_lifts, config.columns):
-        if a.is_zero():
-            continue  # a zero column contributes only c_0 = 1
-        cells = np.flatnonzero(table.any(axis=1))
-        at = cells[:, None] // strides % L
-        rows = table[cells]
-        chunk = max(1, _FOLD_BLOCK // (len(cells) * blow))
-        terms = _column_terms(params, classes, a, twist.q)
-        table = np.zeros_like(table)
-        for idx, mats in _term_blocks(params, terms):
-            for start in range(0, len(idx), chunk):
-                R = mats[start:start + chunk]
-                moved = padic.matmul_mod(
-                    rows, R.transpose(1, 0, 2).reshape(blow, -1), pM
-                )
-                dest = (at[:, None, :] + np.outer(idx[start:start + chunk], w)) % L
-                np.add.at(
-                    table.reshape(-1),
-                    ((dest @ strides)[:, :, None] * blow + np.arange(blow)).ravel(),
-                    moved.ravel(),
-                )
-        # each class adds at most one term per cell, so sums stay below L p^M
-        table %= pM
-    target = np.array([-s % L for s in twist.shift(m)]) @ strides
+    classes = padded.reshape(-1, L, params.blow).sum(axis=0) % params.pM
+    table = _torus_product(params, a_lifts, twist, classes, dims, (0,) * config.n)
+    target = np.ravel_multi_index([-s % L for s in twist.shift(m)], dims)
     return params.from_coords(table[target])
 
 

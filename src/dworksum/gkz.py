@@ -9,10 +9,9 @@ and kills every box operator; that identity is checked symbolically here.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .errors import NotARelation, RankDeficient, Timeout
+from .errors import NotARelation, RankDeficient
 from .polytope import ExponentConfig, column_hermite, sign_normal
 
 
@@ -100,10 +99,6 @@ class EulerOperator:
         return f"{body} + ({self.gamma})"
 
 
-def box_operator(config: ExponentConfig, lam) -> BoxOperator:
-    return BoxOperator(config, lam)
-
-
 def phi_image(config: ExponentConfig, v) -> tuple:
     """phi(d^v / pi^|v|) = t^(v_1 w_1 + ... + v_N w_N)."""
     v = tuple(int(x) for x in v)
@@ -131,32 +126,6 @@ def phi_operator_image(config: ExponentConfig, terms: dict) -> dict:
 def phi_kills_box(config: ExponentConfig, box: BoxOperator) -> bool:
     image = phi_operator_image(config, {box.plus: 1, box.minus: -1})
     return image == {}
-
-
-def euler_applied_to_one(config: ExponentConfig, gamma, i: int) -> dict:
-    """phi-side: E_{i,gamma} * 1 with d_j acting as the twisted derivation.
-    Written as D-dagger element sum_j (w_ij pi x_j) (d_j/pi) + gamma_i and
-    pushed through phi term by term."""
-    out = {("const",): Fraction(gamma[i])}
-    for j in range(config.N):
-        w_ij = config.A[i][j]
-        if w_ij:
-            texp = phi_image(config, tuple(1 if t == j else 0 for t in range(config.N)))
-            key = ("pi_x", j, texp)
-            out[key] = out.get(key, 0) + w_ij
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def f_operator_applied_to_one(config: ExponentConfig, gamma, i: int) -> dict:
-    """Torus-side: F_{i,gamma} * 1 = gamma_i + pi sum_j w_ij x_j t^(w_j);
-    the t_i d/dt_i part kills constants."""
-    out = {("const",): Fraction(gamma[i])}
-    for j in range(config.N):
-        w_ij = config.A[i][j]
-        if w_ij:
-            key = ("pi_x", j, config.columns[j])
-            out[key] = out.get(key, 0) + w_ij
-    return {k: v for k, v in out.items() if v != 0}
 
 
 # ----------------------------------------------------------------------
@@ -206,75 +175,3 @@ def emit_system(config: ExponentConfig, gamma) -> SystemPresentation:
     euler = [EulerOperator(config, i, gamma[i]) for i in range(config.n)]
     boxes = [BoxOperator(config, lam) for lam in basis if any(lam)]
     return SystemPresentation(config, gamma, euler, boxes, basis)
-
-
-# ----------------------------------------------------------------------
-# saturation of the binomial ideal
-# ----------------------------------------------------------------------
-
-def _term_cmp_key(mono):
-    # graded reverse lexicographic order key for exponent tuples
-    return (sum(mono), tuple(-x for x in reversed(mono)))
-
-
-def _orient(lam):
-    """Orient so the positive part is the leading term under grevlex."""
-    plus = tuple(max(x, 0) for x in lam)
-    minus = tuple(max(-x, 0) for x in lam)
-    if _term_cmp_key(plus) < _term_cmp_key(minus):
-        return tuple(-x for x in lam)
-    return tuple(lam)
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _reduce(lam, gens):
-    """Reduce the binomial x^(lam+) - x^(lam-) by the oriented generator set,
-    stripping common monomial factors (saturation by the variable product)."""
-    changed = True
-    while changed and any(lam):
-        lam = _orient(lam)
-        plus = tuple(max(x, 0) for x in lam)
-        changed = False
-        for g in gens:
-            gp = tuple(max(x, 0) for x in g)
-            if any(gp) and _divides(gp, plus):
-                lam = tuple(a - b for a, b in zip(lam, g))
-                changed = True
-                break
-    return _orient(lam)
-
-
-def toric_saturation(config: ExponentConfig, basis: LatticeBasis,
-                     max_steps: int = 2000) -> list[tuple]:
-    """Buchberger-style completion of the binomial relation ideal with
-    immediate monomial-factor stripping; returns lattice vectors whose box
-    operators generate every relation, containing the input basis.
-
-    Budgeted: raises Timeout if completion does not stabilize in max_steps
-    S-binomial reductions.
-    """
-    gens = []
-    for lam in basis:
-        if any(lam):
-            gens.append(_orient(lam))
-    gens = sorted(set(gens))
-    pairs = list(itertools.combinations(range(len(gens)), 2))
-    steps = 0
-    while pairs:
-        i, j = pairs.pop()
-        steps += 1
-        if steps > max_steps:
-            raise Timeout("saturation budget exhausted")
-        # S-binomial of x^(g+) - x^(g-) pairs has lattice vector g_i - g_j
-        s = tuple(a - b for a, b in zip(gens[i], gens[j]))
-        s = _reduce(s, gens)
-        if any(s):
-            gens.append(s)
-            pairs.extend((k, len(gens) - 1) for k in range(len(gens) - 1))
-
-    out = {sign_normal(g) for g in gens}
-    out |= {sign_normal(tuple(l)) for l in basis if any(l)}
-    return sorted(out)

@@ -652,12 +652,6 @@ class NewtonPolygon:
         self.slopes = slopes  # [(Fraction slope, int multiplicity)]
         self.flagged = flagged
 
-    def slope_list(self):
-        out = []
-        for s, mult in self.slopes:
-            out.extend([s] * mult)
-        return out
-
 
 def newton_polygon(poly: LPolynomial) -> NewtonPolygon:
     params = poly.params

@@ -21,9 +21,8 @@ Two exact elimination kernels carry all of the linear algebra:
   ``_facets`` behind ``NewtonData`` and the pulling triangulation),
   ``_solve_in_span`` (affine-hull and simplicial-cone coordinates, the cell
   points), the affine-hull basis and ``Simplex.det``;
-* ``column_hermite`` (unimodular column reduction over Z) gives
-  ``solve_integer`` (integer-span membership of a point) and the relation
-  lattice ``gkz.lattice_kernel``.
+* ``column_hermite`` (unimodular column reduction over Z) gives the
+  relation lattice ``gkz.lattice_kernel``.
 """
 
 from __future__ import annotations
@@ -165,30 +164,6 @@ def column_hermite(rows, N: int):
         if col < N and row[col] != 0:
             pivots.append((r, col))
     return H, U, pivots
-
-
-def solve_integer(columns, target):
-    """One integer solution k of sum k_j columns[j] = target, or None.
-
-    Back-substitutes target through the column Hermite form of the columns,
-    so it decides membership of target in their integer span."""
-    n, N = len(target), len(columns)
-    H, U, pivots = column_hermite(
-        [[columns[j][i] for j in range(N)] for i in range(n)], N
-    )
-    k = [0] * N
-    t = list(target)
-    for r, c in pivots:
-        if t[r] % H[r][c] != 0:
-            return None
-        f = t[r] // H[r][c]
-        k[c] = f
-        for i in range(n):
-            t[i] -= f * H[i][c]
-    if any(x != 0 for x in t):
-        return None
-    # pull back through the recorded column operations
-    return [sum(u * x for u, x in zip(row, k)) for row in U]
 
 
 def _facets(points, dim):

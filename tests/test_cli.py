@@ -383,6 +383,37 @@ def test_nondegeneracy_and_check_refuse_oversized_s_max(
         assert f"level 6 needs {728**3} torus points" in capsys.readouterr().err
 
 
+def test_nondegeneracy_and_check_refuse_s_max_below_one(tmp_path, capsys):
+    # x + x^3 over F_3 is degenerate, and s_max = 2 finds the witness; an
+    # s_max below 1 would test no level and certify it all the same
+    degenerate = {"p": 3, "A": [[1, 3]], "gamma_k": [0], "a": [1, 1],
+                  "precision": {"M": 4}}
+    verdict = cli.run("nondegeneracy", degenerate)["result"]["verdict"]
+    assert verdict == "DegenerateWitness"
+    job = tmp_path / "job.json"
+    for raw in (degenerate, KLOOSTERMAN):
+        for s_max in (0, -1):
+            prec = {**raw["precision"], "s_max": s_max}
+            job.write_text(json.dumps({**raw, "precision": prec}))
+            for command in ("nondegeneracy", "check"):
+                assert cli.main([command, "--job", str(job)]) == 2, command
+                assert "precision.s_max" in capsys.readouterr().err
+
+
+def test_negative_weight_cap_is_refused(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    prec = KLOOSTERMAN["precision"]
+    job.write_text(json.dumps({**KLOOSTERMAN, "precision": {**prec, "D": -1}}))
+    for command in ("trace", "check", "charpoly", "lfunction"):
+        assert cli.main([command, "--job", str(job)]) == 2, command
+        assert "precision.D" in capsys.readouterr().err
+    # D = 0 stays legal: a one-point basis whose tail bound is 0
+    job.write_text(json.dumps({**KLOOSTERMAN, "precision": {**prec, "D": 0}}))
+    assert cli.main(["trace", "--job", str(job)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["basis_size"] == 1 and result["tail_bound"] == [0, 1]
+
+
 def test_nondegeneracy_beyond_desk_scale():
     # x + y + 1/(xy) over F_25 at s <= 2: 624^2 torus points on each of six
     # faces, every one with a monomial toric derivative

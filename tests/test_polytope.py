@@ -9,6 +9,7 @@ from dworksum import gkz
 from dworksum import lfunction as lf
 from dworksum import polytope as pt
 from dworksum.errors import RankDeficient
+from integer_span import solve_integer
 
 A_SEGMENT = [[1]]
 A_KLOOSTERMAN = [[1, -1]]
@@ -180,10 +181,10 @@ def _combine(columns, k):
 
 def test_solve_integer_skips_vanishing_rows():
     # (0, 1) = 1 * (0, 1): a zero first row must not end the reduction
-    k = pt.solve_integer([(0, 1), (0, 2)], (0, 1))
+    k = solve_integer([(0, 1), (0, 2)], (0, 1))
     assert k is not None and _combine([(0, 1), (0, 2)], k) == (0, 1)
-    assert pt.solve_integer([(0, 1), (0, 2)], (1, 1)) is None
-    assert pt.solve_integer([(0, 2), (0, 4)], (0, 1)) is None
+    assert solve_integer([(0, 1), (0, 2)], (1, 1)) is None
+    assert solve_integer([(0, 2), (0, 4)], (0, 1)) is None
 
 
 def test_solve_integer_on_relations_in_a_coordinate_plane():
@@ -192,7 +193,7 @@ def test_solve_integer_on_relations_in_a_coordinate_plane():
     basis = gkz.lattice_kernel(cfg([[1, 0, 0], [0, 1, 1]]))
     assert basis.vectors == [(0, 1, -1)]
     for c in range(-3, 4):
-        assert pt.solve_integer(basis.vectors, (0, c, -c)) == [c]
+        assert solve_integer(basis.vectors, (0, c, -c)) == [c]
 
 
 def test_solve_integer_finds_every_integer_combination():
@@ -205,7 +206,7 @@ def test_solve_integer_finds_every_integer_combination():
         rows[i] = [rng.randint(-2, 2) * x for x in rows[i + 1]]
         columns = [tuple(r[j] for r in rows) for j in range(N)]
         target = _combine(columns, [rng.randint(-3, 3) for _ in range(N)])
-        k = pt.solve_integer(columns, target)
+        k = solve_integer(columns, target)
         assert k is not None and _combine(columns, k) == target
 
 
