@@ -271,14 +271,6 @@ def _operator(job: JobConfig) -> dwork.DworkMatrix:
     )
 
 
-def _series_diagonal(job: JobConfig, dm: dwork.DworkMatrix, m: int):
-    """Series side of the level-m trace formula: level 1 reads the series the
-    operator was built from, every higher level the diagonal fold."""
-    if m == 1:
-        return dwork.diagonal_sum(dm.series)
-    return dwork.level_diagonal_sum(job.a_lifts, job.twist, m, job.nd)
-
-
 def cmd_trace(job: JobConfig) -> dict:
     dwork.require_fold_budget(job.params, job.q, job.m_max, job.config.n)
     dm = _operator(job)
@@ -291,7 +283,7 @@ def cmd_trace(job: JobConfig) -> dict:
     }
     for m in range(1, job.m_max + 1):
         t_pow, prec_pow = dwork.trace(dm, m)
-        t_ser = _series_diagonal(job, dm, m)
+        t_ser = dwork.level_diagonal_sum(job.a_lifts, job.twist, m, job.nd)
         scaled = t_pow * ((job.q**m - 1) ** job.config.n)
         out["levels"].append(
             {
@@ -333,12 +325,11 @@ def cmd_nondegeneracy(job: JobConfig) -> dict:
     }
 
 
-def _sums_to(job: JobConfig, order: int):
-    return [
-        lf.sums_oracle_characters(
-            job.config, job.a_residues, job.twist, m, job.M
-        )
-        for m in range(1, order + 1)
+def _character_sums(job: JobConfig, sums, order: int):
+    """The character-oracle sums (S_m, precision) extended to levels 1..order."""
+    return list(sums) + [
+        lf.sums_oracle_characters(job.config, job.a_residues, job.twist, m, job.M)
+        for m in range(len(sums) + 1, order + 1)
     ]
 
 
@@ -346,39 +337,33 @@ def _recognize(job: JobConfig, sums):
     """Rational recognition needs the series to order volume + 3; extend the
     sums beyond the job's m_max when necessary."""
     need = job.volume + 3
-    if len(sums) < need:
-        sums = list(sums) + [
-            lf.sums_oracle_characters(
-                job.config, job.a_residues, job.twist, m, job.M
-            )
-            for m in range(len(sums) + 1, need + 1)
-        ]
-    L_ext = lf.l_series_from_sums(sums, need)
+    L_ext = lf.l_series_from_sums(_character_sums(job, sums, need), need)
     return lf.rational_recognition(L_ext, job.volume, job.config.n), need
 
 
-def _series_pair(job: JobConfig):
-    """(from sums, from char series) both truncated at T^m_max."""
-    sums = _sums_to(job, job.m_max)
+def _l_identity(job: JobConfig, sums, dm: dwork.DworkMatrix, mprime: int):
+    """L through T^m_max from the sums and from the characteristic series,
+    and whether every coefficient agrees at min(M', both precisions)."""
     L_sums = lf.l_series_from_sums(sums, job.m_max)
-    dm = _operator(job)
     P, P_prec = dwork.char_series(dm, max_degree=min(job.m_max, dm.dim))
     L_char = lf.l_from_charseries(P, P_prec, job.config.n, job.q, job.m_max)
-    return sums, L_sums, L_char, dm
-
-
-def cmd_lfunction(job: JobConfig) -> dict:
-    # refuse before any work when the top character-oracle level is over budget
-    top = max(job.m_max, job.volume + 3)
-    lf.require_level_budget(job.p, job.f, top, job.config.n)
-    sums, L_sums, L_char, dm = _series_pair(job)
-    mprime = job.comparison_precision()
     agree = all(
         congruent(a, b, min(mprime, pa, pb))
         for (a, pa), (b, pb) in zip(
             zip(L_sums.coeffs, L_sums.precs), zip(L_char.coeffs, L_char.precs)
         )
     )
+    return L_sums, L_char, agree
+
+
+def cmd_lfunction(job: JobConfig) -> dict:
+    # refuse before any work when the top character-oracle level is over budget
+    top = max(job.m_max, job.volume + 3)
+    lf.require_level_budget(job.p, job.f, top, job.config.n)
+    sums = _character_sums(job, [], job.m_max)
+    dm = _operator(job)
+    mprime = job.comparison_precision()
+    L_sums, L_char, agree = _l_identity(job, sums, dm, mprime)
     out = {
         "m_max": job.m_max,
         "comparison_precision": mprime,
@@ -444,7 +429,7 @@ def cmd_check(job: JobConfig) -> dict:
         Sc, pc = lf.sums_oracle_characters(
             job.config, job.a_residues, job.twist, m, job.M
         )
-        t_ser = _series_diagonal(job, dm, m)
+        t_ser = dwork.level_diagonal_sum(job.a_lifts, job.twist, m, job.nd)
         Ss, _ = lf.sums_oracle_series(
             job.config, job.a_residues, job.twist, m, job.M, job.nd,
             diagonal=t_ser
@@ -460,15 +445,8 @@ def cmd_check(job: JobConfig) -> dict:
         )
 
     # L identity
-    L_sums = lf.l_series_from_sums(sums, job.m_max)
-    P, P_prec = dwork.char_series(dm, max_degree=min(job.m_max, dm.dim))
-    L_char = lf.l_from_charseries(P, P_prec, job.config.n, job.q, job.m_max)
-    ok = True
-    for (a, pa), (b, pb) in zip(
-        zip(L_sums.coeffs, L_sums.precs), zip(L_char.coeffs, L_char.precs)
-    ):
-        ok = ok and congruent(a, b, min(Fraction(mprime), pa, pb))
-    record("l_identity", ok)
+    _, _, l_agree = _l_identity(job, sums, dm, mprime)
+    record("l_identity", l_agree)
 
     # degree law: recognized iff the bounded certificate says nondegenerate
     verdict = lf.nondegeneracy_check(job.config, job.a_residues, job.s_max)

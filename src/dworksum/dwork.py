@@ -23,17 +23,16 @@ column at a time on a dense table indexed by a finite torus prod_k Z/dims[k].
 It runs on two index sets:
 
 * h_series takes a box that holds every term of the truncated H_m, so the
-  table is H_m exponent by exponent: its support, exponents (S, n) beside
-  coefficient coordinates (S, blow).  The commands build only H_1 this way,
-  because the matrix reads c_{q w - u}; at m >= 2 it is the exact reference
-  for the diagonal fold.  The matrix gathers c_{q w - u} for all basis
-  pairs at once into an (n, n, blow) array that the traces and the
-  characteristic-series kernel read directly, as coordinate rows times its
-  row-layout encoding;
+  table is H_m exponent by exponent, and returns it as a SeriesBox.  The
+  commands build only H_1 this way, and only for the operator matrix,
+  which gathers c_{q w - u} for all basis pairs at once from the box into
+  an (n, n, blow) array that the traces and the characteristic-series
+  kernel read directly, as coordinate rows times its row-layout encoding.
+  At m >= 2 the box is the tests' exact reference for the diagonal fold;
 * level_diagonal_sum reads only the diagonal of H_m, the exponents
   = 0 mod q^m - 1, so it takes (Z/(q^m - 1))^n and the splitting series
-  summed by class.  The trace formula at m >= 2 and the series oracle
-  use it.
+  summed by class.  It gives every level's diagonal, level 1 included:
+  the series side of the trace formula and the series oracle.
 """
 
 from __future__ import annotations
@@ -91,59 +90,30 @@ def require_valid_twist(twist: TwistData, nd: NewtonData) -> None:
 # the twisted series
 # ----------------------------------------------------------------------
 
-class SeriesOnCone:
-    """Series sum c_e t^e supported on shift + C(A), exact mod p^M, held as
-    two aligned arrays: exponents (S, n), lexicographically sorted, and
-    coeffs (S, blow), the coordinates of each nonzero c_e.
+class SeriesBox:
+    """A truncated series sum c_e t^e on a box of exponents, exact mod p^M:
+    coeffs (prod(dims), blow) holds the coordinates of c_e at the row-major
+    cell of e - lo, so lo is the exponent of cell 0.
 
-    An exponent missing from the support has coefficient zero mod p^M:
-    outside the shifted cone the coefficient is exactly zero, and inside it
-    every term beyond the precision cut has ord >= M.  The support always
-    holds the shift itself, whose coefficient is a unit.
+    An exponent outside the box has coefficient zero mod p^M: outside the
+    shifted cone the coefficient is exactly zero, and inside it every term
+    that reaches the exponent lies beyond the precision cut.
     """
 
-    def __init__(self, params, nd, shift, Q, exponents, coeffs):
+    def __init__(self, params, Q, lo, dims, coeffs):
         self.params = params
-        self.nd = nd
-        self.shift = shift
         self.Q = Q
-        self.exponents = exponents
+        self.lo = lo
+        self.dims = dims
         self.coeffs = coeffs
-        self._floor_scale = Fraction(params.p - 1, params.p * Q)
-        # the support as row-major keys in its bounding box, sorted because
-        # the exponents are
-        self._lo = exponents.min(axis=0)
-        self._dims = exponents.max(axis=0) - self._lo + 1
-        self._strides = np.array(
-            [math.prod(self._dims[k + 1:]) for k in range(len(self._dims))]
-        )
-        self._keys = (exponents - self._lo) @ self._strides
 
-    def lookup(self, E: np.ndarray) -> np.ndarray:
-        """Support row of each exponent of E (..., n); -1 where c_e = 0."""
-        rel = E - self._lo
-        inside = ((rel >= 0) & (rel < self._dims)).all(axis=-1)
-        keys = np.where(inside, rel @ self._strides, -1)
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        return np.where(inside & (self._keys[pos] == keys), pos, -1)
-
-    def relative(self, e):
-        return tuple(a - b for a, b in zip(e, self.shift))
-
-    def coeff(self, e) -> RamifiedElement:
-        r = int(self.lookup(np.asarray(e, dtype=np.int64)))
-        if r < 0:
-            return self.params.zero()
-        return self.params.from_coords(self.coeffs[r])
-
-    def valuation_floor(self, e) -> Fraction | None:
-        """Certified lower bound on ord of the coefficient at e; None means
-        the coefficient is exactly zero (outside the shifted cone)."""
-        rel = self.relative(e)
-        d = self.nd.weight(rel)
-        if d is OUTSIDE_CONE:
-            return None
-        return self._floor_scale * d
+    def at(self, E: np.ndarray) -> np.ndarray:
+        """Coordinates (..., blow) of c_e for every exponent of E (..., n)."""
+        rel = E - self.lo
+        inside = ((rel >= 0) & (rel < self.dims)).all(axis=-1)
+        out = np.zeros((*inside.shape, self.params.blow), dtype=np.int64)
+        out[inside] = self.coeffs[np.ravel_multi_index(rel[inside].T, self.dims)]
+        return out
 
 
 # coordinates above which a series table is refused: 2^24 int64 coordinates
@@ -276,14 +246,14 @@ def h_series(
     twist: TwistData,
     m: int,
     nd: NewtonData,
-) -> SeriesOnCone:
+) -> SeriesBox:
     """Expand H_m exponent by exponent: the torus product on a box that
-    holds every term of the truncated product.
+    holds every term of the truncated product, returned as that box.
 
     The exponent-exact series is what the level-1 matrix reads (c_(q w - u));
-    every higher level needs only its diagonal, which level_diagonal_sum
-    computes without this expansion.  At m >= 2 this stays as the exact
-    reference for that kernel.
+    every diagonal, level 1 included, comes from level_diagonal_sum without
+    this expansion.  At m >= 2 this stays as the exact reference for that
+    kernel.
 
     a_lifts: Teichmueller lifts of the coefficients in a common ring R.  The
     product is truncated to the terms prod_j c_(i_j) a_j^(i_j) with
@@ -310,10 +280,7 @@ def h_series(
     _require_table(params, m, dims)
     base = padic.splitting_coefficients(params, Q, i_cut)
     table = _torus_product(params, a_lifts, twist, base, dims, -lo)
-    shift = twist.shift(m)
-    filled = np.flatnonzero(table.any(axis=1))
-    exponents = np.stack(np.unravel_index(filled, dims), axis=1) + lo + shift
-    return SeriesOnCone(params, nd, shift, Q, exponents, table[filled])
+    return SeriesBox(params, Q, lo + np.array(twist.shift(m)), dims, table)
 
 
 def require_fold_budget(params: RingParams, q: int, m: int, n: int) -> None:
@@ -329,18 +296,25 @@ def level_diagonal_sum(
     m: int,
     nd: NewtonData,
 ) -> RamifiedElement:
-    """diagonal_sum(h_series(a_lifts, twist, m, nd)) without expanding H_m.
+    """Sum of the coefficients c_e of H_m with every e_i = 0 mod L = q^m - 1,
+    without expanding H_m.
 
-    The diagonal reads only the exponents = 0 mod L = q^m - 1, so the
-    product is taken on the torus (Z/L)^n: each column's splitting
-    coefficients are summed by class, C[r] = sum of c_i over i = r mod L,
-    and the torus product moves the table by r w_j mod L times C[r] a_j^r
-    for every class r.  The exponent shift + sum i_j w_j is then = 0 mod L
-    at the cell -shift mod L.  a_j^i depends only on i mod (q - 1), which
-    divides L, so C[r] a_j^r is the class sum of the c_i a_j^i.  The table
-    holds every product with each i_j <= i_cut; one with sum i_j > i_cut has
-    ord >= (p-1)(i_cut + 1)/(p q^m) > M, so it is zero mod p^M, as in the
-    wrap of h_series.  Same checks and table limit as h_series.
+    By orthogonality, sum over u in mu_L^n of u^e is L^n when L divides
+    every e_i and 0 otherwise, so L^n times this sum is H_m summed over the
+    Teichmueller points of the torus (the series oracle).  The same exponents
+    are the level-m diagonal L u, u + gamma in the cone, so this is also the
+    series side of Dwork's trace formula, sum_u c_(L u).
+
+    The sum reads only these exponents, so the product is taken on the torus
+    (Z/L)^n: each column's splitting coefficients are summed by class,
+    C[r] = sum of c_i over i = r mod L, and the torus product moves the
+    table by r w_j mod L times C[r] a_j^r for every class r.  The exponent
+    shift + sum i_j w_j is then = 0 mod L at the cell -shift mod L.  a_j^i
+    depends only on i mod (q - 1), which divides L, so C[r] a_j^r is the
+    class sum of the c_i a_j^i.  The table holds every product with each
+    i_j <= i_cut; one with sum i_j > i_cut has ord >= (p-1)(i_cut + 1)/(p q^m)
+    > M, so it is zero mod p^M, as in the wrap of h_series.  Same checks and
+    table limit as h_series.
     """
     config = twist.config
     params = _checked_ring(a_lifts, twist, nd)
@@ -386,19 +360,13 @@ class DworkMatrix:
     characteristic-series coefficients.
     """
 
-    def __init__(self, series: SeriesOnCone, basis: LatticePointSet, twist: TwistData):
-        self.series = series
+    def __init__(self, series: SeriesBox, basis: LatticePointSet, twist: TwistData):
         self.basis = basis
         self.twist = twist
         self.params = series.params
-        self.nd = series.nd
-        self.Q = series.Q
         self.dim = len(basis)
-        W = np.array(basis.points, dtype=np.int64).reshape(-1, len(series.shift))
-        found = series.lookup(self.Q * W[:, None, :] - W[None, :, :])
-        self.coords = np.zeros((*found.shape, self.params.blow), dtype=np.int64)
-        hit = found >= 0
-        self.coords[hit] = series.coeffs[found[hit]]
+        W = np.array(basis.points, dtype=np.int64).reshape(-1, twist.config.n)
+        self.coords = series.at(series.Q * W[:, None, :] - W[None, :, :])
         self._encoded = None
         self.cap = basis.cap
         p = self.params.p
@@ -458,19 +426,6 @@ def trace(dm: DworkMatrix, m: int = 1) -> tuple[RamifiedElement, Fraction]:
             P = padic.matmul_mod(rows, dm.encoded(), params.pM).reshape(C.shape)
         value = padic.diagonal_product_sum(params, P, C)
     return params.from_coords(value), min(Fraction(params.M), dm.power_tail_bound(m))
-
-
-def diagonal_sum(series: SeriesOnCone) -> RamifiedElement:
-    """Sum of c_e over the support with every e_i = 0 mod Q - 1.
-
-    By orthogonality, sum over u in mu_(Q-1)^n of u^e is (Q - 1)^n when
-    Q - 1 divides every e_i and 0 otherwise, so (Q - 1)^n times this sum is
-    H_m summed over the Teichmueller points of the torus.  The same exponents
-    are the level-m diagonal (Q - 1) u, u + gamma in the cone, so this is
-    also the series side of Dwork's trace formula, sum_u c_((Q - 1) u)."""
-    L = series.Q - 1
-    on_diagonal = (series.exponents % L == 0).all(axis=1)
-    return series.params.from_coords(series.coeffs[on_diagonal].sum(axis=0))
 
 
 def char_series(dm: DworkMatrix, max_degree: int | None = None):

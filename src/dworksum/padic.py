@@ -105,12 +105,6 @@ class RingParams:
         c[self.idx(1, 0)] = 1
         return RamifiedElement(self, tuple(c))
 
-    def b_gen(self) -> "RamifiedElement":
-        c = [0] * self.blow
-        if self.s > 1:
-            c[self.idx(0, 1)] = 1
-        return RamifiedElement(self, tuple(c))
-
     def from_int(self, n: int) -> "RamifiedElement":
         c = [0] * self.blow
         c[0] = n % self.pM
@@ -413,14 +407,6 @@ def sigma_digit_sum(m: int, p: int) -> int:
         s += m % p
         m //= p
     return s
-
-
-def sigma_and_factorial_ord(m: int, p: int) -> tuple[int, Fraction]:
-    """(sigma(m), ord_p(pi^m / m!)) -- the base-p digit sum rule."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    sg = sigma_digit_sum(m, p)
-    return sg, Fraction(sg, p - 1)
 
 
 def _pi_factorial_units(params: RingParams, k_max: int) -> list[int]:

@@ -341,7 +341,6 @@ class LatticePointSet:
         found.sort()
         self.points = [w for _, w in found]
         self.weights = [d for d, _ in found]
-        self.index = {w: k for k, w in enumerate(self.points)}
 
     def __len__(self):
         return len(self.points)
@@ -461,9 +460,6 @@ class SimplicialDecomposition:
         self.config = config
         self.newton = nd
         self.simplices = simplices
-
-    def cover_check(self, w) -> bool:
-        return any(s.cone_coordinates(w) is not None for s in self.simplices)
 
 
 def simplicial_decomposition(config: ExponentConfig) -> SimplicialDecomposition:

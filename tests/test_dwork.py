@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import series_box
 from dworksum import dwork, finitefield as ff, padic
 from dworksum.errors import NotTeichmueller, TwistOutsideCone
 from dworksum.polytope import ExponentConfig, enumerate_points, newton_data
@@ -41,11 +42,11 @@ def test_h_series_trivial():
     params, F, config, nd, twist, a_res, _ = setup(3, 4, [[1]], [0], [0])
     a0 = [padic.teichmueller(F.zero(), params)]
     series = dwork.h_series(a0, twist, 1, nd)
-    assert series.coeff((0,)) == params.one()
-    assert series.exponents.tolist() == [[0]]
-    assert series.coeff((5,)).is_zero()
+    assert series_box.coeff(series, (0,)) == params.one()
+    assert series_box.support(series)[0].tolist() == [[0]]
+    assert series_box.coeff(series, (5,)).is_zero()
     # outside the cone the coefficient is exactly zero
-    assert series.coeff((-2,)).is_zero()
+    assert series_box.coeff(series, (-2,)).is_zero()
 
 
 def test_h_series_single_monomial_matches_splitting():
@@ -54,10 +55,10 @@ def test_h_series_single_monomial_matches_splitting():
     i_cut = dwork.precision_cut(params, 3)
     base = padic.splitting_coefficients(params, 3, i_cut)
     for i in range(i_cut + 1):
-        assert series.coeff((i,)) == params.from_coords(base[i])
+        assert series_box.coeff(series, (i,)) == params.from_coords(base[i])
     # certified floors hold for every stored coefficient
-    for e, c in zip(series.exponents.tolist(), series.coeffs):
-        fl = series.valuation_floor(e)
+    for e, c in zip(*series_box.support(series)):
+        fl = series_box.valuation_floor(series, nd, twist.shift(1), e.tolist())
         c = params.from_coords(c)
         assert padic.pi_ord(c).known_at_least(min(fl, Fraction(params.M)))
 
@@ -72,10 +73,10 @@ def test_h_series_kloosterman_pairing():
     for i in range(i_cut + 1):
         c = params.from_coords(base[i])
         expected = expected + c * c
-    assert series.coeff((0,)) == expected
+    assert series_box.coeff(series, (0,)) == expected
     # exhaustive floor check over the stored support
-    for e, c in zip(series.exponents.tolist(), series.coeffs):
-        fl = series.valuation_floor(e)
+    for e, c in zip(*series_box.support(series)):
+        fl = series_box.valuation_floor(series, nd, twist.shift(1), e.tolist())
         c = params.from_coords(c)
         assert padic.pi_ord(c).known_at_least(min(fl, Fraction(params.M)))
 
@@ -112,11 +113,12 @@ def test_matrix_entries_and_sparsity():
     dm = dwork.build_operator(config, nd, a_lifts, twist)
     basis = dm.basis
     assert basis.points[0] == (0,)
-    series = dm.series
+    series = dwork.h_series(a_lifts, twist, 1, nd)
     for wi, w in enumerate(basis.points[:6]):
         for ui, u in enumerate(basis.points[:6]):
             e = (3 * w[0] - u[0],)
-            assert params.from_coords(dm.coords[wi, ui]) == series.coeff(e)
+            want = series_box.coeff(series, e)
+            assert params.from_coords(dm.coords[wi, ui]) == want
     # entries outside the support are zero: 3*w - u < 0 for w = 0, u > 0
     assert not dm.coords[0, 1].any()
 
@@ -149,7 +151,7 @@ def test_trace_routes_agree():
         dm = dwork.build_operator(config, nd, a_lifts, twist)
         for m in range(1, m_top + 1):
             tr_pow, prec_pow = dwork.trace(dm, m)
-            tr_ser = dwork.diagonal_sum(dwork.h_series(a_lifts, twist, m, nd))
+            tr_ser = series_box.diagonal(dwork.h_series(a_lifts, twist, m, nd))
             assert prec_pow >= params.M
             assert tr_pow == tr_ser
             assert dwork.level_diagonal_sum(a_lifts, twist, m, nd) == tr_ser
@@ -174,7 +176,7 @@ def test_trace_formula_over_extension_field():
             Sc, _ = lf.sums_oracle_characters(config, a_res, twist, m, M)
             Ss, _ = lf.sums_oracle_series(config, a_res, twist, m, M, nd)
             t, _ = dwork.trace(dm, m)
-            t2 = dwork.diagonal_sum(dwork.h_series(lifts, twist, m, nd))
+            t2 = series_box.diagonal(dwork.h_series(lifts, twist, m, nd))
             assert Sc == Ss
             assert t == t2
             assert t * ((q**m - 1) ** config.n) == Sc
@@ -224,7 +226,7 @@ def test_trace_formula_with_integral_twist():
         for m in (1, 2):
             Sc, _ = lf.sums_oracle_characters(config, a_res, twist, m, M)
             t, _ = dwork.trace(dm, m)
-            t2 = dwork.diagonal_sum(dwork.h_series(a_lifts, twist, m, nd))
+            t2 = series_box.diagonal(dwork.h_series(a_lifts, twist, m, nd))
             assert t == t2
             assert t * ((p**m - 1) ** config.n) == Sc
 
@@ -455,9 +457,10 @@ def test_h_series_matches_brute_force_sweep(monkeypatch):
                     continue
                 break
             want = reference_series(a_lifts, twist, m)
+            exponents, coeffs = series_box.support(series)
             got = {
                 tuple(e): tuple(c)
-                for e, c in zip(series.exponents.tolist(), series.coeffs.tolist())
+                for e, c in zip(exponents.tolist(), coeffs.tolist())
             }
             assert got == want, (p, f, m, config.A, a_res, twist.k)
 
@@ -474,7 +477,7 @@ def test_h_series_matches_brute_force_sweep(monkeypatch):
             for e, c in want.items():
                 if all(x % (Q - 1) == 0 for x in e):
                     diagonal = diagonal + params.from_coords(c)
-            assert dwork.diagonal_sum(series) == diagonal
+            assert series_box.diagonal(series) == diagonal
             assert dwork.level_diagonal_sum(a_lifts, twist, m, nd) == diagonal
             ranks.add(n)
             zero_columns += any(a.is_zero() for a in a_res)

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import per_point
+import series_box
 from dworksum import dwork, finitefield as ff, lfunction as lf, padic
 from dworksum.cli import JobConfig
 from dworksum.errors import BudgetExceeded, LevelTooLarge, NotAField
@@ -77,11 +78,10 @@ def reference_series(config, a_residues, twist, m, M, nd):
     for _ in range(L - 1):
         teich_pow.append(teich_pow[-1] * tg)
     lifts = [padic.teichmueller(a, base_ring) for a in a_residues]
-    series = dwork.h_series(lifts, twist, m, nd)
-    exps = series.exponents
+    exps, level_coeffs = series_box.support(dwork.h_series(lifts, twist, m, nd))
     coeffs = np.array(
         [per_point.ring_embed(base_ring.from_coords(c), big_ring).coords
-         for c in series.coeffs],
+         for c in level_coeffs],
         dtype=np.int64,
     ).reshape(-1, big_ring.blow)
     total = big_ring.zero()

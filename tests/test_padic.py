@@ -48,7 +48,9 @@ def test_defining_relation():
 def test_unramified_generator_satisfies_modulus():
     for p, s in [(3, 2), (5, 2), (3, 3)]:
         r = padic.ring_create(p, s, 3)
-        b = r.b_gen()
+        coords = [0] * r.blow
+        coords[r.idx(0, 1)] = 1
+        b = r.from_coords(coords)
         acc = r.zero()
         bp = r.one()
         for c in r.g:
@@ -214,9 +216,9 @@ def test_character_orthogonality():
 
 def test_sigma_examples():
     for p in (3, 5, 7):
-        assert padic.sigma_and_factorial_ord(1, p) == (1, Fraction(1, p - 1))
-        assert padic.sigma_and_factorial_ord(p, p) == (1, Fraction(1, p - 1))
-    assert padic.sigma_and_factorial_ord(5, 3) == (3, Fraction(3, 2))
+        assert padic.sigma_digit_sum(1, p) == 1
+        assert padic.sigma_digit_sum(p, p) == 1
+    assert padic.sigma_digit_sum(5, 3) == 3
 
 
 def test_sigma_against_legendre():
@@ -228,7 +230,7 @@ def test_sigma_against_legendre():
             while pk <= m:
                 legendre += m // pk
                 pk *= p
-            _, got = padic.sigma_and_factorial_ord(m, p)
+            got = Fraction(padic.sigma_digit_sum(m, p), p - 1)
             assert got == Fraction(m, p - 1) - legendre
 
 

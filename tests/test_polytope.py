@@ -262,7 +262,7 @@ def test_decomposition_cell_size_cover_and_weight_additivity():
         for s in dec.simplices:
             assert len(s.cell_points) == s.det
         for w in pt.enumerate_points(nd, 4):
-            assert dec.cover_check(w)
+            assert any(s.cone_coordinates(w) is not None for s in dec.simplices)
         # weight is additive inside each simplicial cone
         for s in dec.simplices:
             for u in s.cell_points:
