@@ -58,6 +58,14 @@ COMMANDS = (
 # job parsing and validation
 # ----------------------------------------------------------------------
 
+def _int(value, name: str) -> int:
+    """int(value), or a ParseError naming the job field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{name}: not an integer: {value!r}") from None
+
+
 class JobConfig:
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
@@ -74,6 +82,7 @@ class JobConfig:
             not isinstance(r, list) or len(r) != len(A[0]) for r in A
         ):
             raise ParseError("A must be a nonempty rectangular integer matrix")
+        A = [[_int(x, "A") for x in r] for r in A]
 
         try:
             ff.check_odd_prime(self.p)
@@ -93,7 +102,7 @@ class JobConfig:
         prec = raw.get("precision", {})
         if not isinstance(prec, dict):
             raise ParseError("precision must be an object")
-        self.M = int(prec.get("M", 6))
+        self.M = _int(prec.get("M", 6), "precision.M")
         if not 1 <= self.M <= 20:
             raise ValidationError("precision.M: need 1 <= M <= 20")
         if self.p**self.M >= 2**34:
@@ -102,17 +111,18 @@ class JobConfig:
             )
         self.D = prec.get("D")
         if self.D is not None:
-            self.D = int(self.D)
+            self.D = _int(self.D, "precision.D")
             if self.D < 0:
                 raise ValidationError("precision.D: must be >= 0")
-        self.s_max = int(prec.get("s_max", 2))
+        self.s_max = _int(prec.get("s_max", 2), "precision.s_max")
         if self.s_max < 1:
             # s_max = 0 would certify nondegeneracy after testing no level
             raise ValidationError("precision.s_max: must be >= 1")
-        self.K_max = int(prec.get("K_max", 50))
+        self.K_max = _int(prec.get("K_max", 50), "precision.K_max")
         self.m_max_raw = prec.get("m_max")
 
         self.field = ff.FqParams(self.p, self.f)
+        # coefficient tuples (c_0, ..., c_{f-1}) of F_q
         self.a_residues = []
         if not isinstance(a_raw, list) or len(a_raw) != self.config.N:
             raise ValidationError("a: need one coefficient per column of A")
@@ -120,9 +130,11 @@ class JobConfig:
             if isinstance(entry, int):
                 if self.f != 1:
                     raise ValidationError("a: bare integers only allowed for f = 1")
-                self.a_residues.append(self.field.from_int(entry))
+                self.a_residues.append((entry % self.p,) + (0,) * (self.f - 1))
             elif isinstance(entry, list) and len(entry) == self.f:
-                self.a_residues.append(self.field.element(entry))
+                self.a_residues.append(
+                    tuple(_int(c, "a") % self.p for c in entry)
+                )
             else:
                 raise ValidationError("a: entries must be ints or length-f vectors")
 
@@ -134,7 +146,7 @@ class JobConfig:
         if self.m_max_raw is None:
             self.m_max = max(2, self.volume + 1)
         else:
-            self.m_max = int(self.m_max_raw)
+            self.m_max = _int(self.m_max_raw, "precision.m_max")
         if self.m_max < 1:
             raise ValidationError("precision.m_max: must be >= 1")
 
@@ -143,6 +155,10 @@ class JobConfig:
         self.a_lifts = [
             padic.teichmueller(r, self.params) for r in self.a_residues
         ]
+
+    def torus_points(self, m: int) -> int:
+        """(q^m - 1)^n, the size of the torus over F_{q^m}."""
+        return (self.q**m - 1) ** self.config.n
 
     def comparison_precision(self) -> int:
         """M' = M - ceil(log_p m_max) - 2: absorbs exp-division and tail loss."""
@@ -162,7 +178,7 @@ class JobConfig:
             "f": self.f,
             "A": [list(r) for r in self.config.A],
             "gamma_k": list(self.gamma_k),
-            "a": [list(r.coeffs) for r in self.a_residues],
+            "a": [list(r) for r in self.a_residues],
             "precision": {
                 "M": self.M,
                 "D": self.operator_cap(),
@@ -239,16 +255,16 @@ def cmd_sums(job: JobConfig) -> dict:
     out = {"levels": []}
     for m in range(1, job.m_max + 1):
         Sc, pc = lf.sums_oracle_characters(
-            job.config, job.a_residues, job.twist, m, job.M
+            job.config, job.field, job.a_residues, job.twist, m, job.M
         )
-        Ss, ps = lf.sums_oracle_series(
-            job.config, job.a_residues, job.twist, m, job.M, job.nd
-        )
+        # the series summed over the torus: (q^m - 1)^n times its diagonal
+        t_ser = dwork.level_diagonal_sum(job.a_lifts, job.twist, m, job.nd)
+        Ss = t_ser * job.torus_points(m)
         out["levels"].append(
             {
                 "m": m,
                 "character_oracle": element_json(Sc, pc),
-                "series_oracle": element_json(Ss, ps),
+                "series_oracle": element_json(Ss),
                 "agree": Sc == Ss,
             }
         )
@@ -284,7 +300,7 @@ def cmd_trace(job: JobConfig) -> dict:
     for m in range(1, job.m_max + 1):
         t_pow, prec_pow = dwork.trace(dm, m)
         t_ser = dwork.level_diagonal_sum(job.a_lifts, job.twist, m, job.nd)
-        scaled = t_pow * ((job.q**m - 1) ** job.config.n)
+        scaled = t_pow * job.torus_points(m)
         out["levels"].append(
             {
                 "m": m,
@@ -315,7 +331,9 @@ def cmd_charpoly(job: JobConfig) -> dict:
 
 
 def cmd_nondegeneracy(job: JobConfig) -> dict:
-    verdict = lf.nondegeneracy_check(job.config, job.a_residues, job.s_max)
+    verdict = lf.nondegeneracy_check(
+        job.config, job.field, job.a_residues, job.s_max
+    )
     if isinstance(verdict, lf.NondegenerateUpTo):
         return {"verdict": "NondegenerateUpTo", "s_max": verdict.s_max}
     return {
@@ -328,23 +346,35 @@ def cmd_nondegeneracy(job: JobConfig) -> dict:
 def _character_sums(job: JobConfig, sums, order: int):
     """The character-oracle sums (S_m, precision) extended to levels 1..order."""
     return list(sums) + [
-        lf.sums_oracle_characters(job.config, job.a_residues, job.twist, m, job.M)
+        lf.sums_oracle_characters(
+            job.config, job.field, job.a_residues, job.twist, m, job.M
+        )
         for m in range(len(sums) + 1, order + 1)
     ]
 
 
-def _recognize(job: JobConfig, sums):
-    """Rational recognition needs the series to order volume + 3; extend the
-    sums beyond the job's m_max when necessary."""
+def _l_series(job: JobConfig, sums) -> lf.PowerSeriesT:
+    """The sums-side L series to T^max(m_max, volume + 3), the sums extended
+    as far as that needs.  Coefficient k reads only S_1..S_k, so the L
+    identity's series to T^m_max and recognition's to T^(volume + 3) are
+    both prefixes of this one."""
+    order = max(job.m_max, job.volume + 3)
+    return lf.l_series_from_sums(_character_sums(job, sums, order), order)
+
+
+def _recognize(job: JobConfig, L: lf.PowerSeriesT):
+    """Rational recognition on the sums-side series to order volume + 3."""
     need = job.volume + 3
-    L_ext = lf.l_series_from_sums(_character_sums(job, sums, need), need)
-    return lf.rational_recognition(L_ext, job.volume, job.config.n), need
+    rec = lf.rational_recognition(L.truncate(need), job.volume, job.config.n)
+    return rec, need
 
 
-def _l_identity(job: JobConfig, sums, dm: dwork.DworkMatrix, mprime: int):
+def _l_identity(
+    job: JobConfig, L: lf.PowerSeriesT, dm: dwork.DworkMatrix, mprime: int
+):
     """L through T^m_max from the sums and from the characteristic series,
     and whether every coefficient agrees at min(M', both precisions)."""
-    L_sums = lf.l_series_from_sums(sums, job.m_max)
+    L_sums = L.truncate(job.m_max)
     P, P_prec = dwork.char_series(dm, max_degree=min(job.m_max, dm.dim))
     L_char = lf.l_from_charseries(P, P_prec, job.config.n, job.q, job.m_max)
     agree = all(
@@ -360,10 +390,10 @@ def cmd_lfunction(job: JobConfig) -> dict:
     # refuse before any work when the top character-oracle level is over budget
     top = max(job.m_max, job.volume + 3)
     lf.require_level_budget(job.p, job.f, top, job.config.n)
-    sums = _character_sums(job, [], job.m_max)
+    L = _l_series(job, [])
     dm = _operator(job)
     mprime = job.comparison_precision()
-    L_sums, L_char, agree = _l_identity(job, sums, dm, mprime)
+    L_sums, L_char, agree = _l_identity(job, L, dm, mprime)
     out = {
         "m_max": job.m_max,
         "comparison_precision": mprime,
@@ -376,7 +406,7 @@ def cmd_lfunction(job: JobConfig) -> dict:
         "routes_agree": agree,
         "expected_degree": job.volume,
     }
-    rec, used_order = _recognize(job, sums)
+    rec, used_order = _recognize(job, L)
     if isinstance(rec, lf.LPolynomial):
         poly = {
             "degree": rec.degree(),
@@ -422,36 +452,39 @@ def cmd_check(job: JobConfig) -> dict:
         checks.append(entry)
 
     # oracle equivalence and trace formula, every level; the level-m diagonal
-    # feeds both the series oracle and the series side of the trace formula
+    # is the series side of both: scaled by (q^m - 1)^n it is the series
+    # summed over the torus
     dm = _operator(job)
     sums = []
     for m in range(1, job.m_max + 1):
         Sc, pc = lf.sums_oracle_characters(
-            job.config, job.a_residues, job.twist, m, job.M
+            job.config, job.field, job.a_residues, job.twist, m, job.M
         )
         t_ser = dwork.level_diagonal_sum(job.a_lifts, job.twist, m, job.nd)
-        Ss, _ = lf.sums_oracle_series(
-            job.config, job.a_residues, job.twist, m, job.M, job.nd,
-            diagonal=t_ser
-        )
         sums.append((Sc, pc))
-        record(f"oracle_equivalence_m{m}", congruent(Sc, Ss, mprime))
+        record(
+            f"oracle_equivalence_m{m}",
+            congruent(Sc, t_ser * job.torus_points(m), mprime),
+        )
         t_pow, prec_pow = dwork.trace(dm, m)
         record(f"trace_routes_m{m}", congruent(t_pow, t_ser, mprime))
-        scaled = t_pow * ((job.q**m - 1) ** job.config.n)
+        scaled = t_pow * job.torus_points(m)
         record(
             f"trace_formula_m{m}",
             congruent(scaled, Sc, min(Fraction(mprime), prec_pow, pc)),
         )
 
     # L identity
-    _, _, l_agree = _l_identity(job, sums, dm, mprime)
+    L = _l_series(job, sums)
+    _, _, l_agree = _l_identity(job, L, dm, mprime)
     record("l_identity", l_agree)
 
     # degree law: recognized iff the bounded certificate says nondegenerate
-    verdict = lf.nondegeneracy_check(job.config, job.a_residues, job.s_max)
+    verdict = lf.nondegeneracy_check(
+        job.config, job.field, job.a_residues, job.s_max
+    )
     nondeg = isinstance(verdict, lf.NondegenerateUpTo)
-    rec, _ = _recognize(job, sums)
+    rec, _ = _recognize(job, L)
     recognized = isinstance(rec, lf.LPolynomial)
     if nondeg:
         record("degree_law", recognized, f"expected degree {job.volume}")

@@ -34,14 +34,6 @@ class NoRoot(DworksumError):
 
 # -- finite fields ------------------------------------------------------
 
-class DivisionByZero(DworksumError):
-    pass
-
-
-class NotASubfield(DworksumError):
-    pass
-
-
 class NotAField(DworksumError):
     """The powers of the chosen generator are not the whole of F_q^*: the
     modulus is reducible or the element does not generate."""

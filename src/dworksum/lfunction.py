@@ -1,17 +1,19 @@
 """Torus character sums, the nondegeneracy certificate, L-series assembly
 and rational recognition.
 
-Two independent evaluations of the twisted sums S_m over F_{q^m}, L = q^m - 1:
+F_q = F_{p^f} enters as coefficient tuples (c_0, ..., c_{f-1}) beside the
+job's ``finitefield.FqParams``; every walk over a field runs on its table.
+The twisted sums S_m over F_{q^m}, L = q^m - 1, have two independent
+evaluations:
 
-* character route: the sum over the torus (F_{q^m}^*)^n of Teichmueller-power
-  multiplicative characters times theta(1)^(absolute trace) -- no series
-  involved;
-* series route: the truncated level-m twisted series summed over the
-  Teichmueller points of the torus.  By orthogonality that sum is
-  (q^m - 1)^n times the sum of the series coefficients whose exponents
-  q^m - 1 divides, with no torus enumeration; ``dwork.level_diagonal_sum``
-  takes that sum by a cyclic fold on (Z/(q^m - 1))^n, without expanding
-  the series.
+* character route (here): the sum over the torus (F_{q^m}^*)^n of
+  Teichmueller-power multiplicative characters times theta(1)^(absolute
+  trace) -- no series involved;
+* series route (``dwork.level_diagonal_sum``): the truncated level-m twisted
+  series summed over the Teichmueller points of the torus.  By orthogonality
+  that sum is (q^m - 1)^n times the sum of the series coefficients whose
+  exponents q^m - 1 divides, taken by a cyclic fold on (Z/(q^m - 1))^n
+  without expanding the series or enumerating the torus.
 
 The character route evaluates every level in the base ring R(p, f, M).  It
 reads the cached table of F_{q^m} (the discrete log of every element to the
@@ -59,6 +61,7 @@ from the binomial product of characteristic series of the operator.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -148,15 +151,17 @@ class FieldTable:
     code = sum_j c_j p^j (-1 for zero); trace[e] = Tr(g^e) in 0..p-1.
     """
 
-    def __init__(self, field: ff.FqParams, gen: ff.FqElement):
+    def __init__(self, field: ff.FqParams, gen: tuple):
         p, s = field.p, field.degree
         L = field.q - 1
         self.field, self.L = field, L
         self.codes = p ** np.arange(s, dtype=np.int64)
         # row j of the F_p step matrix: the coefficients of b^j g
-        basis = [field.element([int(i == j) for i in range(s)]) for j in range(s)]
-        step = np.array([(b * gen).coeffs for b in basis], dtype=np.int64)
-        coeffs = _powers(field.one().coeffs, step, L + 1, p)
+        basis = [tuple(int(i == j) for i in range(s)) for j in range(s)]
+        step = np.array(
+            [ff.polymulmod(b, gen, field.modulus, p) for b in basis], dtype=np.int64
+        )
+        coeffs = _powers(basis[0], step, L + 1, p)
         codes = coeffs[:L] @ self.codes
         # g^(e+1) is determined by g^e, so the powers are distinct up to the
         # first repeat, which therefore sits at the number of distinct powers;
@@ -171,14 +176,14 @@ class FieldTable:
                 f"only {e} < {L} distinct powers of {gen!r}: the modulus of "
                 f"{field!r} is reducible or the element is not a generator"
             )
-        if tuple(coeffs[L]) != field.one().coeffs:
+        if tuple(coeffs[L]) != basis[0]:
             raise NotAField(f"{gen!r}^{L} != 1 in {field!r}")
         self.powers = coeffs[:L]
         self.log = np.full(field.q, -1, dtype=np.int64)
         self.log[codes] = np.arange(L)
         # the trace is F_p-linear: Tr(g^e) = sum_j coeff_j(g^e) Tr(b^j)
         basis_traces = np.array(
-            [ff.absolute_trace_int(b) for b in basis], dtype=np.int64
+            [ff.absolute_trace_int(b, field) for b in basis], dtype=np.int64
         )
         self.trace = self.powers @ basis_traces % p
         for arr in (self.powers, self.log, self.trace):
@@ -200,7 +205,7 @@ class LevelTable(FieldTable):
     in block c times theta_rep is sum_c theta(1)^c y_c.
     """
 
-    def __init__(self, field: ff.FqParams, ring: RingParams, gen: ff.FqElement):
+    def __init__(self, field: ff.FqParams, ring: RingParams, gen: tuple):
         super().__init__(field, gen)
         self.ring = ring
         tg = padic.teichmueller(gen, ring)
@@ -316,49 +321,25 @@ def _character_values(tab: LevelTable, big: FieldTable, config, coeffs, k):
 
 def sums_oracle_characters(
     config,
-    a_residues,
+    field: ff.FqParams,
+    a_coeffs,
     twist: dwork.TwistData,
     m: int,
     M: int,
 ) -> tuple[RamifiedElement, Fraction]:
     """S_m as the character sum over (F_{q^m}^*)^n, by the (k, c) histogram.
 
-    a_residues: the coefficients as elements of F_q.  The value lies in the
-    base ring R(p, f, M); the numpy work is linear in the (q^m - 1)^n points.
+    a_coeffs: the coefficients as coefficient tuples of F_q = field.  The
+    value lies in the base ring R(p, f, M); the numpy work is linear in the
+    (q^m - 1)^n points.
     """
-    base_field = a_residues[0].params
-    p, f = base_field.p, base_field.degree
-    assert twist.q == p**f
+    p, f = field.p, field.degree
+    assert twist.q == field.q
     require_level_budget(p, f, m, config.n)
     tab = level_table(p, f, M)
     big = tab if m == 1 else field_table(p, f * m)
-    coeffs = [[a.coeffs for a in a_residues]]
-    (value,) = _character_values(tab, big, config, coeffs, twist.k)
+    (value,) = _character_values(tab, big, config, [a_coeffs], twist.k)
     return tab.ring.from_coords(value), Fraction(M)
-
-
-def sums_oracle_series(
-    config,
-    a_residues,
-    twist: dwork.TwistData,
-    m: int,
-    M: int,
-    nd,
-    diagonal: RamifiedElement | None = None,
-) -> tuple[RamifiedElement, Fraction]:
-    """S_m by evaluating the truncated level-m twisted series at the
-    Teichmueller points of the torus; agrees with the character oracle to
-    certified precision (that agreement is the theta-identity under test).
-
-    By orthogonality the sum over the (q^m - 1)^n points is (q^m - 1)^n times
-    the diagonal sum of the series, which already lies in the base ring and
-    is computed by the diagonal fold unless the caller has it."""
-    if diagonal is None:
-        base_field = a_residues[0].params
-        base_ring = padic.ring_create(base_field.p, base_field.degree, M)
-        a_lifts = [padic.teichmueller(a, base_ring) for a in a_residues]
-        diagonal = dwork.level_diagonal_sum(a_lifts, twist, m, nd)
-    return diagonal * (twist.q**m - 1) ** config.n, Fraction(M)
 
 
 def hyp_table(
@@ -368,9 +349,8 @@ def hyp_table(
     M: int,
 ) -> dict:
     """The twisted sum at every rational coefficient point x in F_q^N, all
-    q^N character sums from one batched histogram of level 1."""
-    import itertools
-
+    q^N character sums from one batched histogram of level 1, keyed by the
+    tuple of coefficient tuples in itertools.product order."""
     if field.q**config.N > HYP_LIMIT:
         raise BudgetExceeded(
             f"q^N = {field.q ** config.N} exceeds the table budget {HYP_LIMIT}"
@@ -380,7 +360,7 @@ def hyp_table(
     require_level_budget(p, f, 1, config.n)
     tab = level_table(p, f, M)
     keys = list(
-        itertools.product([e.coeffs for e in field.all_elements()], repeat=config.N)
+        itertools.product(itertools.product(range(p), repeat=f), repeat=config.N)
     )
     values = _character_values(tab, tab, config, keys, twist.k)
     return {x: tab.ring.from_coords(v) for x, v in zip(keys, values)}
@@ -410,13 +390,13 @@ class DegenerateWitness:
         return f"DegenerateWitness(point={self.point}, face={self.face})"
 
 
-def nondegeneracy_check(config, a_coeffs, s_max: int = 2):
+def nondegeneracy_check(config, field: ff.FqParams, a_coeffs, s_max: int = 2):
     """Bounded certificate: for every proper face avoiding the origin check
     that the face-restricted toric derivatives t_i dF/dt_i have no common zero
     on the torus over F_{q^s}, s <= s_max.  A verdict NondegenerateUpTo(s_max)
     is not a proof over the algebraic closure.
 
-    a_coeffs: list of N coefficients in a common FqParams field.  Each
+    a_coeffs: the N coefficients as coefficient tuples of F_q = field.  Each
     level s reads the table of F_{q^s}: with a_j = g^(x_j) along
     ``_embedding``, the terms of t_i dF/dt_i at the point g^l are
     A[i][j] g^(x_j + A_j . l), summed from their F_p rows in blocks of
@@ -427,12 +407,11 @@ def nondegeneracy_check(config, a_coeffs, s_max: int = 2):
     """
     if len(a_coeffs) != config.N:
         raise ValueError("need one coefficient per column")
-    base = a_coeffs[0].params
-    p, f, n = base.p, base.degree, config.n
+    p, f, n = field.p, field.degree, config.n
     require_level_budget(p, f, s_max, n)
     faces = pt.newton_data(config).faces_off_origin()
     A = np.array(config.A, dtype=np.int64).reshape(n, config.N)
-    coeffs = np.array([a.coeffs for a in a_coeffs], dtype=np.int64)
+    coeffs = np.array(a_coeffs, dtype=np.int64)
     small = field_table(p, f)
     for s in range(1, s_max + 1):
         big = field_table(p, f * s)
@@ -475,6 +454,12 @@ class PowerSeriesT:
 
     def order(self) -> int:
         return len(self.coeffs) - 1
+
+    def truncate(self, order: int) -> "PowerSeriesT":
+        """The series through T^order."""
+        return PowerSeriesT(
+            self.params, self.coeffs[: order + 1], self.precs[: order + 1]
+        )
 
     def __repr__(self):
         return f"PowerSeriesT({self.coeffs!r})"

@@ -26,11 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import finitefield as ff
-from .errors import (
-    DivisionByZero,
-    ParamsMismatch,
-    PrecisionBudgetExceeded,
-)
+from .errors import ParamsMismatch, PrecisionBudgetExceeded
 
 
 # ----------------------------------------------------------------------
@@ -51,7 +47,6 @@ class RingParams:
         self.pM = p**M
         self.g = ff.min_irreducible_poly(p, s)  # ascending, monic, len s+1
         self.blow = (p - 1) * s
-        self.fq = ff.FqParams(p, s)
         self._b_red = self._build_b_reduction()
         self._mult_tensor = None  # built lazily; (blow, blow, blow) int64
 
@@ -257,7 +252,7 @@ class RamifiedElement:
 
     def __pow__(self, e: int):
         if e < 0:
-            return self.inv() ** (-e)
+            raise ValueError("negative powers are not supported")
         result = self.params.one()
         base = self
         while e:
@@ -266,31 +261,6 @@ class RamifiedElement:
             base = base * base
             e >>= 1
         return result
-
-    def residue(self) -> ff.FqElement:
-        """Image in the residue field R/(pi) = F_{p^s}."""
-        s, p = self.params.s, self.params.p
-        return self.params.fq.element(tuple(c % p for c in self.coords[:s]))
-
-    def is_unit(self) -> bool:
-        return not self.residue().is_zero()
-
-    def inv(self) -> "RamifiedElement":
-        """Newton inversion; x must be a unit (nonzero residue)."""
-        if not self.is_unit():
-            raise DivisionByZero("not a unit in the coefficient ring")
-        params = self.params
-        y = teichmueller_section_lift(self.residue().inv(), params)
-        two = params.from_int(2)
-        # 1 - x*y gains pi-valuation quadratically; (p-1)*M steps of 1/(p-1) needed
-        cap = (params.p - 1) * params.M
-        steps = max(3, cap.bit_length() + 2)
-        one = params.one()
-        for _ in range(steps):
-            y = y * (two - self * y)
-            if self * y == one:
-                return y
-        raise ArithmeticError("inversion did not converge")  # unreachable
 
     def __repr__(self):
         terms = []
@@ -305,14 +275,6 @@ class RamifiedElement:
                     terms.append(f"{c}*{mono}")
         body = " + ".join(terms) if terms else "0"
         return f"<{body} mod {self.params.p}^{self.params.M}>"
-
-
-def teichmueller_section_lift(residue: ff.FqElement, params: RingParams) -> RamifiedElement:
-    """Naive coefficient-wise lift of a residue (not yet a Teichmueller point)."""
-    c = [0] * params.blow
-    for j, v in enumerate(residue.coeffs):
-        c[j] = v % params.pM
-    return RamifiedElement(params, tuple(c))
 
 
 # ----------------------------------------------------------------------
@@ -380,14 +342,15 @@ def pi_ord(x: RamifiedElement) -> PiOrd:
 # Teichmueller lifts
 # ----------------------------------------------------------------------
 
-def teichmueller(residue: ff.FqElement, params: RingParams) -> RamifiedElement:
-    """The unique root of x^(p^s) = x lifting the residue: iterate x -> x^(p^s)
-    from any lift; each step fixes one more p-adic digit."""
-    if residue.params.p != params.p or residue.params.degree != params.s:
+def teichmueller(residue, params: RingParams) -> RamifiedElement:
+    """The unique root of x^(p^s) = x lifting the residue, a coefficient
+    tuple (c_0, ..., c_{s-1}) of F_{p^s}: iterate x -> x^(p^s) from its
+    coefficient-wise lift; each step fixes one more p-adic digit."""
+    if len(residue) != params.s:
         raise ParamsMismatch(
-            f"residue field {residue.params!r} does not match {params!r}"
+            f"a residue of {len(residue)} coefficients does not lift to {params!r}"
         )
-    x = teichmueller_section_lift(residue, params)
+    x = params.from_coords(tuple(residue) + (0,) * (params.blow - params.s))
     q = params.p**params.s
     for _ in range(params.M + 2):
         nxt = x**q

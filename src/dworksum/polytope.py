@@ -426,20 +426,6 @@ class Simplex:
         out.sort()
         return out
 
-    def cone_coordinates(self, w):
-        """Exact coordinates of w in the simplicial cone, or None if outside."""
-        c = _solve_in_span(self.vertices, w)
-        # the basis solve ignores residuals; confirm w really is the combination
-        n = len(self.vertices)
-        recon = tuple(
-            sum(c[j] * self.vertices[j][i] for j in range(n)) for i in range(n)
-        )
-        if tuple(Fraction(x) for x in w) != recon:
-            return None
-        if all(ci >= 0 for ci in c):
-            return c
-        return None
-
 
 class SimplicialDecomposition:
     def __init__(self, config: ExponentConfig):

@@ -1,6 +1,7 @@
 """Readings of a ``dwork.SeriesBox`` that only the tests take: its support,
 one coefficient, the certified valuation floor of a coefficient and the
-diagonal sum, each read straight off the box table.
+diagonal sum, each read straight off the box table; and the series-side S_m
+that the tests hold against the character oracle.
 
 The package reads the box in one way only (``SeriesBox.at``, for the
 operator matrix) and takes every diagonal by ``dwork.level_diagonal_sum``;
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from dworksum import dwork, padic
 from dworksum.polytope import OUTSIDE_CONE
 
 
@@ -47,3 +49,13 @@ def diagonal(series):
     exponents, coeffs = support(series)
     on_diagonal = (exponents % (series.Q - 1) == 0).all(axis=1)
     return series.params.from_coords(coeffs[on_diagonal].sum(axis=0))
+
+
+def series_oracle(config, field, a_coeffs, twist, m, M, nd):
+    """S_m from the series side, (value, precision): the level-m series summed
+    over the Teichmueller points of the torus, which by orthogonality is
+    (q^m - 1)^n times its diagonal sum."""
+    ring = padic.ring_create(field.p, field.degree, M)
+    lifts = [padic.teichmueller(a, ring) for a in a_coeffs]
+    diagonal = dwork.level_diagonal_sum(lifts, twist, m, nd)
+    return diagonal * (field.q**m - 1) ** config.n, Fraction(M)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from dworksum import cli
+from dworksum import lfunction as lf
 from dworksum.errors import BudgetExceeded, ParseError, ValidationError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -195,6 +196,55 @@ def test_main_exit_codes(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli.main(["polytope", "--job", str(missing)]) == 2
     capsys.readouterr()
+
+
+KLOOSTERMAN_F2 = {
+    "p": 3,
+    "f": 2,
+    "A": [[1, -1]],
+    "gamma_k": [0],
+    "a": [[1, 0], [0, 1]],
+    "precision": {"M": 5, "m_max": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ({**KLOOSTERMAN, "precision": {"M": "x", "m_max": 2}}, "precision.M"),
+        ({**KLOOSTERMAN, "precision": {"M": 6, "m_max": "z"}}, "precision.m_max"),
+        ({**KLOOSTERMAN, "precision": {"M": 6, "D": [1]}}, "precision.D"),
+        ({**KLOOSTERMAN, "A": [["x", -1]]}, "A"),
+        ({**KLOOSTERMAN_F2, "a": [[1, 0], [1, "y"]]}, "a"),
+    ],
+    ids=["M", "m_max", "D", "A", "a_f2"],
+)
+def test_malformed_numeric_field_exits_2(tmp_path, capsys, raw, field):
+    # a field that is not an integer is a parse error, not a traceback
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(raw))
+    assert cli.main(["polytope", "--job", str(job)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: not an integer")
+
+
+def test_one_sums_series_serves_identity_and_recognition(monkeypatch):
+    # the sums-side series is built once to max(m_max, volume + 3): the L
+    # identity reports its first m_max + 1 terms and recognition reads its
+    # first volume + 4, whichever is longer
+    real = lf.rational_recognition
+    orders = []
+
+    def recognition(series, expected_degree, n):
+        orders.append(series.order())
+        return real(series, expected_degree, n)
+
+    monkeypatch.setattr(lf, "rational_recognition", recognition)
+    for m_max in (2, 6):
+        raw = {**FLAGSHIP, "precision": {"M": 6, "m_max": m_max}}
+        result = cli.run("lfunction", raw)["result"]
+        assert len(result["from_sums"]) == len(result["from_charseries"]) == m_max + 1
+        assert result["recognition"]["series_order_used"] == 4
+    assert orders == [4, 4]
 
 
 def test_reports_byte_identical(tmp_path):

@@ -10,6 +10,7 @@ from dworksum import lfunction as lf
 from dworksum import polytope as pt
 from dworksum.errors import RankDeficient
 from integer_span import solve_integer
+from simplicial_cone import cone_coordinates
 
 A_SEGMENT = [[1]]
 A_KLOOSTERMAN = [[1, -1]]
@@ -262,7 +263,7 @@ def test_decomposition_cell_size_cover_and_weight_additivity():
         for s in dec.simplices:
             assert len(s.cell_points) == s.det
         for w in pt.enumerate_points(nd, 4):
-            assert any(s.cone_coordinates(w) is not None for s in dec.simplices)
+            assert any(cone_coordinates(s, w) is not None for s in dec.simplices)
         # weight is additive inside each simplicial cone
         for s in dec.simplices:
             for u in s.cell_points:
@@ -283,7 +284,7 @@ def test_unique_cell_plus_monoid_decomposition():
     for w in pt.enumerate_points(dec.newton, 5):
         hits = 0
         for s in dec.simplices:
-            c = s.cone_coordinates(w)
+            c = cone_coordinates(s, w)
             if c is None:
                 continue
             frac = tuple(ci - int(ci) for ci in c)
@@ -307,32 +308,32 @@ def test_faces_off_origin():
 def test_nondegeneracy_check():
     F5 = ff.FqParams(5, 1)
     c1 = cfg(A_SEGMENT)
-    r = lf.nondegeneracy_check(c1, [F5.from_int(1)], 2)
+    r = lf.nondegeneracy_check(c1, F5, [(1,)], 2)
     assert isinstance(r, lf.NondegenerateUpTo) and r.s_max == 2
     # single monomials with unit coefficients never have vanishing torus derivative
     ck = cfg(A_KLOOSTERMAN)
-    rk = lf.nondegeneracy_check(ck, [F5.from_int(1), F5.from_int(1)], 2)
+    rk = lf.nondegeneracy_check(ck, F5, [(1,), (1,)], 2)
     assert isinstance(rk, lf.NondegenerateUpTo)
     F3 = ff.FqParams(3, 1)
     cs = cfg(A_SQUARE)
-    rs = lf.nondegeneracy_check(cs, [F3.from_int(1)] * 3, 2)
+    rs = lf.nondegeneracy_check(cs, F3, [(1,)] * 3, 2)
     assert isinstance(rs, lf.NondegenerateUpTo)
     # two-column edge face {(1,0),(1,2)}: its second toric derivative is a
     # single monomial, so unit coefficients stay nondegenerate
     c_edge = cfg([[1, 1], [0, 2]])
-    r_edge = lf.nondegeneracy_check(c_edge, [F3.from_int(1), F3.from_int(1)], 1)
+    r_edge = lf.nondegeneracy_check(c_edge, F3, [(1,), (1,)], 1)
     assert isinstance(r_edge, lf.NondegenerateUpTo)
 
 
 def test_degenerate_witness_found():
     F3 = ff.FqParams(3, 1)
     # all-zero coefficients: every face polynomial vanishes identically
-    r0 = lf.nondegeneracy_check(cfg(A_SEGMENT), [F3.zero()], 1)
+    r0 = lf.nondegeneracy_check(cfg(A_SEGMENT), F3, [(0,)], 1)
     assert isinstance(r0, lf.DegenerateWitness)
     assert r0.face == (0,)
     # duplicated column: the vertex face carries (a_1 + a_2) t^2, which
     # vanishes identically for a = (1, 2) over F_3
     c_dup = cfg([[2, 2]])
-    r = lf.nondegeneracy_check(c_dup, [F3.from_int(1), F3.from_int(2)], 1)
+    r = lf.nondegeneracy_check(c_dup, F3, [(1,), (2,)], 1)
     assert isinstance(r, lf.DegenerateWitness)
     assert r.face == (0, 1)
