@@ -10,9 +10,11 @@ A job is a JSON object:
       "precision": {"M": 8, "m_max": 3, "D": null, "s_max": 2, "K_max": 50}
     }
 
-Numbers that must be exact are integers; rationals are emitted as [num, den]
-pairs.  gamma_i = gamma_k[i] / (1 - q).  Coefficients a_j are residues in
-F_q, given as bare integers when f = 1 or as coefficient vectors of length f.
+Every job number is a JSON integer: a boolean, a string or a number with a
+fraction or an exponent (5.0 included) is a parse error, never truncated.
+Rationals are emitted as [num, den] pairs.  gamma_i = gamma_k[i] / (1 - q).
+Coefficients a_j are residues in F_q, given as bare integers when f = 1 or
+as coefficient vectors of length f.
 Every reported ring element carries its certified precision, and reports are
 byte-identical across runs.  ``precision.K_max`` is parsed and echoed in
 the report, and no command reads it.
@@ -59,11 +61,12 @@ COMMANDS = (
 # ----------------------------------------------------------------------
 
 def _int(value, name: str) -> int:
-    """int(value), or a ParseError naming the job field."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{name}: not an integer: {value!r}") from None
+    """value when it is an integer, else a ParseError naming the job field.
+    Only JSON integers pass: a boolean, a string, or a number written with a
+    fraction or an exponent (5.0 included) is refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{name}: not an integer: {value!r}")
+    return value
 
 
 class JobConfig:
@@ -71,12 +74,12 @@ class JobConfig:
         if not isinstance(raw, dict):
             raise ParseError("job must be a JSON object")
         try:
-            self.p = int(raw["p"])
-            self.f = int(raw.get("f", 1))
+            self.p = _int(raw["p"], "p")
+            self.f = _int(raw.get("f", 1), "f")
             A = raw["A"]
-            self.gamma_k = [int(x) for x in raw["gamma_k"]]
+            self.gamma_k = [_int(x, "gamma_k") for x in raw["gamma_k"]]
             a_raw = raw["a"]
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError) as e:
             raise ParseError(f"malformed job: {e}") from None
         if not isinstance(A, list) or not A or any(
             not isinstance(r, list) or len(r) != len(A[0]) for r in A
@@ -127,16 +130,16 @@ class JobConfig:
         if not isinstance(a_raw, list) or len(a_raw) != self.config.N:
             raise ValidationError("a: need one coefficient per column of A")
         for entry in a_raw:
-            if isinstance(entry, int):
-                if self.f != 1:
-                    raise ValidationError("a: bare integers only allowed for f = 1")
-                self.a_residues.append((entry % self.p,) + (0,) * (self.f - 1))
-            elif isinstance(entry, list) and len(entry) == self.f:
+            if isinstance(entry, list) and len(entry) == self.f:
                 self.a_residues.append(
                     tuple(_int(c, "a") % self.p for c in entry)
                 )
-            else:
+            elif isinstance(entry, list):
                 raise ValidationError("a: entries must be ints or length-f vectors")
+            elif self.f != 1:
+                raise ValidationError("a: bare integers only allowed for f = 1")
+            else:
+                self.a_residues.append((_int(entry, "a") % self.p,))
 
         self.nd = pt.newton_data(self.config)
         self.twist = dwork.TwistData(self.config, self.gamma_k, self.q)

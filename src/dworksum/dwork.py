@@ -12,10 +12,22 @@ gamma of coordinate reach below 1 (in particular for gamma = 0), and makes
 the twisted trace identity exact -- the diagonal entry at u has absolute
 exponent (q - 1)(u + gamma), a cone point scaled by q - 1.
 
-Precision bookkeeping: a discarded basis point u contributes to Tr(G^m) (and
-to any characteristic-series coefficient) terms of valuation at least
-(p-1)(q^m-1)/(p q^m) d(u + gamma); the default weight cap inverts this so
-the tail sits above p^M.
+Precision bookkeeping rests on one Hodge-type bound (Dwork;
+Adolphson-Sperber, Annals 130, 1989).  Entry (w, u) of G has ord_p >=
+(p-1)/(p q) d(q(w + gamma) - (u + gamma)) >= (p-1)/(p q) (q d(w + gamma) -
+d(u + gamma)), so the floors telescope around every cycle: a closed walk,
+or a principal minor, through the basis points S has ord_p >=
+c sum_{u in S} d(u + gamma) with c = (p-1)(q-1)/(p q).  Two consequences:
+
+* truncation: a discarded basis point u contributes to Tr(G^m) (and to
+  any characteristic-series coefficient) terms of valuation at least
+  (p-1)(q^m-1)/(p q^m) d(u + gamma); the default weight cap inverts this
+  so the tail sits above p^M;
+* the live block: a basis point with c d(u + gamma) >= M lies on no closed
+  walk or minor that is nonzero mod p^M, so the traces and the
+  characteristic series read only the points with c d(u + gamma) < M
+  (strictly), a prefix of the weight-sorted basis; and det(I - T G) has
+  c_k = 0 mod p^M once c (sum of the k smallest weights) >= M.
 
 Ring data here are int64 coordinate arrays, as in padic's matrix kernels.
 One kernel, the torus product, multiplies the splitting series in one
@@ -25,8 +37,8 @@ It runs on two index sets:
 * h_series takes a box that holds every term of the truncated H_m, so the
   table is H_m exponent by exponent, and returns it as a SeriesBox.  The
   commands build only H_1 this way, and only for the operator matrix,
-  which gathers c_{q w - u} for all basis pairs at once from the box into
-  an (n, n, blow) array that the traces and the characteristic-series
+  which gathers c_{q w - u} for all live basis pairs at once from the box
+  into an (n, n, blow) array that the traces and the characteristic-series
   kernel read directly, as coordinate rows times its row-layout encoding.
   At m >= 2 the box is the tests' exact reference for the diagonal fold;
 * level_diagonal_sum reads only the diagonal of H_m, the exponents
@@ -52,6 +64,7 @@ from .errors import (
 from .padic import RamifiedElement, RingParams
 from .polytope import (
     OUTSIDE_CONE,
+    TABLE_LIMIT,
     ExponentConfig,
     LatticePointSet,
     NewtonData,
@@ -114,11 +127,6 @@ class SeriesBox:
         out = np.zeros((*inside.shape, self.params.blow), dtype=np.int64)
         out[inside] = self.coeffs[np.ravel_multi_index(rel[inside].T, self.dims)]
         return out
-
-
-# coordinates above which a series table is refused: 2^24 int64 coordinates
-# are 128 MB, and the torus product holds a few tables at once
-TABLE_LIMIT = 2**24
 
 
 # coordinates of transposed term matrices held at once
@@ -349,7 +357,8 @@ def default_weight_cap(nd: NewtonData, twist: TwistData, params: RingParams) -> 
 
 
 class DworkMatrix:
-    """(c_{q w - u}) on the weight-sorted basis, with a tail certificate.
+    """(c_{Q w - u}) on the live block of the weight-sorted basis, with a
+    tail certificate (Q = q at level 1).
 
     The basis is the shifted index set {w : w + gamma in the cone} graded by
     d(w + gamma): the operator stabilizes it (q(w + gamma) lands back in the
@@ -357,7 +366,18 @@ class DworkMatrix:
     the grading certifies the truncation directly.  tail_bound is a lower
     bound on the valuation of any diagonal contribution from a discarded
     basis point, hence on the truncation error of traces and
-    characteristic-series coefficients.
+    characteristic-series coefficients.  dim, cap, tail_bound and basis
+    describe the whole truncated basis.
+
+    coords holds only the live block: by the telescoped bound of the module
+    docstring, with c = (p-1)(Q-1)/(p Q), every closed walk and principal
+    minor through a point with c d(u + gamma) >= M vanishes mod p^M, so the
+    points with c d(u + gamma) < M, the first `live` of the basis, carry
+    every trace and characteristic-series coefficient exactly.
+    vanishing_degree is the number of degrees k >= 1 with c (sum of the k
+    smallest weights) < M; every later coefficient of det(I - T G) is 0 mod
+    p^M, and vanishing_degree <= live.  Both thresholds are exact integer
+    comparisons in the basis's grading.
     """
 
     def __init__(self, series: SeriesBox, basis: LatticePointSet, twist: TwistData):
@@ -365,18 +385,25 @@ class DworkMatrix:
         self.twist = twist
         self.params = series.params
         self.dim = len(basis)
-        W = np.array(basis.points, dtype=np.int64).reshape(-1, twist.config.n)
-        self.coords = series.at(series.Q * W[:, None, :] - W[None, :, :])
+        p, M, Q = self.params.p, self.params.M, series.Q
+        # c d < M  <=>  (p-1)(Q-1) grade < M p Q denom  <=>  grade <= top
+        top = (M * p * Q * basis.denom - 1) // ((p - 1) * (Q - 1))
+        self.live = int(np.searchsorted(basis.grades, top, side="right"))
+        self.vanishing_degree = int(
+            np.searchsorted(np.cumsum(basis.grades), top, side="right")
+        )
+        W = basis.array[:self.live]
+        self.coords = series.at(Q * W[:, None, :] - W[None, :, :])
         self._encoded = None
         self.cap = basis.cap
-        p = self.params.p
         q = twist.q
         self.tail_bound = Fraction((p - 1) * (q - 1), p * q) * self.cap
 
     def encoded(self) -> np.ndarray:
-        """Row-layout encoding (padic.encode_ring_matrix), built once; a trace
-        needs it only between its free first degree and its last, which reads
-        just the closing diagonal (padic.diagonal_product_sum)."""
+        """Row-layout encoding (padic.encode_ring_matrix) of the live block,
+        built once; a trace needs it only between its free first degree and
+        its last, which reads just the closing diagonal
+        (padic.diagonal_product_sum)."""
         if self._encoded is None:
             self._encoded = padic.encode_ring_matrix(self.params, self.coords)
         return self._encoded
@@ -402,8 +429,9 @@ def build_operator(
     params = a_lifts[0].params
     if cap is None:
         cap = default_weight_cap(nd, twist, params)
-    series = h_series(a_lifts, twist, 1, nd)
+    # the basis first: it refuses an oversized enumeration box up front
     basis = enumerate_points(nd, cap, offset=twist.gamma)
+    series = h_series(a_lifts, twist, 1, nd)
     return DworkMatrix(series, basis, twist)
 
 
@@ -412,9 +440,10 @@ def build_operator(
 # ----------------------------------------------------------------------
 
 def trace(dm: DworkMatrix, m: int = 1) -> tuple[RamifiedElement, Fraction]:
-    """Tr(G^m) through the m-th power of the level-1 matrix, with a certified
+    """Tr(G^m) through the m-th power of the live block, with a certified
     precision (min of p^M and the tail floor): the diagonal sum for m = 1,
-    else m - 2 row products and the closing diagonal of the last one."""
+    else m - 2 row products and the closing diagonal of the last one.  A
+    closed walk through a point outside the live block is 0 mod p^M."""
     params = dm.params
     C = dm.coords
     if m == 1:
@@ -422,19 +451,22 @@ def trace(dm: DworkMatrix, m: int = 1) -> tuple[RamifiedElement, Fraction]:
     else:
         P = C
         for _ in range(m - 2):
-            rows = P.reshape(dm.dim, dm.dim * params.blow)
+            rows = P.reshape(dm.live, dm.live * params.blow)
             P = padic.matmul_mod(rows, dm.encoded(), params.pM).reshape(C.shape)
         value = padic.diagonal_product_sum(params, P, C)
     return params.from_coords(value), min(Fraction(params.M), dm.power_tail_bound(m))
 
 
 def char_series(dm: DworkMatrix, max_degree: int | None = None):
-    """det(I - T G) coefficients through T^max_degree (all of them when
+    """det(I - T G) coefficients through T^max_degree (all dim of them when
     max_degree is None) with their shared certified precision, by the
-    division-free clow dynamic program."""
+    division-free clow dynamic program on the live block up to the
+    vanishing degree; every later coefficient is an exact zero mod p^M."""
     params = dm.params
     prec = min(Fraction(params.M), dm.tail_bound)
     K = dm.dim if max_degree is None else min(max_degree, dm.dim)
+    k = min(K, dm.vanishing_degree)
     # the encoding the traces may already have built; degrees <= 2 skip it
-    encoded = dm.encoded() if K > 2 else None
-    return padic.char_series_prefix(params, dm.coords, K, encoded), prec
+    encoded = dm.encoded() if k > 2 else None
+    coeffs = padic.char_series_prefix(params, dm.coords, k, encoded)
+    return coeffs + [params.zero()] * (K - k), prec

@@ -2,10 +2,17 @@
 finite field (the nondegeneracy certificate over F_{q^s} walks the field
 tables in ``lfunction``).
 
-Everything here is exact: functionals and weights are Fractions, facet and
-face enumeration is brute force over small point subsets (intended scale is
-n <= 4, N <= 8), and triangulations pull at deterministically chosen
-vertices so repeated runs agree.
+Everything here is exact: facet and face enumeration is brute force over
+small point subsets (intended scale is n <= 4, N <= 8), and triangulations
+pull at deterministically chosen vertices so repeated runs agree.
+
+Weights are integer-graded.  A lattice point set writes every facet
+functional as an integer row over the common denominator ``denom`` and
+scales its offset (for a twist gamma = k/(1 - q), denominator q - 1) to the
+same integer grid, so cone membership and denom g d(w + offset) over a
+whole enumeration box are two int64 matmuls and a max.
+``NewtonData.weight`` keeps the single-point Fraction value for the
+polytope report.
 
 Conventions: the polytope is the convex hull of the origin and the columns
 w_1..w_N of A; the cone is generated by the columns.  For w in the cone the
@@ -30,9 +37,17 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, lcm, prod
+
+import numpy as np
 
 from .errors import BudgetExceeded, RankDeficient
+
+
+# int64 coordinates above which a table is refused before it is allocated:
+# 2^24 of them are 128 MB.  It bounds the lattice enumeration box here and
+# the series tables of ``dwork``, whose torus product holds a few at once
+TABLE_LIMIT = 2**24
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +325,14 @@ class LatticePointSet:
     sorted by (weight, lex).  The default offset 0 enumerates the cone's own
     lattice points; a twist offset gamma enumerates the natural index set of
     the gamma-shifted monomial space (it coincides with the unshifted set
-    whenever every coordinate reach of gamma is below 1)."""
+    whenever every coordinate reach of gamma is below 1).
+
+    With g the common denominator of the offset, every weight is an integer
+    grade over denom = nd.denom * g: grades[i] = denom d(w_i + offset), since
+    the integer rows L_F = nd.denom l_F give denom g d(w + offset) =
+    max(0, max_F <L_F, g w + g offset>).  array holds the points as an
+    (len, n) int64 array; points and weights are the same as tuples and
+    Fractions."""
 
     def __init__(self, nd: NewtonData, cap, offset=None):
         self.cap = Fraction(cap)
@@ -322,28 +344,51 @@ class LatticePointSet:
             if offset is not None
             else tuple([Fraction(0)] * n)
         )
+        g = lcm(*(x.denominator for x in self.offset))
+        self.denom = nd.denom * g
         pts = nd.points
         lo = [
-            min(self.cap * min(p[i] for p in pts), 0) - self.offset[i]
+            int(min(self.cap * min(p[i] for p in pts), 0) - self.offset[i]) - 2
             for i in range(n)
         ]
         hi = [
-            max(self.cap * max(p[i] for p in pts), 0) - self.offset[i]
+            int(max(self.cap * max(p[i] for p in pts), 0) - self.offset[i]) + 3
             for i in range(n)
         ]
-        found = []
-        ranges = [range(int(lo[i]) - 2, int(hi[i]) + 3) for i in range(n)]
-        for w in itertools.product(*ranges):
-            shifted = tuple(a + b for a, b in zip(w, self.offset))
-            d = nd.weight(shifted)
-            if d is not OUTSIDE_CONE and d <= self.cap:
-                found.append((d, w))
-        found.sort()
-        self.points = [w for _, w in found]
-        self.weights = [d for d, _ in found]
+        dims = [b - a for a, b in zip(lo, hi)]
+        cells = prod(dims)
+        if cells * n > TABLE_LIMIT:
+            raise BudgetExceeded(
+                f"lattice enumeration box needs {cells} cells of {n} coordinates "
+                f"({' x '.join(map(str, dims))}) at weight cap {self.cap}, "
+                f"above the limit {TABLE_LIMIT}"
+            )
+        # row-major, so the box is in lex order and a stable sort by grade
+        # gives (weight, lex)
+        box = np.indices(dims, dtype=np.int64).reshape(n, -1).T + lo
+        scaled = g * box + np.array([int(x * g) for x in self.offset], dtype=np.int64)
+        rows = np.array(
+            [[int(x * nd.denom) for x in l] for l in nd.functionals], dtype=np.int64
+        )
+        cone = np.array(nd.cone_facets, dtype=np.int64).reshape(-1, n)
+        grade = np.maximum((scaled @ rows.T).max(axis=1), 0)
+        keep = (scaled @ cone.T >= 0).all(axis=1) & (
+            grade <= floor(self.cap * self.denom)
+        )
+        order = np.argsort(grade[keep], kind="stable")
+        self.array = box[keep][order]
+        self.grades = grade[keep][order]
+
+    @functools.cached_property
+    def points(self) -> list:
+        return [tuple(w) for w in self.array.tolist()]
+
+    @functools.cached_property
+    def weights(self) -> list:
+        return [Fraction(d, self.denom) for d in self.grades.tolist()]
 
     def __len__(self):
-        return len(self.points)
+        return len(self.array)
 
     def __iter__(self):
         return iter(self.points)

@@ -227,6 +227,45 @@ def test_malformed_numeric_field_exits_2(tmp_path, capsys, raw, field):
     assert capsys.readouterr().err.startswith(f"error: {field}: not an integer")
 
 
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ({**KLOOSTERMAN, "A": [[1.5, -1]]}, "A"),
+        ({**KLOOSTERMAN, "p": 5.0}, "p"),
+        ({**KLOOSTERMAN, "gamma_k": [0.7]}, "gamma_k"),
+        ({**KLOOSTERMAN, "a": [True, 1]}, "a"),
+        ({**KLOOSTERMAN, "precision": {"M": 6.9, "m_max": 2}}, "precision.M"),
+        ({**KLOOSTERMAN_F2, "f": 2.0}, "f"),
+    ],
+    ids=["A_float", "p_integral_float", "gamma_k_float", "a_bool", "M_float",
+         "f_integral_float"],
+)
+def test_non_integral_number_exits_2(tmp_path, capsys, raw, field):
+    # a number that is not a JSON integer is refused, never truncated: an
+    # integral float such as 5.0 and a boolean such as true included
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(raw))
+    assert cli.main(["polytope", "--job", str(job)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: not an integer")
+
+
+def test_huge_weight_cap_exits_4_fast(tmp_path, capsys):
+    # D = 100000 on square_p3 would enumerate a 100005 x 100005 box; it is
+    # refused before the box is allocated, and before the series is built
+    import time
+
+    raw = json.loads((ROOT / "jobs" / "square_p3.json").read_text())
+    raw["precision"]["D"] = 100000
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(raw))
+    for command in ("charpoly", "trace"):
+        start = time.perf_counter()
+        assert cli.main([command, "--job", str(job)]) == 4, command
+        assert time.perf_counter() - start < 1.0, command
+        err = capsys.readouterr().err
+        assert "lattice enumeration box needs 10001000025 cells" in err, command
+
+
 def test_one_sums_series_serves_identity_and_recognition(monkeypatch):
     # the sums-side series is built once to max(m_max, volume + 3): the L
     # identity reports its first m_max + 1 terms and recognition reads its
@@ -325,7 +364,8 @@ def test_trace_beyond_desk_scale():
 
 def test_check_encodes_the_operator_once(monkeypatch):
     # m_max = 3: Tr(G^3) and the degree-3 characteristic series both read
-    # the row-layout encoding of the same (31, 31, 4) matrix
+    # the row-layout encoding of the same matrix, the (25, 25, 4) live block
+    # of the 31-point basis
     from dworksum import padic
 
     shapes = []
@@ -339,7 +379,7 @@ def test_check_encodes_the_operator_once(monkeypatch):
     job = json.loads((ROOT / "jobs" / "kloosterman_p5.json").read_text())
     assert job["precision"]["m_max"] == 3
     assert cli.run("check", job)["result"]["all_pass"]
-    assert shapes == [(31, 31, 4)]
+    assert shapes == [(25, 25, 4)]
 
 
 def test_lfunction_refuses_oversized_recognition_torus(tmp_path, capsys):

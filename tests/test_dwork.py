@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import full_operator
 import per_point
 import series_box
 from dworksum import dwork, finitefield as ff, padic
@@ -184,9 +185,10 @@ def test_trace_formula_over_extension_field():
 
 
 def test_trace_matches_ring_matrix_power():
-    # Tr(G^m), m = 1..4, against ring-element loops on the f = 2 Kloosterman
-    # operator and its twist (gamma = -1/8); dim 23 is not a multiple of the
-    # blow = 4 heads that padic.diagonal_product_sum takes at a time
+    # Tr(G^m), m = 1..4, against ring-element loops on the whole truncated
+    # matrix of the f = 2 Kloosterman operator and its twist (gamma = -1/8);
+    # dim 23 is not a multiple of the blow = 4 heads that
+    # padic.diagonal_product_sum takes at a time
     p, f, M = 3, 2, 5
     params = padic.ring_create(p, f, M)
     F9 = ff.FqParams(p, f)
@@ -197,7 +199,8 @@ def test_trace_matches_ring_matrix_power():
         twist = dwork.TwistData(config, k_vec, p**f)
         dm = dwork.build_operator(config, nd, lifts, twist)
         assert dm.dim == dim
-        G = [[params.from_coords(e) for e in row] for row in dm.coords]
+        full = full_operator.full_coords(dwork.h_series(lifts, twist, 1, nd), dm.basis)
+        G = [[params.from_coords(e) for e in row] for row in full]
         power = [[params.one() if h == u else params.zero() for u in range(dim)]
                  for h in range(dim)]
         for m in range(1, 5):
@@ -395,7 +398,8 @@ def reference_series(a_lifts, twist, m):
 
 def test_h_series_matches_brute_force_sweep(monkeypatch):
     # seeded sweep over p, f, m, n <= 3, zero columns and in-cone twists:
-    # the series, every matrix entry c_(Q w - u), the diagonal sum and the
+    # the series, every matrix entry c_(Q w - u) (the full reference, whose
+    # live prefix is the operator's block), the diagonal sum and the
     # diagonal fold must equal the brute-force expansion exactly; draws whose
     # box table would pass 2^20 coordinates are refused and redrawn, to keep
     # the sweep small
@@ -467,12 +471,14 @@ def test_h_series_matches_brute_force_sweep(monkeypatch):
 
             Q = q**m
             basis = enumerate_points(nd, 3, offset=twist.gamma)
-            dm = dwork.DworkMatrix(series, basis, twist)
+            full = full_operator.full_coords(series, basis)
             zero = params.zero().coords
             for wi, w in enumerate(basis.points):
                 for ui, u in enumerate(basis.points):
                     e = tuple(Q * a - b for a, b in zip(w, u))
-                    assert tuple(dm.coords[wi, ui].tolist()) == want.get(e, zero)
+                    assert tuple(full[wi, ui].tolist()) == want.get(e, zero)
+            dm = dwork.DworkMatrix(series, basis, twist)
+            assert (dm.coords == full[:dm.live, :dm.live]).all()
 
             diagonal = params.zero()
             for e, c in want.items():

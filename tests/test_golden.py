@@ -55,6 +55,13 @@ The ``trace`` digest of p11_kl (p = 11, level 3, i_cut 7,321) was taken
 while every level m >= 2 still expanded the whole level-m series on a dense
 box, before the series side read the diagonal by a cyclic fold on
 (Z/(q^m - 1))^n.
+
+The beyond-desk ``charpoly`` digests of simplex3_p5, kl2var and diamond
+(dims 220, 199 and 265, above the full-degree cap, so truncated to T^8), of
+kl_f2 (a = 1, 1 over F_9), and the ``trace`` digests of I3_p7_M5 and kl_f2
+were taken while the operator matrix, its traces and its characteristic
+series still ran on the whole basis, before they were restricted to the
+block of basis points that the Hodge bound leaves alive mod p^M.
 """
 
 import hashlib
@@ -67,8 +74,10 @@ from dworksum import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
+IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
 INLINE = {
-    "identity3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "identity3": IDENTITY3,
     "triangle": [[1, 0, -1], [0, 1, -1]],
     "cube_corner": [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
     "mixed3": [[2, 0, 1, 1], [0, 2, 1, -1], [1, 1, 2, 0]],
@@ -88,6 +97,15 @@ INLINE_JOBS = {
     "x_plus_x3": {"p": 3, "A": [[1, 3]], "gamma_k": [0], "a": [1, 1]},
     "edge_p5": {"p": 5, "A": [[1, 1, 1], [0, 1, 2]], "gamma_k": [0, 0],
                 "a": [1, 2, 1]},
+    "simplex3_p5": {"p": 5, "A": IDENTITY3, "gamma_k": [0, 0, 0],
+                    "a": [1, 1, 1], "precision": {"M": 4, "m_max": 2}},
+    "I3_p7_M5": {"p": 7, "A": IDENTITY3, "gamma_k": [0, 0, 0],
+                 "a": [1, 1, 1], "precision": {"M": 5, "m_max": 2}},
+    "kl2var": {"p": 3, "A": [[1, 0, -1], [0, 1, -1]], "gamma_k": [0, 0],
+               "a": [1, 1, 1], "precision": {"M": 4, "m_max": 2}},
+    "diamond": {"p": 3, "A": [[1, 0, -1, 0], [0, 1, 0, -1]],
+                "gamma_k": [0, 0], "a": [1, 1, 1, 1], "precision": {"M": 4}},
+    "kl_f2": {**KL_P3F2, "a": [[1, 0], [1, 0]]},
     "edge_p3f2": {"p": 3, "f": 2, "A": [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]],
                   "gamma_k": [0, 0],
                   "a": [[2, 0], [1, 0], [2, 2], [0, 2], [1, 0]]},
@@ -210,6 +228,18 @@ GOLDEN = [
      "9600045c8dc492ce49eb5d2172fc0768006e1891aca3a1ae2c031aa1f39a2eca"),
     ("nondegeneracy", "edge_p3f2",
      "b32d16602eb712f414fe451418946d949faec9db5dc55d06246c924b6a10590d"),
+    ("charpoly", "simplex3_p5",
+     "4526db1fd583b2f9d145c3751931bebec1823a6649334627aeec755906f4cad1"),
+    ("charpoly", "kl2var",
+     "36052e4f7fce3a827556779b871afcbbb4ddf362016019b0c472150a15a80012"),
+    ("charpoly", "diamond",
+     "f60d1b50a30061d2a4a9c01b22c93de3fa4c118bb653fcc0355d08caa8252a95"),
+    ("charpoly", "kl_f2",
+     "847842dcb3f22347d3c42d51da0c6f313fe653b6f4ce5da8f523e89d3e641b60"),
+    ("trace", "I3_p7_M5",
+     "845ecc015eaa3960a741e132694542967d196423550263c274b038d55f3fb9d8"),
+    ("trace", "kl_f2",
+     "959533ae40fd5aa16dc4eb64a31b950d0e01c24ba362bd14a7a1de91cf68394e"),
 ]
 
 
