@@ -36,7 +36,6 @@ from .errors import (
     LevelTooLarge,
     NotPrime,
     ParseError,
-    Timeout,
     UnsupportedPrime,
     ValidationError,
 )
@@ -145,7 +144,7 @@ class JobConfig:
         self.twist = dwork.TwistData(self.config, self.gamma_k, self.q)
         if not dwork.twist_validate(self.twist, self.nd):
             raise ValidationError("gamma_k: twist lies outside the cone")
-        self.volume = pt.normalized_volume(self.config)
+        self.volume = pt.normalized_volume(self.nd)
         if self.m_max_raw is None:
             self.m_max = max(2, self.volume + 1)
         else:
@@ -230,13 +229,13 @@ def cmd_polytope(job: JobConfig) -> dict:
     return {
         "volume": job.volume,
         "denom": nd.denom,
-        "facets": [[frac(c) for c in l] for l in nd.functionals],
+        "facets": [[frac(Fraction(x, nd.denom)) for x in L] for L in nd.facet_rows],
         "cone_facets": [list(nu) for nu in nd.cone_facets],
         "column_weights": [frac(nd.weight(w)) for w in job.config.columns],
         "simplices": [
             {"vertices": [list(v) for v in s.vertices], "det": s.det,
              "cell_points": [list(b) for b in s.cell_points]}
-            for s in pt.simplicial_decomposition(job.config).simplices
+            for s in pt.simplicial_decomposition(nd).simplices
         ],
     }
 
@@ -558,7 +557,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, LevelTooLarge, Timeout) as e:
+    except (BudgetExceeded, LevelTooLarge) as e:
         print(f"budget: {e}", file=sys.stderr)
         return 4
     except OSError as e:

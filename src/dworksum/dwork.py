@@ -266,7 +266,8 @@ def h_series(
     a_lifts: Teichmueller lifts of the coefficients in a common ring R.  The
     product is truncated to the terms prod_j c_(i_j) a_j^(i_j) with
     sum i_j <= the precision cut, because each term has ord >= (p-1)
-    (sum i_j) / (p q^m), the coarse floor of padic.splitting_floors.  Those
+    (sum i_j) / (p q^m), the floor ord c_i >= (p-1) i / (p Q) of every
+    splitting coefficient at Q = q^m.  Those
     terms land in the box of shift + i_cut hull(0, w_j) over the columns
     with a_j != 0 (a zero column contributes only c_0 = 1), and the box is
     the torus of the product, so a product that leaves it wraps around.  The

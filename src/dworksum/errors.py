@@ -50,7 +50,8 @@ class NotARelation(DworksumError):
 
 
 class Timeout(DworksumError):
-    pass
+    """Raised by nothing in the package; bench/worker.py still maps it to
+    exit 4, so the name stays until that worker changes."""
 
 
 # -- Dwork operator -----------------------------------------------------

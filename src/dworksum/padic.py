@@ -361,24 +361,16 @@ def teichmueller(residue, params: RingParams) -> RamifiedElement:
 
 
 # ----------------------------------------------------------------------
-# sigma, factorials, splitting function
+# factorials, splitting function
 # ----------------------------------------------------------------------
-
-def sigma_digit_sum(m: int, p: int) -> int:
-    s = 0
-    while m:
-        s += m % p
-        m //= p
-    return s
-
 
 def _pi_factorial_units(params: RingParams, k_max: int) -> list[int]:
     """v_0..v_k_max with pi^k / k! = v_k pi^(k mod (p-1)) in R.
 
     With k! = p^e u, u prime to p, and p = -pi^(p-1):
     pi^k / k! = (-1)^(k // (p-1)) p^(k // (p-1) - e) u^-1 pi^(k mod (p-1)),
-    where the exponent of p is (sigma(k) - k mod (p-1)) / (p-1) >= 0, so
-    every pi^k / k! is integral.
+    where the exponent of p is (sigma(k) - k mod (p-1)) / (p-1) >= 0, with
+    sigma the base-p digit sum, so every pi^k / k! is integral.
     """
     p, pM, M = params.p, params.pM, params.M
     out = [1]
@@ -405,8 +397,11 @@ def splitting_coefficients(params: RingParams, Q: int, i_max: int) -> np.ndarray
     r_a + r_b >= p-1 back: c_i = w_i pi^(i mod (p-1)).  The sums w_i are one
     matmul_mod of the shifted v array, column b holding v_(i - Q b) (times
     -p where it folds) for b <= i_max / Q, against (-1)^b v_b; matmul_mod
-    stays exact when the products reach p^(2M) > 2^63.  splitting_floors gives the certified
-    valuation floor of each c_i.
+    stays exact when the products reach p^(2M) > 2^63.
+
+    Every c_i has ord >= (p-1) i / (p Q): the series factors as a product of
+    theta(z^(p^k)) whose coefficients decay like (p-1)/p^2, so the floor
+    survives the partial cancellation between the terms of c_i.
     """
     p, s, pM = params.p, params.s, params.pM
     if Q < 2 or Q % p != 0:
@@ -435,31 +430,6 @@ def splitting_coefficients(params: RingParams, Q: int, i_max: int) -> np.ndarray
     out = np.zeros((i_max + 1, params.blow), dtype=np.int64)
     out[i, r * s] = matmul_mod(shifted, signs * v[:cols] % pM, pM)
     return out
-
-
-def splitting_floors(p: int, Q: int, i_max: int) -> list[Fraction]:
-    """Certified lower bounds on ord c_i for the coefficients of
-    splitting_coefficients, i = 0..i_max.
-
-    The floor of c_i is the larger of two bounds: the ultrametric minimum of
-    the term valuations (sigma(a) + sigma(b)) / (p-1) over a + Q b = i
-    (sharp below Q, where a single term contributes), and (p-1) i / (p Q),
-    which survives the partial cancellation between terms because the series
-    factors as a product of theta(z^(p^k)) with coefficient decay (p-1)/p^2.
-    """
-    return [
-        max(
-            Fraction(
-                min(
-                    sigma_digit_sum(i - Q * b, p) + sigma_digit_sum(b, p)
-                    for b in range(i // Q + 1)
-                ),
-                p - 1,
-            ),
-            Fraction((p - 1) * i, p * Q),
-        )
-        for i in range(i_max + 1)
-    ]
 
 
 @lru_cache(maxsize=None)

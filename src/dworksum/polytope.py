@@ -6,30 +6,31 @@ Everything here is exact: facet and face enumeration is brute force over
 small point subsets (intended scale is n <= 4, N <= 8), and triangulations
 pull at deterministically chosen vertices so repeated runs agree.
 
-Weights are integer-graded.  A lattice point set writes every facet
-functional as an integer row over the common denominator ``denom`` and
-scales its offset (for a twist gamma = k/(1 - q), denominator q - 1) to the
-same integer grid, so cone membership and denom g d(w + offset) over a
-whole enumeration box are two int64 matmuls and a max.
-``NewtonData.weight`` keeps the single-point Fraction value for the
-polytope report.
+Weights are integer-graded.  ``NewtonData`` holds every facet functional
+once, as an integer row over the common denominator ``denom``; a lattice
+point set scales its offset (for a twist gamma = k/(1 - q), denominator
+q - 1) to the same integer grid, so cone membership and denom g d(w + offset)
+over a whole enumeration box are two int64 matmuls and a max.
+``NewtonData.weight`` reads the same rows for the single-point Fraction value
+of the polytope report.
 
 Conventions: the polytope is the convex hull of the origin and the columns
 w_1..w_N of A; the cone is generated by the columns.  For w in the cone the
 weight d(w) is the smallest a > 0 with w in a*polytope, computed as
 max(0, max_F l_F(w)) over the facet functionals l_F that are identically 1
 on the facets avoiding the origin.  d is homogeneous and subadditive and
-takes values in (1/denom) Z on lattice points.
+takes values in (1/denom) Z on lattice points.  The cone is the polytope's
+tangent cone at the origin, so its facets are the facets through the origin.
 
-Two exact elimination kernels carry all of the linear algebra:
-
-* ``_row_reduce`` (Gauss-Jordan over Q: reduced rows, pivot columns,
-  determinant) gives ``mat_rank``, ``kernel_line`` (hence the facet search
-  ``_facets`` behind ``NewtonData`` and the pulling triangulation),
-  ``_solve_in_span`` (affine-hull and simplicial-cone coordinates, the cell
-  points), the affine-hull basis and ``Simplex.det``;
-* ``column_hermite`` (unimodular column reduction over Z) gives the
-  relation lattice ``gkz.lattice_kernel``.
+One exact elimination kernel carries all of the linear algebra:
+``column_hermite``, the unimodular column reduction H = rows U (integer U,
+integer or rational rows).  Its pivot count is ``mat_rank``; the column of U
+past n - 1 pivots is ``kernel_line`` (hence the facet search ``_facets``
+behind ``NewtonData`` and the pulling triangulation); the product of the
+pivots is ``Simplex.det``; the pivot rows are the affine-hull basis, and
+back substitution on them gives the span coordinates ``_solve_in_span`` (the
+affine-hull and simplicial-cone coordinates, the cell points); the columns
+of U past the pivots are the relation lattice ``gkz.lattice_kernel``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import floor, gcd, lcm, prod
+from math import floor, lcm, prod
 
 import numpy as np
 
@@ -62,91 +63,15 @@ def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _primitive(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in vec) if g else tuple(vec)
-
-
-def _row_reduce(rows, ncols=None):
-    """Gauss-Jordan over Q: (reduced rows, pivot columns, determinant).
-
-    Pivots are sought only in the first ncols columns (default: all), so any
-    further columns ride along as right-hand sides.  The pivot row is the
-    first usable one, which fixes the result even when a right-hand side is
-    not in the span.  The determinant is that of a square matrix, and 0
-    whenever the rank falls short of the row count."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
-    pivots = []
-    det = Fraction(1)
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            det = -det
-        det *= m[r][col]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-    return m, pivots, det if len(pivots) == len(m) else Fraction(0)
-
-
-def mat_rank(rows) -> int:
-    return len(_row_reduce(rows)[1])
-
-
-def sign_normal(v):
-    """v or -v, whichever has its first nonzero entry positive."""
-    for x in v:
-        if x:
-            return tuple(v) if x > 0 else tuple(-y for y in v)
-    return tuple(v)
-
-
-def kernel_line(rows, n: int):
-    """Primitive integer vector spanning the kernel of the given row vectors
-    in R^n, or None unless the kernel is exactly one-dimensional."""
-    m, pivots, _ = _row_reduce(rows, n)
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        return None
-    v = [Fraction(0)] * n
-    v[free[0]] = Fraction(1)
-    for r, col in enumerate(pivots):
-        v[col] = -m[r][free[0]]
-    den = lcm(*[x.denominator for x in v])
-    return sign_normal(_primitive([int(x * den) for x in v]))
-
-
-def _solve_in_span(basis, target):
-    """Coefficients expressing target in the given independent basis vectors;
-    a residual outside their span is ignored."""
-    k = len(basis)
-    m, pivots, _ = _row_reduce(
-        [[b[i] for b in basis] + [target[i]] for i in range(len(target))], k
-    )
-    sol = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        sol[col] = m[r][k]
-    return sol
-
-
 def column_hermite(rows, N: int):
-    """Unimodular column reduction of an integer matrix with N columns.
+    """Unimodular column reduction of a matrix with N columns.
 
     Returns (H, U, pivots): H = rows @ U is column echelon, U is unimodular
     and pivots lists the (row, column) of each leading entry of H.  A row
-    that vanishes on the columns not yet pivoted is skipped."""
+    that vanishes on the columns not yet pivoted is skipped, so the pivot
+    rows are the greedy independent rows, in order, and every column of H
+    past the last pivot vanishes.  The entries may be rational: Euclid on
+    (1/D) Z terminates too, and U stays integral."""
     H = [list(row) for row in rows]
     U = [[int(i == j) for j in range(N)] for i in range(N)]
 
@@ -179,6 +104,45 @@ def column_hermite(rows, N: int):
         if col < N and row[col] != 0:
             pivots.append((r, col))
     return H, U, pivots
+
+
+def mat_rank(rows) -> int:
+    return len(column_hermite(rows, len(rows[0]))[2])
+
+
+def sign_normal(v):
+    """v or -v, whichever has its first nonzero entry positive."""
+    for x in v:
+        if x:
+            return tuple(v) if x > 0 else tuple(-y for y in v)
+    return tuple(v)
+
+
+def kernel_line(rows, n: int):
+    """Primitive integer vector spanning the kernel of the given row vectors
+    in R^n, sign normalized, or None unless the kernel is exactly
+    one-dimensional.  Once n - 1 columns pivot, the last column of U spans
+    the kernel, and a column of a unimodular matrix is primitive."""
+    _, U, pivots = column_hermite(rows, n)
+    if len(pivots) != n - 1:
+        return None
+    return sign_normal([row[-1] for row in U])
+
+
+def _solve_in_span(hermite, target):
+    """Coefficients c, exact Fractions, with target = sum c_i b_i over the
+    pivot rows b_i of a matrix whose column Hermite reduction is hermite =
+    (H, U, pivots); target must lie in their span.  Then target @ U =
+    sum c_i H[r_i], and the pivot rows of H are lower triangular on the
+    pivot columns, so back substitution reads c."""
+    H, U, pivots = hermite
+    k = len(pivots)
+    z = [Fraction(_dot(target, [row[j] for row in U])) for j in range(k)]
+    T = [H[r] for r, _ in pivots]
+    c = [Fraction(0)] * k
+    for i in reversed(range(k)):
+        c[i] = (z[i] - sum(c[l] * T[l][i] for l in range(i + 1, k))) / T[i][i]
+    return c
 
 
 def _facets(points, dim):
@@ -235,44 +199,32 @@ OUTSIDE_CONE = _OutsideCone()
 
 
 class NewtonData:
-    """Facet functionals of the polytope, inequalities of the cone, the
-    weight denominator, plus the raw facet list used for face enumeration."""
+    """Facets of the polytope, its facet functionals as integer rows over the
+    weight denominator, and the inequalities of the cone."""
 
     def __init__(self, config: ExponentConfig):
         self.config = config
         n = config.n
         pts = [tuple([0] * n)] + config.columns
-        distinct = sorted(set(pts))
         self.points = pts  # index 0 is the origin, then columns in order
 
-        # [(nu, c)]; the origin lies on a facet iff c == 0
-        self.facets = sorted(_facets(distinct, n))
+        # [(nu, c)] with nu primitive; the origin lies on a facet iff c == 0
+        self.facets = sorted(_facets(sorted(set(pts)), n))
 
-        # all points of the hull satisfy <nu, x> <= c and the origin gives 0 <= c
-        self.functionals = [
-            tuple(Fraction(x, c) for x in nu) for nu, c in self.facets if c != 0
-        ]
-        if not self.functionals:
+        # every point of the hull satisfies <nu, x> <= c, and the origin gives
+        # 0 <= c; nu is primitive, so the functional nu / c has denominator c
+        off = [(nu, c) for nu, c in self.facets if c != 0]
+        if not off:
             raise RankDeficient("no facet avoids the origin; degenerate hull")
+        self.denom = lcm(*(c for _, c in off))
+        # one row L_F = denom * l_F per facet avoiding the origin
+        self.facet_rows = [tuple(x * (self.denom // c) for x in nu) for nu, c in off]
 
-        den = 1
-        for l in self.functionals:
-            for x in l:
-                den = lcm(den, x.denominator)
-        self.denom = den
-
-        cone = {}
-        gens = [w for w in set(config.columns) if any(w)]
-        for S in itertools.combinations(gens, n - 1):
-            nu = kernel_line(S, n)
-            if nu is None:
-                continue
-            vals = [_dot(nu, w) for w in gens]
-            if all(v >= 0 for v in vals):
-                cone[nu] = True
-            elif all(v <= 0 for v in vals):
-                cone[tuple(-x for x in nu)] = True
-        self.cone_facets = sorted(cone)
+        # the cone over the columns is the hull's tangent cone at the origin,
+        # cut out by the facets through the origin (inward normals)
+        self.cone_facets = sorted(
+            tuple(-x for x in nu) for nu, c in self.facets if c == 0
+        )
 
     # -- membership and weight -------------------------------------------
 
@@ -283,12 +235,7 @@ class NewtonData:
         """d(w) for w in the cone; OUTSIDE_CONE otherwise."""
         if not self.in_cone(w):
             return OUTSIDE_CONE
-        best = Fraction(0)
-        for l in self.functionals:
-            v = _dot(l, w)
-            if v > best:
-                best = v
-        return best
+        return Fraction(max(0, *(_dot(L, w) for L in self.facet_rows)), self.denom)
 
     def faces_off_origin(self):
         """Proper faces of the hull avoiding the origin, as sorted tuples of
@@ -329,30 +276,25 @@ class LatticePointSet:
 
     With g the common denominator of the offset, every weight is an integer
     grade over denom = nd.denom * g: grades[i] = denom d(w_i + offset), since
-    the integer rows L_F = nd.denom l_F give denom g d(w + offset) =
+    the facet rows L_F = nd.denom l_F give denom g d(w + offset) =
     max(0, max_F <L_F, g w + g offset>).  array holds the points as an
-    (len, n) int64 array; points and weights are the same as tuples and
-    Fractions."""
+    (len, n) int64 array."""
 
     def __init__(self, nd: NewtonData, cap, offset=None):
         self.cap = Fraction(cap)
         if self.cap < 0:
             raise ValueError("cap must be >= 0")
         n = nd.config.n
-        self.offset = (
-            tuple(Fraction(x) for x in offset)
-            if offset is not None
-            else tuple([Fraction(0)] * n)
-        )
-        g = lcm(*(x.denominator for x in self.offset))
+        offset = [Fraction(x) for x in (offset if offset is not None else [0] * n)]
+        g = lcm(*(x.denominator for x in offset))
         self.denom = nd.denom * g
         pts = nd.points
         lo = [
-            int(min(self.cap * min(p[i] for p in pts), 0) - self.offset[i]) - 2
+            int(min(self.cap * min(p[i] for p in pts), 0) - offset[i]) - 2
             for i in range(n)
         ]
         hi = [
-            int(max(self.cap * max(p[i] for p in pts), 0) - self.offset[i]) + 3
+            int(max(self.cap * max(p[i] for p in pts), 0) - offset[i]) + 3
             for i in range(n)
         ]
         dims = [b - a for a, b in zip(lo, hi)]
@@ -366,10 +308,8 @@ class LatticePointSet:
         # row-major, so the box is in lex order and a stable sort by grade
         # gives (weight, lex)
         box = np.indices(dims, dtype=np.int64).reshape(n, -1).T + lo
-        scaled = g * box + np.array([int(x * g) for x in self.offset], dtype=np.int64)
-        rows = np.array(
-            [[int(x * nd.denom) for x in l] for l in nd.functionals], dtype=np.int64
-        )
+        scaled = g * box + np.array([int(x * g) for x in offset], dtype=np.int64)
+        rows = np.array(nd.facet_rows, dtype=np.int64)
         cone = np.array(nd.cone_facets, dtype=np.int64).reshape(-1, n)
         grade = np.maximum((scaled @ rows.T).max(axis=1), 0)
         keep = (scaled @ cone.T >= 0).all(axis=1) & (
@@ -379,19 +319,8 @@ class LatticePointSet:
         self.array = box[keep][order]
         self.grades = grade[keep][order]
 
-    @functools.cached_property
-    def points(self) -> list:
-        return [tuple(w) for w in self.array.tolist()]
-
-    @functools.cached_property
-    def weights(self) -> list:
-        return [Fraction(d, self.denom) for d in self.grades.tolist()]
-
     def __len__(self):
         return len(self.array)
-
-    def __iter__(self):
-        return iter(self.points)
 
 
 def enumerate_points(nd: NewtonData, cap, offset=None) -> LatticePointSet:
@@ -406,10 +335,10 @@ def _affine_coordinates(points):
     """Exact coordinates of the points inside their affine hull: returns
     (dim, coords) with coords[i] a tuple of Fractions of length dim.  The
     basis is the first maximal independent run of differences to points[0],
-    i.e. the pivot columns of the matrix whose columns are the differences."""
+    the pivot rows of their column Hermite reduction."""
     diffs = [_sub(p, points[0]) for p in points]
-    basis = [diffs[j] for j in _row_reduce(list(zip(*diffs)))[1]]
-    return len(basis), [tuple(_solve_in_span(basis, d)) for d in diffs]
+    hermite = column_hermite(diffs, len(diffs[0]))
+    return len(hermite[2]), [tuple(_solve_in_span(hermite, d)) for d in diffs]
 
 
 def _triangulate(points):
@@ -446,17 +375,20 @@ def _triangulate_fulldim(points):
 
 class Simplex:
     """A full simplex {0, w_{i_1}, ..., w_{i_n}} of the decomposition with its
-    fundamental-cell lattice points and cone generators."""
+    fundamental-cell lattice points; the vertices generate its cone."""
 
     def __init__(self, vertices):
         self.vertices = [tuple(int(x) for x in v) for v in vertices]  # excludes 0
-        self.det = abs(int(_row_reduce(self.vertices)[2]))
-        self.generators = list(self.vertices)
+        n = len(self.vertices)
+        self.hermite = column_hermite(self.vertices, n)
+        H, _, pivots = self.hermite
+        self.det = abs(prod(H[r][c] for r, c in pivots)) if len(pivots) == n else 0
 
     @functools.cached_property
     def cell_points(self):
-        """Integer points of { sum c_i w_i : 0 <= c_i < 1 }, one solve per
-        point of the bounding box, so built only when asked for."""
+        """Integer points of { sum c_i w_i : 0 <= c_i < 1 }: the vertex matrix
+        is reduced once, and each point of the bounding box is solved by back
+        substitution, so built only when asked for."""
         n = len(self.vertices)
         corners = [
             tuple(sum(e * v[i] for e, v in zip(eps, self.vertices)) for i in range(n))
@@ -464,40 +396,39 @@ class Simplex:
         ]
         lo = [min(c[i] for c in corners) for i in range(n)]
         hi = [max(c[i] for c in corners) for i in range(n)]
-        out = []
-        for x in itertools.product(*[range(lo[i], hi[i] + 1) for i in range(n)]):
-            if all(0 <= ci < 1 for ci in _solve_in_span(self.vertices, x)):
-                out.append(tuple(x))
-        out.sort()
-        return out
+        # the box is walked in lex order
+        return [
+            x
+            for x in itertools.product(*[range(lo[i], hi[i] + 1) for i in range(n)])
+            if all(0 <= ci < 1 for ci in _solve_in_span(self.hermite, x))
+        ]
 
 
 class SimplicialDecomposition:
-    def __init__(self, config: ExponentConfig):
-        nd = newton_data(config)
-        n = config.n
+    """Cones from the origin over a pulling triangulation of every facet that
+    avoids it."""
+
+    def __init__(self, nd: NewtonData):
         simplices = []
         for nu, c in nd.facets:
             if c == 0:
                 continue  # cones over facets through the origin are flat
             face_pts = sorted(
-                set(w for w in config.columns if _dot(nu, w) == c)
+                set(w for w in nd.config.columns if _dot(nu, w) == c)
             )
-            if n == 1:
+            if nd.config.n == 1:
                 simplices.append(Simplex([face_pts[0]]))
                 continue
             for s in _triangulate(face_pts):
                 simplices.append(Simplex(list(s)))
-        self.config = config
-        self.newton = nd
         self.simplices = simplices
 
 
-def simplicial_decomposition(config: ExponentConfig) -> SimplicialDecomposition:
-    return SimplicialDecomposition(config)
+def simplicial_decomposition(nd: NewtonData) -> SimplicialDecomposition:
+    return SimplicialDecomposition(nd)
 
 
-def normalized_volume(config: ExponentConfig) -> int:
+def normalized_volume(nd: NewtonData) -> int:
     """n! vol of the hull: sum of |det| over the pulling triangulation coned
     at the origin (facets through the origin contribute nothing)."""
-    return sum(s.det for s in SimplicialDecomposition(config).simplices)
+    return sum(s.det for s in SimplicialDecomposition(nd).simplices)

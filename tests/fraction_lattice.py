@@ -1,11 +1,23 @@
 """The lattice enumeration one Fraction weight at a time: the reference that
 ``polytope.LatticePointSet`` must equal point for point and weight for
-weight.  It walks the same box and calls ``NewtonData.weight`` per point."""
+weight.  It walks the same box and calls ``NewtonData.weight`` per point.
+``points`` and ``weights`` read a ``LatticePointSet`` back as integer tuples
+and Fractions."""
 
 import itertools
 from fractions import Fraction
 
 from dworksum.polytope import OUTSIDE_CONE
+
+
+def points(lps) -> list:
+    """The points of a LatticePointSet as integer tuples, in its order."""
+    return [tuple(w) for w in lps.array.tolist()]
+
+
+def weights(lps) -> list:
+    """The weights d(w + offset) of a LatticePointSet as Fractions."""
+    return [Fraction(d, lps.denom) for d in lps.grades.tolist()]
 
 
 def reference_points(nd, cap, offset=None):

@@ -9,11 +9,12 @@ is ``padic.char_series_prefix`` on the same array."""
 import numpy as np
 
 from dworksum import padic
+from fraction_lattice import points
 
 
 def full_coords(series, basis):
     """(dim, dim, blow) coordinates of c_{Q w - u} over all basis pairs."""
-    W = np.array(basis.points, dtype=np.int64).reshape(-1, len(series.lo))
+    W = np.array(points(basis), dtype=np.int64).reshape(-1, len(series.lo))
     return series.at(series.Q * W[:, None, :] - W[None, :, :])
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import series_box
+from splitting_floor import sigma_digit_sum, splitting_floors
 from dworksum import dwork, finitefield as ff, gkz, lfunction as lf, padic
 from dworksum import polytope as pt
 from dworksum.polytope import ExponentConfig, newton_data
@@ -138,7 +139,7 @@ def test_criterion_3_l_identity(name):
 
 
 def _recognized(run):
-    need = pt.normalized_volume(run.config) + 3
+    need = pt.normalized_volume(run.nd) + 3
     sums = list(run.char_sums)
     for m in range(len(sums) + 1, need + 1):
         sums.append(
@@ -147,7 +148,7 @@ def _recognized(run):
             )
         )
     L = lf.l_series_from_sums(sums, need)
-    return lf.rational_recognition(L, pt.normalized_volume(run.config), run.config.n)
+    return lf.rational_recognition(L, pt.normalized_volume(run.nd), run.config.n)
 
 
 def test_criterion_4_degree_law():
@@ -156,7 +157,7 @@ def test_criterion_4_degree_law():
     mpk = mprime("kloosterman_p5")
     reck = _recognized(runk)
     assert isinstance(reck, lf.LPolynomial)
-    assert reck.degree() == 2 == pt.normalized_volume(runk.config)
+    assert reck.degree() == 2 == pt.normalized_volume(runk.nd)
     assert all(p >= mpk for p in reck.precs)
     # segment: L = 1 - T exactly mod p^M'
     runs = run_for("segment_p3")
@@ -189,14 +190,14 @@ def test_criterion_6_valuation_certificates():
             while pk <= m:
                 legendre += m // pk
                 pk *= p
-            sg = padic.sigma_digit_sum(m, p)
+            sg = sigma_digit_sum(m, p)
             assert Fraction(sg, p - 1) == Fraction(m, p - 1) - legendre
             assert sg == sum(int(d) for d in _base_digits(m, p))
     # splitting-coefficient floor for every computed coefficient up to i = 200
     for p in (3, 5, 7):
         params = padic.ring_create(p, 1, 10)
         coeffs = padic.splitting_coefficients(params, p, 200)
-        floors = padic.splitting_floors(p, p, 200)
+        floors = splitting_floors(p, p, 200)
         for i, (c, floor) in enumerate(zip(coeffs, floors)):
             coarse = Fraction((p - 1) * i, p * p)
             assert floor >= coarse
@@ -276,7 +277,7 @@ def test_criterion_10_degenerate_controls():
             t, _ = dwork.trace(dm, m)
             assert t == params.one()
         # rational recognition must refuse the expected degree n! vol
-        vol = pt.normalized_volume(config)
+        vol = pt.normalized_volume(nd)
         sums = [
             lf.sums_oracle_characters(config, field, a0, twist, m, M)
             for m in range(1, vol + 4)

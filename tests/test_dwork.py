@@ -5,6 +5,7 @@ import pytest
 import full_operator
 import per_point
 import series_box
+from fraction_lattice import points
 from dworksum import dwork, finitefield as ff, padic
 from dworksum.errors import NotTeichmueller, TwistOutsideCone
 from dworksum.polytope import ExponentConfig, enumerate_points, newton_data
@@ -113,11 +114,11 @@ def test_level_diagonal_sum_checks_and_budget():
 def test_matrix_entries_and_sparsity():
     params, F, config, nd, twist, a_res, a_lifts = setup(3, 5, [[1]], [1], [0])
     dm = dwork.build_operator(config, nd, a_lifts, twist)
-    basis = dm.basis
-    assert basis.points[0] == (0,)
+    basis = points(dm.basis)
+    assert basis[0] == (0,)
     series = dwork.h_series(a_lifts, twist, 1, nd)
-    for wi, w in enumerate(basis.points[:6]):
-        for ui, u in enumerate(basis.points[:6]):
+    for wi, w in enumerate(basis[:6]):
+        for ui, u in enumerate(basis[:6]):
             e = (3 * w[0] - u[0],)
             want = series_box.coeff(series, e)
             assert params.from_coords(dm.coords[wi, ui]) == want
@@ -473,8 +474,9 @@ def test_h_series_matches_brute_force_sweep(monkeypatch):
             basis = enumerate_points(nd, 3, offset=twist.gamma)
             full = full_operator.full_coords(series, basis)
             zero = params.zero().coords
-            for wi, w in enumerate(basis.points):
-                for ui, u in enumerate(basis.points):
+            pts = points(basis)
+            for wi, w in enumerate(pts):
+                for ui, u in enumerate(pts):
                     e = tuple(Q * a - b for a, b in zip(w, u))
                     assert tuple(full[wi, ui].tolist()) == want.get(e, zero)
             dm = dwork.DworkMatrix(series, basis, twist)

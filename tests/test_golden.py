@@ -62,6 +62,13 @@ kl_f2 (a = 1, 1 over F_9), and the ``trace`` digests of I3_p7_M5 and kl_f2
 were taken while the operator matrix, its traces and its characteristic
 series still ran on the whole basis, before they were restricted to the
 block of basis points that the Hodge bound leaves alive mod p^M.
+
+The toric digests of cells3 (n = 3, volume 91, simplex determinants up to
+40) and cells4 (n = 4, volume 258, determinants up to 96) pin large
+fundamental cells.  They were taken while the toric geometry still ran a
+Gauss-Jordan elimination beside the column Hermite reduction and searched
+the cone's facets over (n - 1)-subsets of generators, before column Hermite
+became the only elimination and the cone read its facets off the hull.
 """
 
 import hashlib
@@ -81,6 +88,9 @@ INLINE = {
     "triangle": [[1, 0, -1], [0, 1, -1]],
     "cube_corner": [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
     "mixed3": [[2, 0, 1, 1], [0, 2, 1, -1], [1, 1, 2, 0]],
+    "cells3": [[0, 2, -3, 0, -3], [-1, 2, 3, 1, 1], [1, 0, 2, -2, -2]],
+    "cells4": [[-1, 3, -3, 2, 0], [3, 0, 1, -1, 1], [0, 3, 1, 0, -3],
+               [0, 3, -1, -2, -1]],
 }
 
 KL_P3F2 = {"p": 3, "f": 2, "A": [[1, -1]], "gamma_k": [0],
@@ -156,6 +166,14 @@ GOLDEN = [
      "9b7684f4b04af8258308e6b2d336434b6ed0589d37519237e4bdf4e91e5a5138"),
     ("gkz", "mixed3",
      "ea2c476ea89f08fd050001daae8237567774258ac5803606f88bd12835eb5b51"),
+    ("polytope", "cells3",
+     "5967ec2f502cb7b0549a27ee71d91e27cee8e3a269f1b04a09e3114cf1a0191e"),
+    ("polytope", "cells4",
+     "5a9c71444358395ee87ef7ffdebde812f1dc52fbdb08dceaf38d399c001c5efb"),
+    ("gkz", "cells3",
+     "dd84856d530a615e9c92493a39a1ab944c71e5724d1594a31a4c587123b53345"),
+    ("gkz", "cells4",
+     "a2c14028a4f2ad62beab71420c4dd9f38182f4a84e8a7002f2562938add0b692"),
     ("check", "jobs/kloosterman_p5.json",
      "6a0b47f0701782ef7f027586849485eceaa57b26e960cbf9f11b36a48c3e4c15"),
     ("check", "jobs/segment_p3.json",

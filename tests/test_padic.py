@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import per_point
+from splitting_floor import sigma_digit_sum, splitting_floors
 from dworksum import finitefield as ff
 from dworksum import padic
 from dworksum.errors import (
@@ -216,9 +217,9 @@ def test_character_orthogonality():
 
 def test_sigma_examples():
     for p in (3, 5, 7):
-        assert padic.sigma_digit_sum(1, p) == 1
-        assert padic.sigma_digit_sum(p, p) == 1
-    assert padic.sigma_digit_sum(5, 3) == 3
+        assert sigma_digit_sum(1, p) == 1
+        assert sigma_digit_sum(p, p) == 1
+    assert sigma_digit_sum(5, 3) == 3
 
 
 def test_sigma_against_legendre():
@@ -230,7 +231,7 @@ def test_sigma_against_legendre():
             while pk <= m:
                 legendre += m // pk
                 pk *= p
-            got = Fraction(padic.sigma_digit_sum(m, p), p - 1)
+            got = Fraction(sigma_digit_sum(m, p), p - 1)
             assert got == Fraction(m, p - 1) - legendre
 
 
@@ -242,9 +243,9 @@ def test_sigma_linear_bound():
         cutoff = 1
         while (p - 1) * (len(bin(cutoff)) + 1) > eps * cutoff:
             cutoff *= p
-        delta = max(padic.sigma_digit_sum(m, p) for m in range(1, cutoff + 1))
+        delta = max(sigma_digit_sum(m, p) for m in range(1, cutoff + 1))
         for m in range(1, 10**4 + 1):
-            assert padic.sigma_digit_sum(m, p) <= eps * m + delta
+            assert sigma_digit_sum(m, p) <= eps * m + delta
 
 
 # ----------------------------------------------------------------------
@@ -278,13 +279,13 @@ def reference_splitting(params, Q, i_max):
 def test_splitting_first_coefficients():
     params = padic.ring_create(3, 1, 4)
     coeffs = padic.splitting_coefficients(params, 3, 40)
-    floors = padic.splitting_floors(3, 3, 40)
+    floors = splitting_floors(3, 3, 40)
     assert params.from_coords(coeffs[0]) == params.one()
     assert params.from_coords(coeffs[1]) == params.pi()
     # below Q the series agrees with exp(pi z): c_i = pi^i / i!
     for i in range(3):
         assert params.from_coords(coeffs[i]) == pi_power_over_factorial(params, i)
-        assert floors[i] == Fraction(padic.sigma_digit_sum(i, 3), 2) if i else True
+        assert floors[i] == Fraction(sigma_digit_sum(i, 3), 2) if i else True
 
 
 def test_splitting_coefficients_match_reference_sweep():
@@ -316,7 +317,7 @@ def test_splitting_floor_certificates():
         params = padic.ring_create(p, 1, M)
         i_max = -((-M * p * Q) // (p - 1)) + 1
         coeffs = padic.splitting_coefficients(params, Q, i_max)
-        floors = padic.splitting_floors(p, Q, i_max)
+        floors = splitting_floors(p, Q, i_max)
         for i, (c, floor) in enumerate(zip(coeffs, floors)):
             coarse = Fraction((p - 1) * i, p * Q)
             assert floor >= coarse

@@ -9,6 +9,7 @@ from dworksum import gkz
 from dworksum import lfunction as lf
 from dworksum import polytope as pt
 from dworksum.errors import RankDeficient
+from fraction_lattice import points, weights
 from integer_span import solve_integer
 from simplicial_cone import cone_coordinates
 
@@ -21,6 +22,11 @@ def cfg(A):
     return pt.ExponentConfig(A)
 
 
+def functionals(nd):
+    """The facet functionals l_F avoiding the origin, as Fractions."""
+    return [tuple(Fraction(x, nd.denom) for x in L) for L in nd.facet_rows]
+
+
 def test_rank_validation():
     with pytest.raises(RankDeficient):
         pt.ExponentConfig([[1, 2], [2, 4]])
@@ -30,7 +36,7 @@ def test_rank_validation():
 
 def test_newton_data_segment():
     nd = pt.newton_data(cfg(A_SEGMENT))
-    assert nd.functionals == [(Fraction(1),)]
+    assert functionals(nd) == [(Fraction(1),)]
     assert nd.denom == 1
     assert nd.cone_facets == [(1,)]
     assert nd.weight((3,)) == 3
@@ -40,7 +46,7 @@ def test_newton_data_segment():
 
 def test_newton_data_kloosterman():
     nd = pt.newton_data(cfg(A_KLOOSTERMAN))
-    assert sorted(nd.functionals) == [(Fraction(-1),), (Fraction(1),)]
+    assert sorted(functionals(nd)) == [(Fraction(-1),), (Fraction(1),)]
     assert nd.denom == 1
     assert nd.cone_facets == []  # the cone is the whole line
     assert nd.weight((5,)) == 5
@@ -49,7 +55,7 @@ def test_newton_data_kloosterman():
 
 def test_newton_data_square():
     nd = pt.newton_data(cfg(A_SQUARE))
-    assert sorted(nd.functionals) == [
+    assert sorted(functionals(nd)) == [
         (Fraction(0), Fraction(1)),
         (Fraction(1), Fraction(0)),
     ]
@@ -69,7 +75,7 @@ def test_column_weights_at_most_one():
             d = nd.weight(w)
             assert d is not pt.OUTSIDE_CONE and d <= 1
             on_facet = any(sum(l[i] * w[i] for i in range(config.n)) == 1
-                           for l in nd.functionals)
+                           for l in functionals(nd))
             assert (d == 1) == on_facet
 
 
@@ -77,14 +83,14 @@ def test_weight_homogeneous_subadditive_and_denominator():
     for A in (A_SEGMENT, A_KLOOSTERMAN, A_SQUARE, [[2, 3]], [[1, 1], [0, 2]]):
         nd = pt.newton_data(cfg(A))
         pts = pt.enumerate_points(nd, 5)
-        for w in pts:
+        for w in points(pts):
             d = nd.weight(w)
             assert (d * nd.denom).denominator == 1
             for a in range(4):
                 aw = tuple(a * x for x in w)
                 assert nd.weight(aw) == a * d
-        for w1 in pts.points[:15]:
-            for w2 in pts.points[:15]:
+        for w1 in points(pts)[:15]:
+            for w2 in points(pts)[:15]:
                 ws = tuple(a + b for a, b in zip(w1, w2))
                 assert nd.weight(ws) <= nd.weight(w1) + nd.weight(w2)
 
@@ -143,7 +149,7 @@ def test_weight_against_lp_definition():
         config = cfg(A)
         nd = pt.newton_data(config)
         verts = [tuple([0] * config.n)] + config.columns
-        for w in pt.enumerate_points(nd, 3):
+        for w in points(pt.enumerate_points(nd, 3)):
             d = nd.weight(w)
             assert in_dilate(w, verts, d)
             if d > 0:
@@ -153,11 +159,13 @@ def test_weight_against_lp_definition():
 
 def test_enumerate_examples():
     nd1 = pt.newton_data(cfg(A_SEGMENT))
-    assert list(pt.enumerate_points(nd1, 3)) == [(0,), (1,), (2,), (3,)]
+    assert points(pt.enumerate_points(nd1, 3)) == [(0,), (1,), (2,), (3,)]
     nd2 = pt.newton_data(cfg(A_KLOOSTERMAN))
-    assert sorted(pt.enumerate_points(nd2, 2)) == [(-2,), (-1,), (0,), (1,), (2,)]
+    pts2 = points(pt.enumerate_points(nd2, 2))
+    assert sorted(pts2) == [(-2,), (-1,), (0,), (1,), (2,)]
     nd3 = pt.newton_data(cfg(A_SQUARE))
-    assert sorted(pt.enumerate_points(nd3, 1)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    pts3 = points(pt.enumerate_points(nd3, 1))
+    assert sorted(pts3) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_enumerate_ordering_and_monotone():
@@ -168,8 +176,8 @@ def test_enumerate_ordering_and_monotone():
             pts = pt.enumerate_points(nd, D)
             assert len(pts) > prev
             prev = len(pts)
-            assert pts.weights == sorted(pts.weights)
-            assert len(set(pts.points)) == len(pts)
+            assert weights(pts) == sorted(weights(pts))
+            assert len(set(points(pts))) == len(pts)
     ndk = pt.newton_data(cfg(A_KLOOSTERMAN))
     for D in range(6):
         assert len(pt.enumerate_points(ndk, D)) == 2 * D + 1
@@ -236,17 +244,17 @@ def ehrhart_volume(config):
 )
 def test_normalized_volume(A, vol):
     config = cfg(A)
-    assert pt.normalized_volume(config) == vol
+    assert pt.normalized_volume(pt.newton_data(config)) == vol
     assert ehrhart_volume(config) == vol
 
 
 def test_simplicial_decomposition_basics():
-    d1 = pt.simplicial_decomposition(cfg(A_SEGMENT))
+    d1 = pt.simplicial_decomposition(pt.newton_data(cfg(A_SEGMENT)))
     assert len(d1.simplices) == 1 and d1.simplices[0].cell_points == [(0,)]
-    d2 = pt.simplicial_decomposition(cfg(A_KLOOSTERMAN))
+    d2 = pt.simplicial_decomposition(pt.newton_data(cfg(A_KLOOSTERMAN)))
     assert len(d2.simplices) == 2
     assert all(s.cell_points == [(0,)] for s in d2.simplices)
-    d3 = pt.simplicial_decomposition(cfg(A_SQUARE))
+    d3 = pt.simplicial_decomposition(pt.newton_data(cfg(A_SQUARE)))
     assert sorted(tuple(sorted(s.vertices)) for s in d3.simplices) == [
         ((0, 1), (1, 1)),
         ((1, 0), (1, 1)),
@@ -257,12 +265,12 @@ def test_simplicial_decomposition_basics():
 def test_decomposition_cell_size_cover_and_weight_additivity():
     for A in (A_SEGMENT, A_KLOOSTERMAN, A_SQUARE, [[1, 2]], [[1, 1], [0, 2]]):
         config = cfg(A)
-        dec = pt.simplicial_decomposition(config)
-        nd = dec.newton
-        assert sum(s.det for s in dec.simplices) == pt.normalized_volume(config)
+        nd = pt.newton_data(config)
+        dec = pt.simplicial_decomposition(nd)
+        assert sum(s.det for s in dec.simplices) == pt.normalized_volume(nd)
         for s in dec.simplices:
             assert len(s.cell_points) == s.det
-        for w in pt.enumerate_points(nd, 4):
+        for w in points(pt.enumerate_points(nd, 4)):
             assert any(cone_coordinates(s, w) is not None for s in dec.simplices)
         # weight is additive inside each simplicial cone
         for s in dec.simplices:
@@ -270,18 +278,19 @@ def test_decomposition_cell_size_cover_and_weight_additivity():
                 du = nd.weight(u)
                 for v in [(1,) * config.n, (2, 1)[: config.n]]:
                     shifted = tuple(
-                        u[i] + sum(v[j] * s.generators[j][i] for j in range(config.n))
+                        u[i] + sum(v[j] * s.vertices[j][i] for j in range(config.n))
                         for i in range(config.n)
                     )
-                    dg = sum(v[j] * nd.weight(s.generators[j]) for j in range(config.n))
+                    dg = sum(v[j] * nd.weight(s.vertices[j]) for j in range(config.n))
                     assert nd.weight(shifted) == du + dg
 
 
 def test_unique_cell_plus_monoid_decomposition():
     # inside one simplicial cone every lattice point is cell point + generator sum
     config = cfg(A_SQUARE)
-    dec = pt.simplicial_decomposition(config)
-    for w in pt.enumerate_points(dec.newton, 5):
+    nd = pt.newton_data(config)
+    dec = pt.simplicial_decomposition(nd)
+    for w in points(pt.enumerate_points(nd, 5)):
         hits = 0
         for s in dec.simplices:
             c = cone_coordinates(s, w)
@@ -290,7 +299,7 @@ def test_unique_cell_plus_monoid_decomposition():
             frac = tuple(ci - int(ci) for ci in c)
             b = tuple(
                 w[i]
-                - sum(int(c[j]) * s.generators[j][i] for j in range(config.n))
+                - sum(int(c[j]) * s.vertices[j][i] for j in range(config.n))
                 for i in range(config.n)
             )
             assert b in s.cell_points
