@@ -28,6 +28,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 from . import dwork, finitefield as ff, gkz, lfunction as lf, padic, polytope as pt
 from .errors import (
@@ -144,7 +145,8 @@ class JobConfig:
         self.twist = dwork.TwistData(self.config, self.gamma_k, self.q)
         if not dwork.twist_validate(self.twist, self.nd):
             raise ValidationError("gamma_k: twist lies outside the cone")
-        self.volume = pt.normalized_volume(self.nd)
+        self.decomposition = pt.simplicial_decomposition(self.nd)
+        self.volume = sum(s.det for s in self.decomposition.simplices)
         if self.m_max_raw is None:
             self.m_max = max(2, self.volume + 1)
         else:
@@ -153,10 +155,14 @@ class JobConfig:
             raise ValidationError("precision.m_max: must be >= 1")
 
         self.params = padic.ring_create(self.p, self.f, self.M)
-        # Teichmueller lifts of residues are fixed by x -> x^q by construction
-        self.a_lifts = [
-            padic.teichmueller(r, self.params) for r in self.a_residues
-        ]
+
+    @cached_property
+    def a_lifts(self) -> list:
+        """Teichmueller lifts of the coefficients, fixed by x -> x^q by
+        construction.  Lifting multiplies in R, so R's multiplication table
+        is built, or refused, on first use; the commands that never multiply
+        in R never build it."""
+        return [padic.teichmueller(r, self.params) for r in self.a_residues]
 
     def torus_points(self, m: int) -> int:
         """(q^m - 1)^n, the size of the torus over F_{q^m}."""
@@ -235,7 +241,7 @@ def cmd_polytope(job: JobConfig) -> dict:
         "simplices": [
             {"vertices": [list(v) for v in s.vertices], "det": s.det,
              "cell_points": [list(b) for b in s.cell_points]}
-            for s in pt.simplicial_decomposition(nd).simplices
+            for s in job.decomposition.simplices
         ],
     }
 
@@ -333,9 +339,7 @@ def cmd_charpoly(job: JobConfig) -> dict:
 
 
 def cmd_nondegeneracy(job: JobConfig) -> dict:
-    verdict = lf.nondegeneracy_check(
-        job.config, job.field, job.a_residues, job.s_max
-    )
+    verdict = lf.nondegeneracy_check(job.nd, job.field, job.a_residues, job.s_max)
     if isinstance(verdict, lf.NondegenerateUpTo):
         return {"verdict": "NondegenerateUpTo", "s_max": verdict.s_max}
     return {
@@ -482,9 +486,7 @@ def cmd_check(job: JobConfig) -> dict:
     record("l_identity", l_agree)
 
     # degree law: recognized iff the bounded certificate says nondegenerate
-    verdict = lf.nondegeneracy_check(
-        job.config, job.field, job.a_residues, job.s_max
-    )
+    verdict = lf.nondegeneracy_check(job.nd, job.field, job.a_residues, job.s_max)
     nondeg = isinstance(verdict, lf.NondegenerateUpTo)
     rec, _ = _recognize(job, L)
     recognized = isinstance(rec, lf.LPolynomial)

@@ -141,15 +141,13 @@ _FOLD_BLOCK = 1 << 13
 
 def _term_blocks(params: RingParams, terms: np.ndarray):
     """Blocks (idx, mats) over the nonzero rows of terms, with
-    mats[t] = reg_rep(terms[idx[t]]).T, so that x @ mats[t] is the
-    coordinate rows of x times terms[idx[t]].  One einsum against the
-    multiplication tensor per block of rows."""
+    mats[t] = params.rep(terms[idx[t]]), so that x @ mats[t] is the
+    coordinate rows of x times terms[idx[t]].  One rep per block of rows."""
     nonzero = np.flatnonzero(terms.any(axis=1))
     rows = max(1, _TERM_BLOCK // params.blow**2)
     for start in range(0, len(nonzero), rows):
         idx = nonzero[start:start + rows]
-        mats = np.einsum("ia,abg->ibg", terms[idx], params.mult_tensor())
-        yield idx, mats % params.pM
+        yield idx, params.rep(terms[idx])
 
 
 def precision_cut(params: RingParams, Q: int) -> int:
@@ -188,16 +186,17 @@ def _require_table(params: RingParams, m: int, dims) -> None:
 
 def _column_terms(params: RingParams, base: np.ndarray, a: RamifiedElement, q: int):
     """Rows base[i] times a^i.  a is a Teichmueller unit, so a^i depends only
-    on i mod (q - 1): one product per residue class gives every row."""
+    on i mod (q - 1): one product per residue class gives every row, against
+    the representations of the powers taken a block at a time."""
+    powers = [params.one()]
+    for _ in range(min(q - 1, len(base)) - 1):
+        powers.append(powers[-1] * a)
     terms = np.zeros_like(base)
     residue = np.arange(len(base)) % (q - 1)
-    apow = params.one()
-    for r in range(min(q - 1, len(base))):
-        cls = residue == r
-        terms[cls] = padic.matmul_mod(
-            base[cls], params.reg_rep(apow.coords).T, params.pM
-        )
-        apow = apow * a
+    for idx, mats in _term_blocks(params, np.array([x.coords for x in powers])):
+        for r, mat in zip(idx, mats):
+            cls = residue == r
+            terms[cls] = padic.matmul_mod(base[cls], mat, params.pM)
     return terms
 
 

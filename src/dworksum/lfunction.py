@@ -96,17 +96,20 @@ HYP_LIMIT = 4096
 
 # coordinates above which the character oracle refuses a level: the logs,
 # traces and power rows of F_{q^m} plus the Teichmueller powers, the
-# (blow, blow, blow) multiplication tensor and theta_rep of R(p, f, M);
+# (blow, blow^2) multiplication table and theta_rep of R(p, f, M);
 # p = 19, f = 1, m = 5 (17.3 M coordinates) peaks at 203 MB in 0.9 s on
 # 2 vCPUs
 LEVEL_TABLE_LIMIT = 1 << 25
 
 
-def require_level_budget(p: int, f: int, m: int, n: int) -> None:
+def require_level_budget(p: int, f: int, m: int, n: int, ring: bool = True) -> None:
     """Refuse level m over F_{p^f} before any table is built: above
     LEVEL_LIMIT, with more than TORUS_LIMIT torus points, or with a table of
-    more than LEVEL_TABLE_LIMIT coordinates.  Every count grows with m, so
-    checking the top level of a run checks them all."""
+    more than LEVEL_TABLE_LIMIT coordinates.  The tables are those of
+    F_{q^m}, and with ring also the ring data of R(p, f, M) that the
+    character sums read; the nondegeneracy walk builds only the former.
+    Every count grows with m, so checking the top level of a run checks
+    them all."""
     if m > LEVEL_LIMIT:
         raise LevelTooLarge(f"level {m} exceeds the budget {LEVEL_LIMIT}")
     L = p ** (f * m) - 1
@@ -116,10 +119,12 @@ def require_level_budget(p: int, f: int, m: int, n: int) -> None:
             f"level {m} needs {points} torus points, above the limit "
             f"{TORUS_LIMIT}"
         )
-    blow = (p - 1) * f
-    # the logs, traces and power rows of F_{q^m}; the Teichmueller powers,
-    # the multiplication tensor and theta_rep of R(p, f, M)
-    size = (L + 1) + L * (1 + f * m) + (p**f - 1) * blow + blow**3 + p * blow**2
+    # the logs, traces and power rows of F_{q^m}
+    size = (L + 1) + L * (1 + f * m)
+    if ring:
+        # the Teichmueller powers, the multiplication table and theta_rep
+        blow = (p - 1) * f
+        size += (p**f - 1) * blow + blow**3 + p * blow**2
     if size > LEVEL_TABLE_LIMIT:
         raise BudgetExceeded(
             f"level {m} needs a table of {size} coordinates, above the limit "
@@ -200,9 +205,9 @@ class LevelTable(FieldTable):
     data of R(p, s, M) that every level's character sum is evaluated with.
 
     teich[e] holds the coordinates of teich(g)^e, shape (L, blow);
-    theta_rep, shape (p blow, blow), stacks the transposed regular
-    representations of theta(1)^c for c = 0..p-1, so that a row holding y_c
-    in block c times theta_rep is sum_c theta(1)^c y_c.
+    theta_rep, shape (p blow, blow), stacks ring.rep(theta(1)^c) for
+    c = 0..p-1, so that a row holding y_c in block c times theta_rep is
+    sum_c theta(1)^c y_c.
     """
 
     def __init__(self, field: ff.FqParams, ring: RingParams, gen: tuple):
@@ -210,12 +215,10 @@ class LevelTable(FieldTable):
         self.ring = ring
         tg = padic.teichmueller(gen, ring)
         one = ring.one().coords
-        self.teich = _powers(one, ring.reg_rep(tg.coords).T, self.L, ring.pM)
+        self.teich = _powers(one, ring.rep(tg.coords), self.L, ring.pM)
         th = padic.theta_one(ring)
-        theta = _powers(one, ring.reg_rep(th.coords).T, field.p, ring.pM)
-        self.theta_rep = (
-            np.tensordot(theta, ring.mult_tensor(), axes=(1, 0)) % ring.pM
-        ).reshape(field.p * ring.blow, ring.blow)
+        theta = _powers(one, ring.rep(th.coords), field.p, ring.pM)
+        self.theta_rep = ring.rep(theta).reshape(field.p * ring.blow, ring.blow)
         for arr in (self.teich, self.theta_rep):
             arr.flags.writeable = False
 
@@ -390,12 +393,14 @@ class DegenerateWitness:
         return f"DegenerateWitness(point={self.point}, face={self.face})"
 
 
-def nondegeneracy_check(config, field: ff.FqParams, a_coeffs, s_max: int = 2):
+def nondegeneracy_check(nd: pt.NewtonData, field: ff.FqParams, a_coeffs,
+                        s_max: int = 2):
     """Bounded certificate: for every proper face avoiding the origin check
     that the face-restricted toric derivatives t_i dF/dt_i have no common zero
     on the torus over F_{q^s}, s <= s_max.  A verdict NondegenerateUpTo(s_max)
     is not a proof over the algebraic closure.
 
+    nd: the Newton data of the exponent matrix, whose faces are walked.
     a_coeffs: the N coefficients as coefficient tuples of F_q = field.  Each
     level s reads the table of F_{q^s}: with a_j = g^(x_j) along
     ``_embedding``, the terms of t_i dF/dt_i at the point g^l are
@@ -405,11 +410,12 @@ def nondegeneracy_check(config, field: ff.FqParams, a_coeffs, s_max: int = 2):
     reported is the first in itertools.product order of the coefficient
     vectors: levels from s = 1 up, faces in ``faces_off_origin`` order.
     """
+    config = nd.config
     if len(a_coeffs) != config.N:
         raise ValueError("need one coefficient per column")
     p, f, n = field.p, field.degree, config.n
-    require_level_budget(p, f, s_max, n)
-    faces = pt.newton_data(config).faces_off_origin()
+    require_level_budget(p, f, s_max, n, ring=False)
+    faces = nd.faces_off_origin()
     A = np.array(config.A, dtype=np.int64).reshape(n, config.N)
     coeffs = np.array(a_coeffs, dtype=np.int64)
     small = field_table(p, f)

@@ -13,6 +13,11 @@ Conventions
   min over nonzero coordinates of ( i/(p-1) + ord_p(c_ij) ), because
   {pi^i b^j} is an orthogonal basis of the free (Z/p^M)-module R.
 
+The product has one definition, RingParams' structure tensor (T[a, b, :] =
+coordinates of e_a e_b, built on first use, refused above TABLE_LIMIT):
+element products read its nonzero terms, and arrays of coordinates multiply
+through RingParams.rep, one matmul_mod of coordinate rows against it.
+
 Matrices over R are (n, m, blow) coordinate arrays.  The row-layout block
 encoding at the bottom makes a matrix product the left factor's coordinate
 rows times one integer matrix, so traces and series reduce to modular matmuls.
@@ -21,12 +26,13 @@ rows times one integer matrix, so traces and series reduce to modular matmuls.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import finitefield as ff
-from .errors import ParamsMismatch, PrecisionBudgetExceeded
+from .errors import BudgetExceeded, ParamsMismatch, PrecisionBudgetExceeded
+from .polytope import TABLE_LIMIT
 
 
 # ----------------------------------------------------------------------
@@ -34,8 +40,8 @@ from .errors import ParamsMismatch, PrecisionBudgetExceeded
 # ----------------------------------------------------------------------
 
 class RingParams:
-    """p, unramified degree s, absolute precision M, and the derived tables
-    used by element multiplication and the block encoding."""
+    """p, unramified degree s, absolute precision M, and the structure tensor
+    that defines the product."""
 
     def __init__(self, p: int, s: int, M: int):
         ff.check_odd_prime(p)
@@ -47,27 +53,6 @@ class RingParams:
         self.pM = p**M
         self.g = ff.min_irreducible_poly(p, s)  # ascending, monic, len s+1
         self.blow = (p - 1) * s
-        self._b_red = self._build_b_reduction()
-        self._mult_tensor = None  # built lazily; (blow, blow, blow) int64
-
-    def _build_b_reduction(self):
-        """b^(s+k) as a coefficient row over 1..b^(s-1) mod p^M, k = 0..s-2."""
-        s, pM = self.s, self.pM
-        rows = []
-        # b^s = -(g_0 + ... + g_{s-1} b^{s-1})
-        cur = [(-c) % pM for c in self.g[:s]]
-        rows.append(tuple(cur))
-        for _ in range(s - 2):
-            nxt = [0] * s
-            carry = cur[s - 1]
-            for j in range(s - 1, 0, -1):
-                nxt[j] = cur[j - 1]
-            if carry:
-                for j in range(s):
-                    nxt[j] = (nxt[j] + carry * rows[0][j]) % pM
-            rows.append(tuple(nxt))
-            cur = nxt
-        return rows
 
     # flat coordinate index of pi^i b^j
     def idx(self, i: int, j: int) -> int:
@@ -108,81 +93,59 @@ class RingParams:
     def from_coords(self, flat) -> "RamifiedElement":
         return RamifiedElement(self, tuple(int(c) % self.pM for c in flat))
 
-    # -- multiplication kernel -------------------------------------------
+    # -- the structure tensor --------------------------------------------
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """T[a, b*blow + c] = coordinate c of e_a e_b for the flat basis e_k,
+        residues in [0, p^M): pi^(i1 + i2) folds back by pi^(p-1) = -p, and
+        b^(j1 + j2) is read from the rows b^k mod (g, p^M), k <= 2s - 2.
+        A table of more than TABLE_LIMIT coordinates is refused before it is
+        allocated."""
+        p, s, pM, blow = self.p, self.s, self.pM, self.blow
+        if blow**3 > TABLE_LIMIT:
+            raise BudgetExceeded(
+                f"multiplication table of {self!r} needs {blow**3} coordinates, "
+                f"above the limit {TABLE_LIMIT}"
+            )
+        bpow = np.array([ff.polypowmod((0, 1), k, self.g, pM)
+                         for k in range(2 * s - 1)], dtype=np.int64)
+        i, j = np.divmod(np.arange(blow), s)
+        k = i[:, None] + i[None, :]
+        fold = np.where(k >= p - 1, -p, 1)
+        a, b = np.indices((blow, blow))
+        T = np.zeros((blow, blow, p - 1, s), dtype=np.int64)
+        T[a, b, k % (p - 1)] = fold[..., None] * bpow[j[:, None] + j[None, :]] % pM
+        return T.reshape(blow, blow * blow)
+
+    @cached_property
+    def _terms(self) -> list:
+        """The table's nonzero (b, c, T[a, b, c]), grouped by a."""
+        T = self._table
+        a, col = np.nonzero(T)
+        terms = [[] for _ in range(self.blow)]
+        for row, bc, t in zip(a.tolist(), col.tolist(), T[a, col].tolist()):
+            terms[row].append(divmod(bc, self.blow) + (t,))
+        return terms
 
     def mul_coords(self, x: tuple, y: tuple) -> tuple:
-        """Coordinates of the product; pi^(p-1) -> -p, b-powers reduced mod g."""
-        p, s, pM = self.p, self.s, self.pM
-        rows = p - 1
-        # convolution indexed by (pi-degree, b-degree)
-        conv = [[0] * (2 * s - 1) for _ in range(2 * rows - 1)]
-        for i1 in range(rows):
-            base1 = i1 * s
-            for j1 in range(s):
-                a = x[base1 + j1]
-                if not a:
-                    continue
-                row_i1 = conv
-                for i2 in range(rows):
-                    base2 = i2 * s
-                    tgt = row_i1[i1 + i2]
-                    for j2 in range(s):
-                        bcoef = y[base2 + j2]
-                        if bcoef:
-                            tgt[j1 + j2] += a * bcoef
-        # b-degree reduction
-        if s > 1:
-            for t in range(len(conv)):
-                row = conv[t]
-                for k in range(2 * s - 2, s - 1, -1):
-                    c = row[k]
-                    if c:
-                        red = self._b_red[k - s]
-                        for j in range(s):
-                            row[j] += c * red[j]
-                        row[k] = 0
-        # pi-degree reduction: pi^(rows + r) = -p * pi^r, r <= rows - 2
+        """Coordinates of the product x y, read off the table's nonzero terms."""
         out = [0] * self.blow
-        for t in range(rows):
-            row = conv[t]
-            for j in range(s):
-                out[t * s + j] = row[j]
-        for t in range(rows, 2 * rows - 1):
-            row = conv[t]
-            r = t - rows
-            for j in range(s):
-                if row[j]:
-                    out[r * s + j] -= p * row[j]
-        return tuple(c % pM for c in out)
+        for xa, row in zip(x, self._terms):
+            if xa:
+                for b, c, t in row:
+                    yb = y[b]
+                    if yb:
+                        out[c] += xa * yb * t
+        return tuple(v % self.pM for v in out)
 
-    # -- block encoding tables --------------------------------------------
-
-    def mult_tensor(self) -> np.ndarray:
-        """T[a, b, :] = coordinates of e_a * e_b for the flat basis e_k, stored
-        as small *signed* representatives so int64 contractions against
-        residues in [0, p^M) cannot overflow."""
-        if self._mult_tensor is None:
-            blow = self.blow
-            T = np.zeros((blow, blow, blow), dtype=np.int64)
-            for a in range(blow):
-                ea = tuple(1 if k == a else 0 for k in range(blow))
-                for b in range(blow):
-                    eb = tuple(1 if k == b else 0 for k in range(blow))
-                    T[a, b, :] = self.mul_coords(ea, eb)
-            half = self.pM // 2
-            T = np.where(T > half, T - self.pM, T)
-            # structure constants are products of modulus coefficients and p,
-            # far below p^M; the signed form keeps contractions in int64 range
-            if int(np.abs(T).max()) * (self.pM - 1) * blow >= 2**62:
-                raise OverflowError("structure constants too large for int64")
-            self._mult_tensor = T
-        return self._mult_tensor
-
-    def reg_rep(self, coords) -> np.ndarray:
-        """Matrix of multiplication-by-x on the flat basis; column 0 is x itself."""
-        T = self.mult_tensor()
+    def rep(self, coords) -> np.ndarray:
+        """Regular representations of a (..., blow) array of residues, shape
+        (..., blow, blow): y @ rep(x) is the coordinate row of y x.  One
+        matmul_mod of the coordinate rows against the table."""
         x = np.asarray(coords, dtype=np.int64)
-        return np.tensordot(x, T, axes=(0, 0)).T % self.pM
+        out = matmul_mod(x.reshape(-1, self.blow), self._table, self.pM)
+        return out.reshape(*x.shape, self.blow)
 
 
 @lru_cache(maxsize=None)
@@ -469,7 +432,8 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, mod: int) -> np.ndarray:
         bound = k * (mod - 1) ** 2
         if bound < 2**53:
             C = A.astype(np.float64) @ B.astype(np.float64)
-            out = np.rint(C).astype(np.int64) % mod
+            out = np.rint(C, out=C).astype(np.int64)
+            out %= mod
         elif bound < 2**62:
             out = (A @ B) % mod
         else:
@@ -488,11 +452,10 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, mod: int) -> np.ndarray:
 
 def encode_ring_matrix(params: RingParams, coords: np.ndarray) -> np.ndarray:
     """coords (n, m, blow) -> row-layout integer matrix (n*blow, m*blow), block
-    (u, v) = reg_rep(coords[u, v]).T: X.reshape(k, n*blow) @ it is X coords."""
-    T = params.mult_tensor()
-    n, m = coords.shape[0], coords.shape[1]
-    blk = np.einsum("uva,abg->ubvg", coords, T)
-    return (blk.reshape(n * params.blow, m * params.blow)) % params.pM
+    (u, v) = rep(coords[u, v]): X.reshape(k, n*blow) @ it is X coords."""
+    n, m, blow = coords.shape
+    blk = params.rep(coords).transpose(0, 2, 1, 3)
+    return blk.reshape(n * blow, m * blow)
 
 
 def diagonal_product_sum(params: RingParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -505,8 +468,9 @@ def diagonal_product_sum(params: RingParams, A: np.ndarray, B: np.ndarray) -> np
     for h in range(0, len(A), blow):
         X, Y = A[h:h + blow], B[:, h:h + blow].transpose(1, 0, 2)
         S = (S + matmul_mod(X.reshape(-1, blow).T, Y.reshape(-1, blow), pM)) % pM
-    # sum of S[a, b] e_a e_b with blow signed terms per sum, as in reg_rep
-    return (np.einsum("ab,abg->ag", S, params.mult_tensor()) % pM).sum(axis=0) % pM
+    # sum of S[a, b] e_a e_b: row a of rep(S[a]) is e_a sum_b S[a, b] e_b
+    d = np.arange(blow)
+    return params.rep(S)[d, d].sum(axis=0) % pM
 
 
 # ----------------------------------------------------------------------

@@ -531,3 +531,78 @@ def test_sums_refuses_oversized_level_table(tmp_path, capsys):
     )
     assert cli.main(["sums", "--job", str(job)]) == 4
     assert "level 1 needs a table of" in capsys.readouterr().err
+
+
+def _counting(monkeypatch, cls):
+    """Count the constructions of cls while the test runs."""
+    calls = []
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
+def test_check_builds_the_newton_data_once(monkeypatch):
+    # the job's NewtonData serves the operator, the folds and the
+    # nondegeneracy walk alike
+    from dworksum import polytope as pt
+
+    calls = _counting(monkeypatch, pt.NewtonData)
+    assert cli.run("check", KLOOSTERMAN)["result"]["all_pass"]
+    assert len(calls) == 1
+
+
+def test_polytope_builds_the_decomposition_once(monkeypatch):
+    # the volume and the reported simplices come from one decomposition
+    from dworksum import polytope as pt
+
+    calls = _counting(monkeypatch, pt.SimplicialDecomposition)
+    result = cli.run("polytope", KLOOSTERMAN)["result"]
+    assert result["volume"] == 2 and len(result["simplices"]) == 2
+    assert len(calls) == 1
+
+
+SEGMENT_P257 = {"p": 257, "A": [[1]], "gamma_k": [0], "a": [1],
+                "precision": {"M": 4, "m_max": 1, "s_max": 2}}
+
+
+def test_nondegeneracy_budgets_only_the_field_tables(tmp_path, capsys):
+    # x over F_257 at s <= 2: the walk builds the tables of F_257 and F_257^2
+    # alone, far below the limit; the character sums would also build the
+    # ring data of R(257, 1, 4), whose multiplication table alone has 256^3
+    # coordinates, and check's recognition level 4 has 257^4 - 1 torus points
+    result = cli.run("nondegeneracy", SEGMENT_P257)["result"]
+    assert result == {"verdict": "NondegenerateUpTo", "s_max": 2}
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(SEGMENT_P257))
+    for command, message in [
+        ("sums", "level 1 needs a table of"),
+        ("hyp", "level 1 needs a table of"),
+        ("check", f"level 4 needs {(257**4 - 1)} torus points"),
+    ]:
+        assert cli.main([command, "--job", str(job)]) == 4, command
+        assert message in capsys.readouterr().err, command
+
+
+def test_oversized_multiplication_table_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    # x over F_1021: R(1021, 1, 2) would need a multiplication table of
+    # 1020^3 coordinates, so the operator commands refuse it before the
+    # splitting series; the toric commands never multiply in R
+    from dworksum import padic
+
+    monkeypatch.setattr(padic, "splitting_coefficients", _never)
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"p": 1021, "A": [[1]], "gamma_k": [0], "a": [1],
+                               "precision": {"M": 2, "m_max": 1}}))
+    for command in ("trace", "charpoly"):
+        assert cli.main([command, "--job", str(job)]) == 4, command
+        err = capsys.readouterr().err
+        assert "multiplication table" in err and str(1020**3) in err, command
+    for command in ("polytope", "gkz"):
+        assert cli.main([command, "--job", str(job)]) == 0, command

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import per_point
+import ring_reference
 import series_box
 from dworksum import dwork, finitefield as ff, lfunction as lf, padic
 from dworksum.cli import JobConfig
@@ -330,7 +331,7 @@ def test_nondegeneracy_matches_per_point_reference(monkeypatch):
         want = per_point.nondegeneracy_check(config, F, a, s_max)
         for block in (lf._BLOCK, 7):
             monkeypatch.setattr(lf, "_BLOCK", block)
-            got = lf.nondegeneracy_check(config, F, a, s_max)
+            got = lf.nondegeneracy_check(newton_data(config), F, a, s_max)
             assert repr(got) == repr(want), (config, a, block)
         monkeypatch.undo()
         if isinstance(want, lf.DegenerateWitness):
@@ -365,7 +366,7 @@ def test_level_table_contents():
         for c in range(p):
             block = tab.theta_rep[c * blow:(c + 1) * blow]
             assert tab.ring.from_coords(block[0]) == th**c
-            assert (block == tab.ring.reg_rep((th**c).coords).T).all()
+            assert (block == ring_reference.rep(tab.ring, (th**c).coords)).all()
 
 
 def test_non_generator_makes_the_oracle_raise(monkeypatch):

@@ -1,0 +1,58 @@
+"""R's product, read from padic's structure tensor, against the convolution
+of ``ring_reference``: element products, regular representations, the
+row-layout block encoding and the diagonal product sum agree exactly on a
+seeded sweep over (p, s, M) with p^M < 2^34."""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import ring_reference as ref
+from dworksum import padic
+
+SWEEP = dict(deadline=None, derandomize=True, database=None,
+             suppress_health_check=[HealthCheck.too_slow])
+
+RINGS = [(p, s) for p in (3, 5, 7, 11, 13) for s in (1, 2, 3, 4)] + [(3, 10)]
+
+
+@st.composite
+def rings(draw):
+    p, s = draw(st.sampled_from(RINGS))
+    top = 1
+    while p ** (top + 1) < 2**34:
+        top += 1
+    return padic.ring_create(p, s, draw(st.integers(1, top)))
+
+
+def residues(rng, params, shape):
+    """Residues mod p^M with about a third of them zero."""
+    x = rng.integers(0, params.pM, size=(*shape, params.blow))
+    return np.where(rng.random(x.shape) < 0.3, 0, x)
+
+
+@settings(max_examples=60, **SWEEP)
+@given(params=rings(), seed=st.integers(0, 2**32 - 1))
+def test_product_matches_reference(params, seed):
+    rng = np.random.default_rng(seed)
+    blow, pM = params.blow, params.pM
+    x, y = (tuple(v.tolist()) for v in residues(rng, params, (2,)))
+    assert params.mul_coords(x, y) == ref.mul(params, x, y)
+    assert (params.rep(x) == ref.rep(params, x)).all()
+
+    n = int(rng.integers(1, 3))
+    A, B = residues(rng, params, (n, n)), residues(rng, params, (n, n))
+    blocks = params.rep(A)
+    encoded = padic.encode_ring_matrix(params, A)
+    for u in range(n):
+        for v in range(n):
+            want = ref.rep(params, tuple(A[u, v].tolist()))
+            assert (blocks[u, v] == want).all()
+            assert (encoded[u * blow:(u + 1) * blow, v * blow:(v + 1) * blow] == want).all()
+
+    total = [0] * blow
+    for h in range(n):
+        for u in range(n):
+            prod = ref.mul(params, tuple(A[h, u].tolist()), tuple(B[u, h].tolist()))
+            total = [(a + b) % pM for a, b in zip(total, prod)]
+    assert padic.diagonal_product_sum(params, A, B).tolist() == total
