@@ -29,6 +29,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import dwork, finitefield as ff, gkz, lfunction as lf, padic, polytope as pt
 from .errors import (
@@ -206,18 +207,17 @@ def frac(x) -> list:
     return [x.numerator, x.denominator]
 
 
+def triples(coords, s: int) -> list:
+    """The nonzero coordinates of a flat row as [i, j, c], the coordinate c
+    of pi^i b^j at index i s + j, in index order."""
+    return [[k // s, k % s, c] for k, c in enumerate(coords) if c]
+
+
 def element_json(x: padic.RamifiedElement, precision=None) -> dict:
-    s = x.params.s
-    triples = []
-    for i in range(x.params.p - 1):
-        for j in range(s):
-            c = x.coords[i * s + j]
-            if c:
-                triples.append([i, j, c])
     prec = Fraction(x.params.M) if precision is None else min(
         Fraction(precision), Fraction(x.params.M)
     )
-    return {"triples": triples, "precision": frac(prec)}
+    return {"triples": triples(x.coords, x.params.s), "precision": frac(prec)}
 
 
 def congruent(x, y, digits) -> bool:
@@ -280,13 +280,18 @@ def cmd_sums(job: JobConfig) -> dict:
 
 
 def cmd_hyp(job: JobConfig) -> dict:
-    table = lf.hyp_table(job.config, job.twist, job.field, job.M)
-    entries = []
-    for key in sorted(table):
-        entries.append(
-            {"x": [list(c) for c in key], "value": element_json(table[key])}
-        )
-    return {"entries": entries}
+    values = lf.hyp_table(job.config, job.twist, job.field, job.M)
+    # every entry carries the full precision M
+    prec = [job.M, 1]
+    s = job.params.s
+    return {
+        "entries": [
+            {"x": [list(c) for c in x],
+             "value": {"triples": triples(row, s), "precision": prec}}
+            for x, row in zip(lf.hyp_points(job.field, job.config.N),
+                              values.tolist())
+        ]
+    }
 
 
 def _operator(job: JobConfig) -> dwork.DworkMatrix:
@@ -534,8 +539,65 @@ def run(command: str, raw_job: dict) -> dict:
     }
 
 
+_INT_ONLY = {int}
+
+
+def _emit(value, nl: str, out: list) -> None:
+    """Append value to out as json.dumps(value, sort_keys=True, indent=2)
+    writes it at the indent that nl ends in.  Only dict with str keys, list,
+    str, int, bool and None are accepted; anything else is a TypeError."""
+    kind = type(value)
+    if kind is int:
+        out.append(int.__repr__(value))
+    elif kind is str:
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, value)) == _INT_ONLY:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value))
+                       + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"report key {key!r} is not a string")
+            out.append(sep + _quote(key) + ": ")
+            _emit(value[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"reports hold no {kind.__name__}: {value!r}")
+
+
 def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as JSON with sorted keys, a two-space indent and ASCII
+    escapes: the bytes of json.dumps(report, sort_keys=True, indent=2) plus
+    a newline.  The emitter exists because json writes an indented document
+    in pure Python; a list of plain ints here is one str.join."""
+    out = []
+    _emit(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def main(argv=None) -> int:
@@ -568,8 +630,12 @@ def main(argv=None) -> int:
 
     text = render_report(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if args.verbose and args.command == "check":

@@ -50,9 +50,10 @@ against the Teichmueller powers and (X, p blow) x (p blow, blow) against
 ``theta_rep`` for the sum over c.  Rows and torus points are taken in
 blocks, so memory is bounded whatever q^N and (q^m - 1)^n are.
 ``sums_oracle_characters`` runs it on one row at any level, ``hyp_table`` on
-all q^N rows of level 1.  ``nondegeneracy_check`` walks the torus of
-F_{q^s}, s <= s_max, on the same tables and in the same blocks, reading
-the F_p rows of each term of the toric derivatives from ``powers``.
+all q^N rows of level 1 and returns the coordinate rows as they are.
+``nondegeneracy_check`` walks the torus of F_{q^s}, s <= s_max, on the same
+tables and in the same blocks, reading the F_p rows of each term of the
+toric derivatives from ``powers``.
 
 L-series come either from exp(sum S_m T^m / m) -- with the valuation of
 every division recorded as a per-coefficient precision loss -- or, exactly,
@@ -345,15 +346,25 @@ def sums_oracle_characters(
     return tab.ring.from_coords(value), Fraction(M)
 
 
+def hyp_points(field: ff.FqParams, N: int) -> list:
+    """Every coefficient point x in F_q^N as a tuple of N coefficient tuples,
+    in itertools.product order over sorted ranges, which is sorted order."""
+    return list(
+        itertools.product(itertools.product(range(field.p), repeat=field.degree),
+                          repeat=N)
+    )
+
+
 def hyp_table(
     config,
     twist: dwork.TwistData,
     field: ff.FqParams,
     M: int,
-) -> dict:
+) -> np.ndarray:
     """The twisted sum at every rational coefficient point x in F_q^N, all
-    q^N character sums from one batched histogram of level 1, keyed by the
-    tuple of coefficient tuples in itertools.product order."""
+    q^N character sums from one batched histogram of level 1: row i of the
+    (q^N, blow) result holds the coordinates in R(p, f, M), residues in
+    [0, p^M), of the sum at hyp_points(field, N)[i]."""
     if field.q**config.N > HYP_LIMIT:
         raise BudgetExceeded(
             f"q^N = {field.q ** config.N} exceeds the table budget {HYP_LIMIT}"
@@ -362,11 +373,7 @@ def hyp_table(
     assert twist.q == field.q
     require_level_budget(p, f, 1, config.n)
     tab = level_table(p, f, M)
-    keys = list(
-        itertools.product(itertools.product(range(p), repeat=f), repeat=config.N)
-    )
-    values = _character_values(tab, tab, config, keys, twist.k)
-    return {x: tab.ring.from_coords(v) for x, v in zip(keys, values)}
+    return _character_values(tab, tab, config, hyp_points(field, config.N), twist.k)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,6 +101,14 @@ def test_hyp_command():
     assert values[(0,)] == [[0, 0, 2]]
     assert values[(1,)] == [[0, 0, 728]]
     assert values[(2,)] == [[0, 0, 728]]
+
+
+def test_hyp_entries_are_sorted_by_point():
+    raw = json.loads((ROOT / "bench" / "jobs" / "hyp_twist_p5f2.json").read_text())
+    entries = cli.run("hyp", raw)["result"]["entries"]
+    points = [e["x"] for e in entries]
+    assert len(points) == 25 ** len(raw["a"])
+    assert points == sorted(points)
 
 
 def test_charpoly_command():
@@ -284,6 +295,30 @@ def test_one_sums_series_serves_identity_and_recognition(monkeypatch):
         assert len(result["from_sums"]) == len(result["from_charseries"]) == m_max + 1
         assert result["recognition"]["series_order_used"] == 4
     assert orders == [4, 4]
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(FLAGSHIP))
+    out = tmp_path / "no" / "such" / "report.json"
+    assert cli.main(["polytope", "--job", str(job), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "report.json" in captured.err
+    assert captured.out == ""
+    assert not out.parent.exists()
+
+
+def test_python_m_dworksum_prints_the_report():
+    path = ROOT / "jobs" / "kloosterman_p5.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dworksum", "polytope", "--job", str(path)],
+        capture_output=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = cli.render_report(cli.run("polytope", json.loads(path.read_text())))
+    assert proc.stdout == want.encode("ascii")
 
 
 def test_reports_byte_identical(tmp_path):

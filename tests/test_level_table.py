@@ -165,12 +165,24 @@ def hyp_case(rng, p, f, n, N):
     return config, twist, ff.FqParams(p, f), rng.randint(2, 4)
 
 
+def hyp_entries(config, twist, F, M) -> dict:
+    """hyp_table's coordinate rows as ring elements keyed by their
+    coefficient points."""
+    rows = lf.hyp_table(config, twist, F, M)
+    ring = padic.ring_create(F.p, F.degree, M)
+    assert rows.shape == (F.q**config.N, ring.blow)
+    return {
+        x: ring.from_coords(row)
+        for x, row in zip(lf.hyp_points(F, config.N), rows)
+    }
+
+
 def test_hyp_table_matches_per_point_reference():
     # every entry of the batched table against the literal torus sum
     rng = random.Random(20240808)
     for p, f, n, N in HYP_CASES:
         config, twist, F, M = hyp_case(rng, p, f, n, N)
-        table = lf.hyp_table(config, twist, F, M)
+        table = hyp_entries(config, twist, F, M)
         assert len(table) == F.q**N
         for x in itertools.product(per_point.elements(F), repeat=N):
             want = reference_characters(config, F, list(x), twist, 1, M)
@@ -185,7 +197,7 @@ def test_character_values_independent_of_block_size(monkeypatch):
     def values():
         out = []
         for config, twist, F, M in cases:
-            out.append(lf.hyp_table(config, twist, F, M))
+            out.append(lf.hyp_table(config, twist, F, M).tolist())
             a = [per_point.const(F, 1)] * (config.N - 1) + [per_point.const(F, 0)]
             for m in (1, 2):
                 if (F.q**m - 1) ** config.n <= 700:
@@ -203,7 +215,7 @@ def test_hyp_entry_at_the_job_coefficients_is_the_level_one_sum():
     jobs.append(ROOT / "bench" / "jobs" / "hyp_twist_p5f2.json")
     for path in jobs:
         job = JobConfig(json.loads(path.read_text()))
-        table = lf.hyp_table(job.config, job.twist, job.field, job.M)
+        table = hyp_entries(job.config, job.twist, job.field, job.M)
         S, _ = lf.sums_oracle_characters(
             job.config, job.field, job.a_residues, job.twist, 1, job.M
         )
@@ -212,7 +224,7 @@ def test_hyp_entry_at_the_job_coefficients_is_the_level_one_sum():
     for p, f, n, N in HYP_CASES:
         config, twist, F, M = hyp_case(rng, p, f, n, N)
         a = [rng.choice(per_point.elements(F)) for _ in range(N)]
-        table = lf.hyp_table(config, twist, F, M)
+        table = hyp_entries(config, twist, F, M)
         S, _ = lf.sums_oracle_characters(config, F, a, twist, 1, M)
         assert table[tuple(a)] == S
 

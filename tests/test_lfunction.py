@@ -88,13 +88,26 @@ def test_oracle_equivalence_with_field_extension():
 
 def test_hyp_table(monkeypatch):
     params, F, config, nd, twist, a_res = setup(3, 5, [[1]], [1], [0])
-    table = lf.hyp_table(config, twist, F, 5)
+    rows = lf.hyp_table(config, twist, F, 5)
+    table = {
+        x: params.from_coords(row)
+        for x, row in zip(lf.hyp_points(F, config.N), rows)
+    }
     assert table[((0,),)] == params.from_int(2)
     assert table[((1,),)] == params.from_int(-1)
     assert table[((2,),)] == params.from_int(-1)
     monkeypatch.setattr(lf, "HYP_LIMIT", 2)
     with pytest.raises(BudgetExceeded):
         lf.hyp_table(config, twist, F, 5)
+
+
+def test_hyp_points_are_in_sorted_order():
+    # the hyp report lists its entries in this order without sorting them
+    for p, f, N in [(3, 1, 3), (5, 1, 2), (3, 2, 2), (5, 2, 2), (7, 1, 2)]:
+        points = lf.hyp_points(ff.FqParams(p, f), N)
+        assert len(points) == p ** (f * N)
+        assert points == sorted(points)
+        assert len(set(points)) == len(points)
 
 
 # ----------------------------------------------------------------------
