@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -600,6 +601,19 @@ def render_report(report: dict) -> str:
     return "".join(out)
 
 
+def _require_writable(path: str) -> None:
+    """Refuse a report target that cannot be written, before any work and
+    without creating or truncating it: its directory must exist, and the
+    file (or, for a new file, its directory) must be writable."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise OSError(f"cannot write {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise OSError(f"cannot write {path}: permission denied")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dworksum",
@@ -612,6 +626,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.out:
+            _require_writable(args.out)
         with open(args.job) as fh:
             try:
                 raw = json.load(fh)

@@ -17,7 +17,7 @@ Adolphson-Sperber, Annals 130, 1989).  Entry (w, u) of G has ord_p >=
 (p-1)/(p q) d(q(w + gamma) - (u + gamma)) >= (p-1)/(p q) (q d(w + gamma) -
 d(u + gamma)), so the floors telescope around every cycle: a closed walk,
 or a principal minor, through the basis points S has ord_p >=
-c sum_{u in S} d(u + gamma) with c = (p-1)(q-1)/(p q).  Two consequences:
+c sum_{u in S} d(u + gamma) with c = (p-1)(q-1)/(p q).  Three consequences:
 
 * truncation: a discarded basis point u contributes to Tr(G^m) (and to
   any characteristic-series coefficient) terms of valuation at least
@@ -27,7 +27,13 @@ c sum_{u in S} d(u + gamma) with c = (p-1)(q-1)/(p q).  Two consequences:
   walk or minor that is nonzero mod p^M, so the traces and the
   characteristic series read only the points with c d(u + gamma) < M
   (strictly), a prefix of the weight-sorted basis; and det(I - T G) has
-  c_k = 0 mod p^M once c (sum of the k smallest weights) >= M.
+  c_k = 0 mod p^M once c (sum of the k smallest weights) >= M;
+* per-degree prefixes: c_k is (-1)^k times the sum of the k x k principal
+  minors, and a minor through u has ord_p >= c (d(u + gamma) + the k - 1
+  smallest other weights).  So c_k(G) = c_k(G|B_k) mod p^M on the prefix
+  B_k of the points u with c (d(u + gamma) + the k - 1 smallest other
+  weights) < M, which shrinks as k grows (196, 196, 169, 144, 121, 81, 49,
+  25 points for the eight degrees charpoly reads on square_p3).
 
 Ring data here are int64 coordinate arrays, as in padic's matrix kernels.
 One kernel, the torus product, multiplies the splitting series in one
@@ -38,8 +44,11 @@ It runs on two index sets:
   table is H_m exponent by exponent, and returns it as a SeriesBox.  The
   commands build only H_1 this way, and only for the operator matrix,
   which gathers c_{q w - u} for all live basis pairs at once from the box
-  into an (n, n, blow) array that the traces and the characteristic-series
-  kernel read directly, as coordinate rows times its row-layout encoding.
+  by cell index (one integer gather on a zero-padded box) into an
+  (n, n, blow) array that the traces and the characteristic-series kernel
+  read directly, as coordinate rows times its row-layout encoding; the
+  encoding is gathered by the same index from one representation per
+  nonzero cell.
   At m >= 2 the box is the tests' exact reference for the diagonal fold;
 * level_diagonal_sum reads only the diagonal of H_m, the exponents
   = 0 mod q^m - 1, so it takes (Z/(q^m - 1))^n and the splitting series
@@ -119,14 +128,6 @@ class SeriesBox:
         self.lo = lo
         self.dims = dims
         self.coeffs = coeffs
-
-    def at(self, E: np.ndarray) -> np.ndarray:
-        """Coordinates (..., blow) of c_e for every exponent of E (..., n)."""
-        rel = E - self.lo
-        inside = ((rel >= 0) & (rel < self.dims)).all(axis=-1)
-        out = np.zeros((*inside.shape, self.params.blow), dtype=np.int64)
-        out[inside] = self.coeffs[np.ravel_multi_index(rel[inside].T, self.dims)]
-        return out
 
 
 # coordinates of transposed term matrices held at once
@@ -356,6 +357,32 @@ def default_weight_cap(nd: NewtonData, twist: TwistData, params: RingParams) -> 
     return D + int(-((-dg.numerator) // dg.denominator)) + 2
 
 
+def _operator_cells(series: SeriesBox, W: np.ndarray):
+    """(table, cells) with cells[i, j] the row of c_(Q w_i - w_j) in table:
+    the box's nonzero cells, then one zero row for every exponent that
+    misses them.
+
+    The box is padded with zero cells until it holds every Q w_i - w_j, so
+    its row-major index is lin(Q w_i - lo + pad) - lin(w_j) with the padded
+    strides, and a lookup over the padded box turns it into a table row: one
+    integer gather for all pairs."""
+    Q, lo, dims = series.Q, series.lo, series.dims
+    filled = np.flatnonzero(series.coeffs.any(axis=1))
+    table = np.zeros((len(filled) + 1, series.params.blow), dtype=np.int64)
+    table[:-1] = series.coeffs[filled]
+    # Q w - w' - lo over all pairs (0 included, so an empty W needs no case)
+    low = Q * W.min(axis=0, initial=0) - W.max(axis=0, initial=0) - lo
+    high = Q * W.max(axis=0, initial=0) - W.min(axis=0, initial=0) - lo
+    pad = np.maximum(-low, 0)
+    padded = np.maximum(high + 1, dims) + pad
+    strides = np.array([math.prod(padded[k + 1:]) for k in range(len(padded))])
+    lookup = np.full(math.prod(padded), len(filled), dtype=np.int32)
+    at = np.stack(np.unravel_index(filled, dims), axis=1) + pad
+    lookup[at @ strides] = np.arange(len(filled))
+    rows = (Q * W - lo + pad) @ strides
+    return table, lookup[rows[:, None] - (W @ strides)[None, :]]
+
+
 class DworkMatrix:
     """(c_{Q w - u}) on the live block of the weight-sorted basis, with a
     tail certificate (Q = q at level 1).
@@ -376,8 +403,16 @@ class DworkMatrix:
     every trace and characteristic-series coefficient exactly.
     vanishing_degree is the number of degrees k >= 1 with c (sum of the k
     smallest weights) < M; every later coefficient of det(I - T G) is 0 mod
-    p^M, and vanishing_degree <= live.  Both thresholds are exact integer
+    p^M, and vanishing_degree <= live.  block_sizes[k - 1] = |B_k| for
+    k <= vanishing_degree: B_k, the points u with c (d(u + gamma) + the k - 1
+    smallest other weights) < M, is a prefix of the live block, and a k x k
+    minor through a point outside it vanishes mod p^M, so
+    c_k(G) = c_k(G|B_k) mod p^M.  All three thresholds are exact integer
     comparisons in the basis's grading.
+
+    The block is gathered from the series box by cell index (_operator_cells);
+    the table and the index stay, so the row-layout encoding is built from
+    one representation per table row (encoded).
     """
 
     def __init__(self, series: SeriesBox, basis: LatticePointSet, twist: TwistData):
@@ -388,25 +423,36 @@ class DworkMatrix:
         p, M, Q = self.params.p, self.params.M, series.Q
         # c d < M  <=>  (p-1)(Q-1) grade < M p Q denom  <=>  grade <= top
         top = (M * p * Q * basis.denom - 1) // ((p - 1) * (Q - 1))
-        self.live = int(np.searchsorted(basis.grades, top, side="right"))
-        self.vanishing_degree = int(
-            np.searchsorted(np.cumsum(basis.grades), top, side="right")
-        )
-        W = basis.array[:self.live]
-        self.coords = series.at(Q * W[:, None, :] - W[None, :, :])
+        grades = basis.grades
+        self.live = int(np.searchsorted(grades, top, side="right"))
+        smallest = np.cumsum(grades)  # smallest[k - 1]: the k smallest grades
+        self.vanishing_degree = int(np.searchsorted(smallest, top, side="right"))
+        # u is in B_k iff grade(u) <= top - (the k - 1 smallest grades); the
+        # k - 1 smallest *other* grades differ from those only for u among
+        # the first k - 1 points, which are in B_k for k <= vanishing_degree
+        others = np.concatenate(([0], smallest))[:self.vanishing_degree]
+        self.block_sizes = np.searchsorted(grades, top - others, side="right")
+        self._table, self._cells = _operator_cells(series, basis.array[:self.live])
+        self.coords = np.take(self._table, self._cells, axis=0)
         self._encoded = None
         self.cap = basis.cap
         q = twist.q
         self.tail_bound = Fraction((p - 1) * (q - 1), p * q) * self.cap
 
-    def encoded(self) -> np.ndarray:
-        """Row-layout encoding (padic.encode_ring_matrix) of the live block,
-        built once; a trace needs it only between its free first degree and
-        its last, which reads just the closing diagonal
-        (padic.diagonal_product_sum)."""
-        if self._encoded is None:
-            self._encoded = padic.encode_ring_matrix(self.params, self.coords)
-        return self._encoded
+    def encoded(self, size: int | None = None) -> np.ndarray:
+        """Row-layout encoding (padic.encode_ring_matrix) of the first size
+        live points (all of them by default), from one representation per
+        table row.  It is built once and held: a smaller prefix reads the
+        held one, and only a larger one encodes again.  A trace needs it
+        between its free first degree and its last, which reads just the
+        closing diagonal (padic.diagonal_product_sum); char_series from
+        degree 3 on, on B_3."""
+        size = self.live if size is None else size
+        span = size * self.params.blow
+        if self._encoded is None or len(self._encoded) < span:
+            cells = self._cells[:size, :size]
+            self._encoded = padic.encode_ring_matrix(self.params, self._table, cells)
+        return self._encoded[:span, :span]
 
     def power_tail_bound(self, m: int) -> Fraction:
         """Truncation floor for Tr(G^m) through the level-1 matrix: the m
@@ -460,13 +506,15 @@ def trace(dm: DworkMatrix, m: int = 1) -> tuple[RamifiedElement, Fraction]:
 def char_series(dm: DworkMatrix, max_degree: int | None = None):
     """det(I - T G) coefficients through T^max_degree (all dim of them when
     max_degree is None) with their shared certified precision, by the
-    division-free clow dynamic program on the live block up to the
+    division-free clow dynamic program: each c_k on its Hodge prefix B_k
+    (c_k(G) = c_k(G|B_k) mod p^M, DworkMatrix.block_sizes) up to the
     vanishing degree; every later coefficient is an exact zero mod p^M."""
     params = dm.params
     prec = min(Fraction(params.M), dm.tail_bound)
     K = dm.dim if max_degree is None else min(max_degree, dm.dim)
     k = min(K, dm.vanishing_degree)
+    sizes = dm.block_sizes[:k]
     # the encoding the traces may already have built; degrees <= 2 skip it
-    encoded = dm.encoded() if k > 2 else None
-    coeffs = padic.char_series_prefix(params, dm.coords, k, encoded)
+    encoded = dm.encoded(int(sizes[2])) if k > 2 else None
+    coeffs = padic.char_series_prefix(params, dm.coords, k, encoded, sizes)
     return coeffs + [params.zero()] * (K - k), prec

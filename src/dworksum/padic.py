@@ -20,7 +20,8 @@ through RingParams.rep, one matmul_mod of coordinate rows against it.
 
 Matrices over R are (n, m, blow) coordinate arrays.  The row-layout block
 encoding at the bottom makes a matrix product the left factor's coordinate
-rows times one integer matrix, so traces and series reduce to modular matmuls.
+rows times one integer matrix (held in float64 when those products are exact
+there), so traces and series reduce to modular matmuls.
 """
 
 from __future__ import annotations
@@ -411,11 +412,19 @@ def theta_one(params: RingParams) -> RamifiedElement:
 # integer matrix kernels (coordinate rows times the row-layout block encoding)
 # ----------------------------------------------------------------------
 
-def matmul_mod(A: np.ndarray, B: np.ndarray, mod: int) -> np.ndarray:
-    """Exact (A @ B) % mod for int64 arrays with entries in [0, mod).
+def _float_terms(mod: int) -> int:
+    """How many products of residues in [0, mod) a float64 sum adds exactly:
+    every partial sum stays below 2^53."""
+    return (2**53 - 1) // (mod - 1) ** 2
 
-    Picks float64 BLAS when sums stay below 2^53, plain int64 matmul below
-    2^62, and a hi/lo split above that (covers mod up to ~2^34 comfortably).
+
+def matmul_mod(A: np.ndarray, B: np.ndarray, mod: int) -> np.ndarray:
+    """Exact (A @ B) % mod as int64, for arrays of integers in [0, mod)
+    (int64, or float64 holding integers).
+
+    Picks float64 BLAS when the sums stay exact (_float_terms), plain int64
+    matmul below 2^62, and a hi/lo split above that (covers mod up to ~2^34
+    comfortably).  A float64 input goes to BLAS without a copy.
     """
     if A.ndim == 1:
         A = A[None, :]
@@ -428,13 +437,13 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, mod: int) -> np.ndarray:
     k = A.shape[1]
     if k == 0:
         out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    elif k <= _float_terms(mod):
+        C = A.astype(np.float64, copy=False) @ B.astype(np.float64, copy=False)
+        out = np.rint(C, out=C).astype(np.int64)
+        out %= mod
     else:
-        bound = k * (mod - 1) ** 2
-        if bound < 2**53:
-            C = A.astype(np.float64) @ B.astype(np.float64)
-            out = np.rint(C, out=C).astype(np.int64)
-            out %= mod
-        elif bound < 2**62:
+        A, B = A.astype(np.int64, copy=False), B.astype(np.int64, copy=False)
+        if k * (mod - 1) ** 2 < 2**62:
             out = (A @ B) % mod
         else:
             h = (mod.bit_length() + 1) // 2
@@ -450,27 +459,93 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, mod: int) -> np.ndarray:
     return out
 
 
-def encode_ring_matrix(params: RingParams, coords: np.ndarray) -> np.ndarray:
-    """coords (n, m, blow) -> row-layout integer matrix (n*blow, m*blow), block
-    (u, v) = rep(coords[u, v]): X.reshape(k, n*blow) @ it is X coords."""
-    n, m, blow = coords.shape
-    blk = params.rep(coords).transpose(0, 2, 1, 3)
-    return blk.reshape(n * blow, m * blow)
+def encode_ring_matrix(
+    params: RingParams, coords: np.ndarray, cells: np.ndarray | None = None
+) -> np.ndarray:
+    """The row-layout integer matrix (n*blow, m*blow) of a ring matrix, block
+    (u, v) = rep of entry (u, v): X.reshape(k, n*blow) @ it is X times the
+    matrix.  The matrix is coords (n, m, blow); or, given cells (n, m), its
+    entry (u, v) is row cells[u, v] of the table coords (c, blow), so only the
+    c rows of the table are represented and the blocks are gathered.
+
+    The matrix is float64 when a row product against it (n*blow terms) is
+    exact in float64 (_float_terms), the dtype that matmul_mod and the clow
+    passes then read, else int64."""
+    blow = params.blow
+    if cells is None:
+        n, m = coords.shape[:2]
+        cells = np.arange(n * m).reshape(n, m)
+        coords = coords.reshape(-1, blow)
+    n, m = cells.shape
+    dtype = np.float64 if n * blow <= _float_terms(params.pM) else np.int64
+    # reps[a, x] = row a of rep(coords[x]), the row that block row a reads;
+    # np.take gathers rows several times faster than fancy indexing
+    reps = np.ascontiguousarray(params.rep(coords).transpose(1, 0, 2), dtype=dtype)
+    out = np.empty((n, blow, m, blow), dtype=dtype)
+    for a in range(blow):
+        np.take(reps[a], cells, axis=0, out=out[:, a])
+    return out.reshape(n * blow, m * blow)
+
+
+# pairs (h, u) that one chunk of diagonal_product_sum contracts at most,
+# so that the copies it makes stay small
+_PAIR_BLOCK = 1 << 14
 
 
 def diagonal_product_sum(params: RingParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Coordinates of sum over h, u of A[h, u] B[u, h] for (n, n, blow) arrays of
-    residues: the ring trace of A B without the product.  The pairs go blow
-    heads at a time, so no matmul_mod contracts more than the n*blow terms of
-    a row product, and its strategy and overflow guard stay those of one."""
+    residues: the ring trace of A B without the product.  It is one
+    contraction, S = sum over the pairs of the outer products
+    A[h, u] (x) B[u, h], taken a chunk of heads h at a time: as many as keep
+    the float64 sums exact and the chunk within _PAIR_BLOCK pairs, and at
+    least blow, so a chunk that cannot go to float64 contracts no more than
+    the n*blow terms of a row product and keeps that product's strategy and
+    overflow guard."""
+    n = len(A)
     blow, pM = params.blow, params.pM
-    S = np.zeros((blow, blow), dtype=np.int64)  # summed outer products
-    for h in range(0, len(A), blow):
-        X, Y = A[h:h + blow], B[:, h:h + blow].transpose(1, 0, 2)
-        S = (S + matmul_mod(X.reshape(-1, blow).T, Y.reshape(-1, blow), pM)) % pM
+    heads = max(blow, min(_float_terms(pM), _PAIR_BLOCK) // max(n, 1))
+    dtype = np.float64 if heads * n <= _float_terms(pM) else np.int64
+    S = np.zeros((blow, blow), dtype=np.int64)
+    for h in range(0, n, heads):
+        X = A[h:h + heads].reshape(-1, blow)
+        Y = np.ascontiguousarray(B[:, h:h + heads].transpose(1, 0, 2), dtype=dtype)
+        S = (S + matmul_mod(X.T, Y.reshape(-1, blow), pM)) % pM
     # sum of S[a, b] e_a e_b: row a of rep(S[a]) is e_a sum_b S[a, b] e_b
     d = np.arange(blow)
     return params.rep(S)[d, d].sum(axis=0) % pM
+
+
+def _row_product(G: np.ndarray, E: np.ndarray, pM: int, out: np.ndarray,
+                 scratch: np.ndarray) -> None:
+    """out = G E mod p^M for a walk state G (n, n, blow) and an encoding E of
+    the same order, in E's dtype.  In float64 the product stays below 2^53
+    (_float_terms), so floor(out / p^M) is the exact quotient, taken in
+    scratch, an array of out's shape (np.fmod and np.floor_divide are slow
+    on large quotients)."""
+    rows = G.reshape(len(G), -1)
+    if E.dtype == np.float64:
+        np.matmul(rows, E, out=out.reshape(rows.shape))
+        np.divide(out, pM, out=scratch)
+        np.floor(scratch, out=scratch)
+        scratch *= pM
+        out -= scratch
+    else:
+        out[...] = matmul_mod(rows, E, pM).reshape(out.shape)
+
+
+def _restart(P: np.ndarray, upper: np.ndarray, pM: int, out: np.ndarray):
+    """The walk state that follows the products P, into out (contiguous):
+    it keeps the open-walk extensions v > h, and each head d restarts on the
+    diagonal with minus the closures P[h, h] at all heads h < d.  Returns
+    the closures, a (n, blow) view of P's diagonal."""
+    n = len(P)
+    close = np.diagonal(P).T  # walks closing at each head
+    np.multiply(P, upper[:n, :n], out=out)
+    restart = out.reshape(n * n, -1)[n + 1::n + 1]
+    np.cumsum(close[:-1], axis=0, out=restart)
+    np.negative(restart, out=restart)
+    restart %= pM
+    return close
 
 
 # ----------------------------------------------------------------------
@@ -478,41 +553,72 @@ def diagonal_product_sum(params: RingParams, A: np.ndarray, B: np.ndarray) -> np
 # ----------------------------------------------------------------------
 
 def char_series_prefix(
-    params: RingParams, coords: np.ndarray, K: int, encoded: np.ndarray | None = None
+    params: RingParams,
+    coords: np.ndarray,
+    K: int,
+    encoded: np.ndarray | None = None,
+    sizes=None,
 ) -> list[RamifiedElement]:
     """Coefficients 1, c_1..c_K of det(I - T*mat), ascending, exact mod p^M,
     by the closed-ordered-walk (clow) dynamic program of Mahajan and Vinay:
     one ring matmul per degree and no divisions, so no p-adic precision loss.
     K is clamped to the order n, so K = n gives the whole series.
 
-    coords: the square matrix as an (n, n, blow) array of residues.  The walk
-    state G[h, v] has the same shape; degree 1 is free (I E = E), a middle
-    degree is G's coordinate rows times the row-layout encoding E, and degree
-    K reads only the closing diagonal of G E.  encoded, when given, is E
-    (encode_ring_matrix of coords), so a caller that holds it does not
-    encode the matrix again.
+    coords: the square matrix as an (n, n, blow) array of residues.  sizes,
+    when given, is nonincreasing and c_k is read on the leading principal
+    block of order sizes[k - 1], which the caller knows to carry c_k (dwork's
+    per-degree Hodge prefixes); by default every degree reads the whole
+    matrix.  Each run of degrees on one block is one pass of the program.
+    The walk state G[h, v] has the block's shape; degree 1 is free (I E = E)
+    and so is the state after it, the leading part of one state shared by
+    every block; a middle degree is G's coordinate rows times the row-layout
+    encoding E, and the pass's last degree reads only the closing diagonal
+    of G E (diagonal_product_sum).  encoded, when given, is E
+    (encode_ring_matrix) of a leading block no smaller than any pass that
+    multiplies (sizes[2]), so a caller that holds it does not encode the
+    matrix again.  All passes share three state buffers, allocated once in
+    E's dtype.
     """
     n = coords.shape[0]
     K = min(K, n)
+    sizes = [n] * K if sizes is None else [int(s) for s in sizes[:K]]
     out = [params.one()]
     if K == 0:
         return out
     blow, pM = params.blow, params.pM
+    d = np.arange(sizes[0])
+    out.append(params.from_coords(-coords[d, d].sum(axis=0)))
+    if K == 1:
+        return out
     E = None
     if K > 2:
-        E = encode_ring_matrix(params, coords) if encoded is None else encoded
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)[:, :, None]
-    d = np.arange(n)
-    P = coords
-    for k in range(1, K):
-        close = P[d, d]  # (n, blow): walks closing at each head
-        out.append(params.from_coords(-close.sum(axis=0)))
-        # keep open-walk extensions v > h; restart each head d on the
-        # diagonal with minus the closures at all heads below d
-        G = np.where(upper, P, 0)
-        G[d[1:], d[1:]] = -np.cumsum(close[:-1], axis=0) % pM
-        if k + 1 < K:
-            P = matmul_mod(G.reshape(n, n * blow), E, pM).reshape(n, n, blow)
-    last = np.einsum("hhb->b", P) if K == 1 else diagonal_product_sum(params, G, coords)
-    out.append(params.from_coords(-last))
+        block = coords[:sizes[2], :sizes[2]]
+        E = encode_ring_matrix(params, block) if encoded is None else encoded
+    dtype = np.int64 if E is None else E.dtype
+    upper = np.triu(np.ones((sizes[1], sizes[1]), dtype=bool), k=1)[:, :, None]
+    # the state after degree 1, on the largest block that reads it
+    first_state = np.empty((sizes[1], sizes[1], blow), dtype=dtype)
+    _restart(coords[:sizes[1], :sizes[1]], upper, pM, first_state)
+    state = np.empty(sizes[2] ** 2 * blow if K > 2 else 0, dtype=dtype)
+    products = np.empty_like(state)
+    first = 2
+    while first <= K:
+        m = sizes[first - 1]
+        last = first
+        while last < K and sizes[last] == m:
+            last += 1
+        G = first_state[:m, :m]
+        for k in range(2, last):
+            P = products[:m * m * blow].reshape(m, m, blow)
+            # the product's scratch, then the next state: G's own buffer
+            # from the second product on, which the product spends
+            nxt = state[:m * m * blow].reshape(m, m, blow)
+            _row_product(G, E[:m * blow, :m * blow], pM, P, nxt)
+            G = nxt
+            close = _restart(P, upper, pM, G)
+            if k >= first:
+                out.append(params.from_coords(-close.sum(axis=0)))
+        close = diagonal_product_sum(params, G, coords[:m, :m])
+        out.append(params.from_coords(-close))
+        first = last + 1
     return out

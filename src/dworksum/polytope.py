@@ -386,22 +386,27 @@ class Simplex:
 
     @functools.cached_property
     def cell_points(self):
-        """Integer points of { sum c_i w_i : 0 <= c_i < 1 }: the vertex matrix
-        is reduced once, and each point of the bounding box is solved by back
-        substitution, so built only when asked for."""
+        """Integer points of { sum c_i w_i : 0 <= c_i < 1 }, in lex order,
+        built only when asked for.  c = x V^-1 for the vertex rows V, so
+        with the integer matrix adj = |det| V^-1 (row j: the span
+        coordinates of e_j, by back substitution on the reduction) a point
+        x of the bounding box is in the cell iff every entry of x adj lies
+        in [0, |det|): one integer test per box point."""
         n = len(self.vertices)
-        corners = [
-            tuple(sum(e * v[i] for e, v in zip(eps, self.vertices)) for i in range(n))
-            for eps in itertools.product((0, 1), repeat=n)
-        ]
-        lo = [min(c[i] for c in corners) for i in range(n)]
-        hi = [max(c[i] for c in corners) for i in range(n)]
-        # the box is walked in lex order
-        return [
-            x
-            for x in itertools.product(*[range(lo[i], hi[i] + 1) for i in range(n)])
-            if all(0 <= ci < 1 for ci in _solve_in_span(self.hermite, x))
-        ]
+        V = np.array(self.vertices, dtype=np.int64)
+        lo = np.minimum(V, 0).sum(axis=0)
+        hi = np.maximum(V, 0).sum(axis=0)
+        adj = np.array(
+            [[int(c * self.det) for c in _solve_in_span(self.hermite, e)]
+             for e in np.eye(n, dtype=int).tolist()],
+            dtype=np.int64,
+        )
+        # the box in lex order: row-major over the ranges lo..hi
+        axes = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(lo, hi)], indexing="ij")
+        box = np.stack([a.ravel() for a in axes], axis=1)
+        c = box @ adj
+        inside = ((c >= 0) & (c < self.det)).all(axis=1)
+        return [tuple(x) for x in box[inside].tolist()]
 
 
 class SimplicialDecomposition:

@@ -1,10 +1,12 @@
 """The operator matrix on the whole truncated basis: the reference that the
 live block of ``dwork.DworkMatrix`` must reproduce.
 
-It gathers c_{Q w - u} for every basis pair from the series box with
-``SeriesBox.at`` and takes Tr(G^m) by the plain ring matrix power on that
-full matrix, with no Hodge bound anywhere; det(I - T G) of the full matrix
-is ``padic.char_series_prefix`` on the same array."""
+It gathers c_{Q w - u} for every basis pair from the series box by masking
+the exponents that fall outside it (``at``), not by the package's padded
+cell index, and takes Tr(G^m) by the plain ring matrix power on that full
+matrix, with no Hodge bound anywhere; det(I - T G) of the full matrix is
+``padic.char_series_prefix`` on the same array with every degree on the
+whole matrix (no per-degree prefixes)."""
 
 import numpy as np
 
@@ -12,10 +14,20 @@ from dworksum import padic
 from fraction_lattice import points
 
 
+def at(series, E):
+    """Coordinates (..., blow) of c_e for every exponent of E (..., n): the
+    box cell of e inside the box, zero outside it."""
+    rel = E - series.lo
+    inside = ((rel >= 0) & (rel < series.dims)).all(axis=-1)
+    out = np.zeros((*inside.shape, series.params.blow), dtype=np.int64)
+    out[inside] = series.coeffs[np.ravel_multi_index(rel[inside].T, series.dims)]
+    return out
+
+
 def full_coords(series, basis):
     """(dim, dim, blow) coordinates of c_{Q w - u} over all basis pairs."""
     W = np.array(points(basis), dtype=np.int64).reshape(-1, len(series.lo))
-    return series.at(series.Q * W[:, None, :] - W[None, :, :])
+    return at(series, series.Q * W[:, None, :] - W[None, :, :])
 
 
 def full_trace(params, C, m):

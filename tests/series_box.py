@@ -3,9 +3,9 @@ one coefficient, the certified valuation floor of a coefficient and the
 diagonal sum, each read straight off the box table; and the series-side S_m
 that the tests hold against the character oracle.
 
-The package reads the box in one way only (``SeriesBox.at``, for the
-operator matrix) and takes every diagonal by ``dwork.level_diagonal_sum``;
-these are the exponent-exact readings the tests compare it against.
+The package reads the box in one way only (by cell index, for the operator
+matrix) and takes every diagonal by ``dwork.level_diagonal_sum``; these are
+the exponent-exact readings the tests compare it against.
 """
 
 from fractions import Fraction

@@ -297,7 +297,13 @@ def test_one_sums_series_serves_identity_and_recognition(monkeypatch):
     assert orders == [4, 4]
 
 
-def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+def _never_run(*args, **kwargs):
+    raise AssertionError("the job ran")
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
+    # refused before the job runs: cli.run is never entered
+    monkeypatch.setattr(cli, "run", _never_run)
     job = tmp_path / "job.json"
     job.write_text(json.dumps(FLAGSHIP))
     out = tmp_path / "no" / "such" / "report.json"
@@ -307,6 +313,30 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     assert "report.json" in captured.err
     assert captured.out == ""
     assert not out.parent.exists()
+
+
+def test_out_onto_directory_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", _never_run)
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(FLAGSHIP))
+    out = tmp_path / "report"
+    out.mkdir()
+    assert cli.main(["polytope", "--job", str(job), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_refused_job_leaves_out_untouched(tmp_path, capsys):
+    # the target is checked, not opened, before the run: a refused job
+    # neither truncates an existing report nor creates a new one
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({**FLAGSHIP, "p": 4}))
+    old = tmp_path / "old.json"
+    old.write_text("kept")
+    new = tmp_path / "new.json"
+    for out in (old, new):
+        assert cli.main(["polytope", "--job", str(job), "--out", str(out)]) == 2
+    assert old.read_text() == "kept"
+    assert not new.exists()
 
 
 def test_python_m_dworksum_prints_the_report():
@@ -399,22 +429,25 @@ def test_trace_beyond_desk_scale():
 
 def test_check_encodes_the_operator_once(monkeypatch):
     # m_max = 3: Tr(G^3) and the degree-3 characteristic series both read
-    # the row-layout encoding of the same matrix, the (25, 25, 4) live block
-    # of the 31-point basis
+    # the row-layout encoding of the same matrix.  It is gathered once, for
+    # the (25, 25) live block of the 31-point basis, from one representation
+    # per row of the operator's cell table; the series reads a prefix of it
     from dworksum import padic
 
     shapes = []
     encode = padic.encode_ring_matrix
 
-    def counted(params, coords):
-        shapes.append(coords.shape)
-        return encode(params, coords)
+    def counted(params, coords, cells=None):
+        shapes.append((coords.shape, None if cells is None else cells.shape))
+        return encode(params, coords, cells)
 
     monkeypatch.setattr(padic, "encode_ring_matrix", counted)
     job = json.loads((ROOT / "jobs" / "kloosterman_p5.json").read_text())
     assert job["precision"]["m_max"] == 3
     assert cli.run("check", job)["result"]["all_pass"]
-    assert shapes == [(25, 25, 4)]
+    assert len(shapes) == 1
+    (rows, blow), cells = shapes[0]
+    assert (blow, cells) == (4, (25, 25)) and rows < 25 * 25
 
 
 def test_lfunction_refuses_oversized_recognition_torus(tmp_path, capsys):

@@ -2,11 +2,14 @@
 
 ``dwork.DworkMatrix`` keeps only the basis points with c d(u + gamma) < M,
 c = (p-1)(Q-1)/(p Q), and ``dwork.char_series`` stops at the vanishing
-degree.  Both rest on the Hodge bound: a closed walk or principal minor
-through the points S has ord_p >= c sum_{u in S} d(u + gamma).  If the bound
-or its strict inequality were wrong, the traces and characteristic series
-below would differ from the full-matrix reference (``full_operator``) in
-some coordinate.  The integer-graded enumeration is held against the
+degree and reads each c_k on its prefix B_k.  All three rest on the Hodge
+bound: a closed walk or principal minor through the points S has
+ord_p >= c sum_{u in S} d(u + gamma).  If the bound or its strict
+inequality were wrong, the traces and characteristic series below would
+differ from the full-matrix reference (``full_operator``) in some
+coordinate.  The reference alone cannot pin B_k: a scratch copy that shrank
+every B_k by one or two grade units still matched it on all eleven jobs, so
+the prefix sizes are also counted point by point (``brute_block_sizes``).  The integer-graded enumeration is held against the
 Fraction walk (``fraction_lattice``) point for point and weight for weight.
 """
 
@@ -51,10 +54,32 @@ for _name in ("kloosterman_p5", "segment_p3", "square_p3", "twist_p5"):
     JOBS[_name] = json.loads((ROOT / "jobs" / f"{_name}.json").read_text())
 
 
+def brute_block_sizes(dm, Q):
+    """|B_k| for k = 1..vanishing_degree, point by point: u is in B_k when
+    c (d(u + gamma) + the k - 1 smallest *other* weights) < M, in integer
+    grades; each B_k must be a prefix of the basis."""
+    p, M = dm.params.p, dm.params.M
+    grades = [int(g) for g in dm.basis.grades]
+    # c (sum of weights) < M  <=>  (p-1)(Q-1) (sum of grades) < M p Q denom
+    bound = M * p * Q * dm.basis.denom
+    sizes = []
+    for k in range(1, dm.vanishing_degree + 1):
+        members = [
+            u for u, g in enumerate(grades)
+            if (p - 1) * (Q - 1) * (g + sum(sorted(grades[:u] + grades[u + 1:])[:k - 1]))
+            < bound
+        ]
+        assert members == list(range(len(members))), k
+        sizes.append(len(members))
+    return sizes
+
+
 def assert_matches_full(dm, series, K):
     """Traces Tr(G^m), m = 1..3, and det(I - T G) through T^K of the live
-    block equal the full-matrix reference coordinate for coordinate."""
+    block equal the full-matrix reference coordinate for coordinate, and the
+    per-degree prefixes B_k have the sizes counted point by point."""
     params = dm.params
+    assert dm.block_sizes.tolist() == brute_block_sizes(dm, series.Q)
     full = full_operator.full_coords(series, dm.basis)
     assert (dm.coords == full[:dm.live, :dm.live]).all()
     for m in (1, 2, 3):
@@ -78,6 +103,20 @@ def test_live_block_matches_full_matrix(name):
     assert_matches_full(dm, dwork.h_series(job.a_lifts, job.twist, 1, job.nd), K)
 
 
+def test_empty_live_block():
+    # a twisted job under cap 0 has no basis point: the gather, the traces
+    # and the characteristic series run on an empty block
+    job = cli.JobConfig(JOBS["twist_p5"])
+    dm = dwork.build_operator(job.config, job.nd, job.a_lifts, job.twist, cap=0)
+    params = dm.params
+    assert (dm.dim, dm.live, dm.vanishing_degree) == (0, 0, 0)
+    assert dm.coords.shape == (0, 0, params.blow)
+    assert dm.block_sizes.tolist() == []
+    assert dm.encoded().shape == (0, 0)
+    assert [dwork.trace(dm, m)[0] for m in (1, 2, 3)] == [params.zero()] * 3
+    assert dwork.char_series(dm)[0] == [params.one()]
+
+
 def test_live_block_sizes():
     # square_p3 keeps 196 of its 289 points and kloosterman_p5 25 of 31;
     # det(I - T G) of square_p3 is 0 mod 3^6 from T^10 on
@@ -89,6 +128,13 @@ def test_live_block_sizes():
     assert sizes["square_p3"][:2] == (196, 289)
     assert sizes["square_p3"][2] == 9
     assert sizes["kloosterman_p5"][:2] == (25, 31)
+
+
+def test_square_block_sizes():
+    # the prefixes that charpoly's eight degrees run on for square_p3
+    job = cli.JobConfig(JOBS["square_p3"])
+    dm = dwork.build_operator(job.config, job.nd, job.a_lifts, job.twist)
+    assert dm.block_sizes.tolist() == [196, 196, 169, 144, 121, 81, 49, 25, 9]
 
 
 @st.composite

@@ -455,6 +455,46 @@ def test_encode_ring_matrix_row_layout():
         assert got.tolist() == want
 
 
+def test_encode_ring_matrix_gathers_cells():
+    # blocks gathered from a cell table equal the encoding of the gathered
+    # matrix; float64 exactly when a row product against it is exact there
+    import numpy as np
+
+    rng = random.Random(53)
+    for p, s, M, n in [(3, 1, 6, 5), (5, 2, 3, 4), (7, 1, 12, 3)]:
+        params = padic.ring_create(p, s, M)
+        table = np.array([rand_element(params, rng).coords for _ in range(7)],
+                         dtype=np.int64)
+        cells = np.array([[rng.randrange(7) for _ in range(n)] for _ in range(n)])
+        got = padic.encode_ring_matrix(params, table, cells)
+        want = padic.encode_ring_matrix(params, table[cells])
+        assert (got == want).all()
+        exact = n * params.blow * (params.pM - 1) ** 2 < 2**53
+        assert got.dtype == (np.float64 if exact else np.int64)
+
+
+def test_char_series_reads_each_degree_on_its_block():
+    # with sizes, c_k is the k-th coefficient of the leading block of order
+    # sizes[k - 1], for nonincreasing sizes, on the float64 (3^6, 5^3) and
+    # int64 (7^12) paths, with and without a held encoding
+    rng = random.Random(59)
+    cases = [(3, 1, 6, 7, [7, 6, 6, 5, 5]), (5, 2, 3, 6, [6, 5, 4, 4]),
+             (7, 1, 12, 6, [6, 6, 5, 4])]
+    for p, s, M, n, sizes in cases:
+        params = padic.ring_create(p, s, M)
+        rows = [[rand_element(params, rng) for _ in range(n)] for _ in range(n)]
+        coords = coords_of(rows)
+        K = len(sizes)
+        want = [params.one()] + [
+            padic.char_series_prefix(params, coords[:b, :b], k)[k]
+            for k, b in enumerate(sizes, 1)
+        ]
+        assert padic.char_series_prefix(params, coords, K, sizes=sizes) == want
+        held = padic.encode_ring_matrix(params, coords)
+        assert padic.char_series_prefix(params, coords, K, held, sizes) == want
+        assert padic.char_series_prefix(params, coords, 3, held, sizes) == want[:4]
+
+
 def test_diagonal_product_sum_matches_ring_loops():
     # at p = 7, M = 12 matmul_mod's hi/lo split admits at most 2541 terms:
     # 53^2 pairs in one contraction would be refused, 6 heads at a time are not
