@@ -161,9 +161,7 @@ class JobConfig:
     @cached_property
     def a_lifts(self) -> list:
         """Teichmueller lifts of the coefficients, fixed by x -> x^q by
-        construction.  Lifting multiplies in R, so R's multiplication table
-        is built, or refused, on first use; the commands that never multiply
-        in R never build it."""
+        construction; only the commands that multiply in R lift them."""
         return [padic.teichmueller(r, self.params) for r in self.a_residues]
 
     def torus_points(self, m: int) -> int:

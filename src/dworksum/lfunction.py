@@ -96,21 +96,21 @@ TORUS_LIMIT = 1 << 28
 HYP_LIMIT = 4096
 
 # coordinates above which the character oracle refuses a level: the logs,
-# traces and power rows of F_{q^m} plus the Teichmueller powers, the
-# (blow, blow^2) multiplication table and theta_rep of R(p, f, M);
-# p = 19, f = 1, m = 5 (17.3 M coordinates) peaks at 203 MB in 0.9 s on
-# 2 vCPUs
+# traces and power rows of F_{q^m}, and the ring data of R(p, f, M) that it
+# holds (the Teichmueller powers, theta_rep, and per batch of coefficient
+# rows the histogram and its by-trace rows); p = 19, f = 1, m = 5 (17.3 M
+# coordinates) peaks at 203 MB in 0.35-0.45 s on 2 vCPUs
 LEVEL_TABLE_LIMIT = 1 << 25
 
 
-def require_level_budget(p: int, f: int, m: int, n: int, ring: bool = True) -> None:
+def require_level_budget(p: int, f: int, m: int, n: int, rows: int = 1) -> None:
     """Refuse level m over F_{p^f} before any table is built: above
-    LEVEL_LIMIT, with more than TORUS_LIMIT torus points, or with a table of
-    more than LEVEL_TABLE_LIMIT coordinates.  The tables are those of
-    F_{q^m}, and with ring also the ring data of R(p, f, M) that the
-    character sums read; the nondegeneracy walk builds only the former.
-    Every count grows with m, so checking the top level of a run checks
-    them all."""
+    LEVEL_LIMIT, with more than TORUS_LIMIT torus points, or with tables of
+    more than LEVEL_TABLE_LIMIT coordinates: those of F_{q^m}, and for the
+    character sums of rows coefficient rows (none in the nondegeneracy walk)
+    the (q - 1, blow) Teichmueller powers, the (p blow, blow) theta_rep and,
+    per row of a batch, the (p, q - 1) histogram and (p, blow) by-trace rows.
+    Every count grows with m, so checking the top level checks them all."""
     if m > LEVEL_LIMIT:
         raise LevelTooLarge(f"level {m} exceeds the budget {LEVEL_LIMIT}")
     L = p ** (f * m) - 1
@@ -122,10 +122,10 @@ def require_level_budget(p: int, f: int, m: int, n: int, ring: bool = True) -> N
         )
     # the logs, traces and power rows of F_{q^m}
     size = (L + 1) + L * (1 + f * m)
-    if ring:
-        # the Teichmueller powers, the multiplication table and theta_rep
-        blow = (p - 1) * f
-        size += (p**f - 1) * blow + blow**3 + p * blow**2
+    if rows:
+        blow, Lq = (p - 1) * f, p**f - 1
+        batch = min(rows, max(1, _BLOCK // L**n))
+        size += Lq * blow + p * blow**2 + batch * p * (Lq + blow)
     if size > LEVEL_TABLE_LIMIT:
         raise BudgetExceeded(
             f"level {m} needs a table of {size} coordinates, above the limit "
@@ -371,7 +371,7 @@ def hyp_table(
         )
     p, f = field.p, field.degree
     assert twist.q == field.q
-    require_level_budget(p, f, 1, config.n)
+    require_level_budget(p, f, 1, config.n, rows=field.q**config.N)
     tab = level_table(p, f, M)
     return _character_values(tab, tab, config, hyp_points(field, config.N), twist.k)
 
@@ -421,7 +421,7 @@ def nondegeneracy_check(nd: pt.NewtonData, field: ff.FqParams, a_coeffs,
     if len(a_coeffs) != config.N:
         raise ValueError("need one coefficient per column")
     p, f, n = field.p, field.degree, config.n
-    require_level_budget(p, f, s_max, n, ring=False)
+    require_level_budget(p, f, s_max, n, rows=0)
     faces = nd.faces_off_origin()
     A = np.array(config.A, dtype=np.int64).reshape(n, config.N)
     coeffs = np.array(a_coeffs, dtype=np.int64)

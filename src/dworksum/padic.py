@@ -13,10 +13,10 @@ Conventions
   min over nonzero coordinates of ( i/(p-1) + ord_p(c_ij) ), because
   {pi^i b^j} is an orthogonal basis of the free (Z/p^M)-module R.
 
-The product has one definition, RingParams' structure tensor (T[a, b, :] =
-coordinates of e_a e_b, built on first use, refused above TABLE_LIMIT):
-element products read its nonzero terms, and arrays of coordinates multiply
-through RingParams.rep, one matmul_mod of coordinate rows against it.
+The product is defined by its two relations, pi^(p-1) = -p and the b-rows
+b^k mod g, k <= 2s - 2; nothing of size blow^3 is built.  Element products
+(RingParams.mul_coords) are pure Python; arrays of elements multiply through
+RingParams.rep, one matmul_mod against the b-rows and one gather.
 
 Matrices over R are (n, m, blow) coordinate arrays.  The row-layout block
 encoding at the bottom makes a matrix product the left factor's coordinate
@@ -32,8 +32,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import finitefield as ff
-from .errors import BudgetExceeded, ParamsMismatch, PrecisionBudgetExceeded
-from .polytope import TABLE_LIMIT
+from .errors import ParamsMismatch, PrecisionBudgetExceeded
 
 
 # ----------------------------------------------------------------------
@@ -41,8 +40,7 @@ from .polytope import TABLE_LIMIT
 # ----------------------------------------------------------------------
 
 class RingParams:
-    """p, unramified degree s, absolute precision M, and the structure tensor
-    that defines the product."""
+    """p, unramified degree s, absolute precision M, and the product's b-rows."""
 
     def __init__(self, p: int, s: int, M: int):
         ff.check_odd_prime(p)
@@ -54,10 +52,6 @@ class RingParams:
         self.pM = p**M
         self.g = ff.min_irreducible_poly(p, s)  # ascending, monic, len s+1
         self.blow = (p - 1) * s
-
-    # flat coordinate index of pi^i b^j
-    def idx(self, i: int, j: int) -> int:
-        return i * self.s + j
 
     def __eq__(self, other):
         return (
@@ -77,13 +71,11 @@ class RingParams:
         return RamifiedElement(self, (0,) * self.blow)
 
     def one(self) -> "RamifiedElement":
-        c = [0] * self.blow
-        c[0] = 1
-        return RamifiedElement(self, tuple(c))
+        return self.from_int(1)
 
     def pi(self) -> "RamifiedElement":
         c = [0] * self.blow
-        c[self.idx(1, 0)] = 1
+        c[self.s] = 1  # pi^1 b^0
         return RamifiedElement(self, tuple(c))
 
     def from_int(self, n: int) -> "RamifiedElement":
@@ -94,59 +86,68 @@ class RingParams:
     def from_coords(self, flat) -> "RamifiedElement":
         return RamifiedElement(self, tuple(int(c) % self.pM for c in flat))
 
-    # -- the structure tensor --------------------------------------------
+    # -- the product, from pi^(p-1) = -p and b^k mod g -------------------
 
     @cached_property
-    def _table(self) -> np.ndarray:
-        """T[a, b*blow + c] = coordinate c of e_a e_b for the flat basis e_k,
-        residues in [0, p^M): pi^(i1 + i2) folds back by pi^(p-1) = -p, and
-        b^(j1 + j2) is read from the rows b^k mod (g, p^M), k <= 2s - 2.
-        A table of more than TABLE_LIMIT coordinates is refused before it is
-        allocated."""
-        p, s, pM, blow = self.p, self.s, self.pM, self.blow
-        if blow**3 > TABLE_LIMIT:
-            raise BudgetExceeded(
-                f"multiplication table of {self!r} needs {blow**3} coordinates, "
-                f"above the limit {TABLE_LIMIT}"
-            )
-        bpow = np.array([ff.polypowmod((0, 1), k, self.g, pM)
-                         for k in range(2 * s - 1)], dtype=np.int64)
-        i, j = np.divmod(np.arange(blow), s)
-        k = i[:, None] + i[None, :]
-        fold = np.where(k >= p - 1, -p, 1)
-        a, b = np.indices((blow, blow))
-        T = np.zeros((blow, blow, p - 1, s), dtype=np.int64)
-        T[a, b, k % (p - 1)] = fold[..., None] * bpow[j[:, None] + j[None, :]] % pM
-        return T.reshape(blow, blow * blow)
+    def _brows(self) -> np.ndarray:
+        """B[j, w, j1] = the b-row of b^(j + j1), the coordinates of
+        b^(j + j1) mod (g, p^M), times (-p)^w: shape (s, 2, s, s)."""
+        s, pM = self.s, self.pM
+        j = np.arange(s)
+        bpow = [ff.polypowmod((0, 1), k, self.g, pM) for k in range(2 * s - 1)]
+        rows = np.array(bpow, dtype=np.int64)[j[:, None] + j]
+        return np.stack([rows, -self.p * rows % pM], axis=1)
 
     @cached_property
-    def _terms(self) -> list:
-        """The table's nonzero (b, c, T[a, b, c]), grouped by a."""
-        T = self._table
-        a, col = np.nonzero(T)
-        terms = [[] for _ in range(self.blow)]
-        for row, bc, t in zip(a.tolist(), col.tolist(), T[a, col].tolist()):
-            terms[row].append(divmod(bc, self.blow) + (t,))
-        return terms
+    def _rep_index(self) -> np.ndarray:
+        """(i1, j1, i3) -> the b-row product (d, w, j1) that pi-row i3 of
+        e_(i1, j1) x reads, pi^i1 pi^d = pi^i3 (-p)^w: shape (p-1, s, p-1)."""
+        i1, i3 = np.indices((self.p - 1, self.p - 1))
+        shift = 2 * ((i3 - i1) % (self.p - 1)) + (i3 < i1)
+        return shift[:, None, :] * self.s + np.arange(self.s)[:, None]
 
     def mul_coords(self, x: tuple, y: tuple) -> tuple:
-        """Coordinates of the product x y, read off the table's nonzero terms."""
-        out = [0] * self.blow
-        for xa, row in zip(x, self._terms):
+        """Coordinates of the product x y: the convolution over pi-rows of
+        width w = 2s - 1, folded by pi^(p-1) = -p as it accumulates, then
+        the b-degrees >= s of each pi-row reduced through the b-rows."""
+        p, s, pM = self.p, self.s, self.pM
+        w = 2 * s - 1
+        span = (p - 1) * w
+        # ext: -p times the pi-rows of y, then the pi-rows, each of width w;
+        # pi^i1 b^j1 y adds the rows from p - 1 - i1 on at offset j1
+        ext = [-p * v for v in y]
+        ext += y
+        if s > 1:
+            ext, flat = [0] * (2 * span), ext
+            for c in range(s):
+                ext[c::w] = flat[c::s]
+        conv = [0] * (span + s - 1)
+        for a, xa in enumerate(x):
             if xa:
-                for b, c, t in row:
-                    yb = y[b]
-                    if yb:
-                        out[c] += xa * yb * t
-        return tuple(v % self.pM for v in out)
+                i1, j1 = divmod(a, s)
+                lo = (p - 1 - i1) * w
+                conv[j1:j1 + span] = [u + xa * v for u, v in
+                                      zip(conv[j1:j1 + span], ext[lo:lo + span])]
+        if s > 1:  # b^k, s <= k <= 2s - 2, through its b-row
+            for k, row in enumerate(self._brows[s - 1, 0, 1:].tolist(), s):
+                for c, f in enumerate(row):
+                    conv[c:span:w] = [u + f * v for u, v in
+                                      zip(conv[c:span:w], conv[k::w])]
+        out = [0] * self.blow
+        for c in range(s):
+            out[c::s] = [v % pM for v in conv[c:span:w]]
+        return tuple(out)
 
     def rep(self, coords) -> np.ndarray:
         """Regular representations of a (..., blow) array of residues, shape
-        (..., blow, blow): y @ rep(x) is the coordinate row of y x.  One
-        matmul_mod of the coordinate rows against the table."""
+        (..., blow, blow): y @ rep(x) is the coordinate row of y x.  Row
+        (i1, j1) is e_(i1, j1) x: one matmul_mod of x's pi-rows against the
+        b-rows and one gather, O(blow^2) per element."""
         x = np.asarray(coords, dtype=np.int64)
-        out = matmul_mod(x.reshape(-1, self.blow), self._table, self.pM)
-        return out.reshape(*x.shape, self.blow)
+        s, blow = self.s, self.blow
+        Y = matmul_mod(x.reshape(-1, s), self._brows.reshape(s, -1), self.pM)
+        out = np.take(Y.reshape(-1, 2 * blow, s), self._rep_index, axis=1)
+        return out.reshape(*x.shape, blow)
 
 
 @lru_cache(maxsize=None)
@@ -423,8 +424,8 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, mod: int) -> np.ndarray:
     (int64, or float64 holding integers).
 
     Picks float64 BLAS when the sums stay exact (_float_terms), plain int64
-    matmul below 2^62, and a hi/lo split above that (covers mod up to ~2^34
-    comfortably).  A float64 input goes to BLAS without a copy.
+    matmul below 2^62, else A split into h-bit halves over chunks of k terms,
+    k 2^h (mod - 1) < 2^62.  A float64 input goes to BLAS without a copy.
     """
     if A.ndim == 1:
         A = A[None, :]
@@ -435,9 +436,7 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, mod: int) -> np.ndarray:
     else:
         squeeze = None
     k = A.shape[1]
-    if k == 0:
-        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    elif k <= _float_terms(mod):
+    if k <= _float_terms(mod):
         C = A.astype(np.float64, copy=False) @ B.astype(np.float64, copy=False)
         out = np.rint(C, out=C).astype(np.int64)
         out %= mod
@@ -447,11 +446,16 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, mod: int) -> np.ndarray:
             out = (A @ B) % mod
         else:
             h = (mod.bit_length() + 1) // 2
-            if k * (1 << h) * (mod - 1) >= 2**62:
+            chunk = (2**62 - 1) // ((1 << h) * (mod - 1))
+            if chunk < 1:
                 raise OverflowError("modulus too large for split matmul")
             lo = A & ((1 << h) - 1)
             hi = A >> h
-            out = ((((hi @ B) % mod) << h) + (lo @ B) % mod) % mod
+            out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+            for c in range(0, k, chunk):
+                part = slice(c, c + chunk)
+                out += (hi[:, part] @ B[part] % mod << h) + lo[:, part] @ B[part] % mod
+                out %= mod
     if squeeze == 0:
         return out[0]
     if squeeze == 1:
@@ -510,9 +514,12 @@ def diagonal_product_sum(params: RingParams, A: np.ndarray, B: np.ndarray) -> np
         X = A[h:h + heads].reshape(-1, blow)
         Y = np.ascontiguousarray(B[:, h:h + heads].transpose(1, 0, 2), dtype=dtype)
         S = (S + matmul_mod(X.T, Y.reshape(-1, blow), pM)) % pM
-    # sum of S[a, b] e_a e_b: row a of rep(S[a]) is e_a sum_b S[a, b] e_b
-    d = np.arange(blow)
-    return params.rep(S)[d, d].sum(axis=0) % pM
+    # sum over a of e_a S[a], row a of rep(S[a]): the b-row products of
+    # every S[a], then only row a's gather
+    s = params.s
+    Y = matmul_mod(S.reshape(-1, s), params._brows.reshape(s, -1), pM)
+    idx = params._rep_index.reshape(blow, -1) + 2 * blow * np.arange(blow)[:, None]
+    return np.take(Y.reshape(-1, s), idx, axis=0).sum(axis=0).reshape(blow) % pM
 
 
 def _row_product(G: np.ndarray, E: np.ndarray, pM: int, out: np.ndarray,

@@ -431,9 +431,3 @@ class SimplicialDecomposition:
 
 def simplicial_decomposition(nd: NewtonData) -> SimplicialDecomposition:
     return SimplicialDecomposition(nd)
-
-
-def normalized_volume(nd: NewtonData) -> int:
-    """n! vol of the hull: sum of |det| over the pulling triangulation coned
-    at the origin (facets through the origin contribute nothing)."""
-    return sum(s.det for s in SimplicialDecomposition(nd).simplices)

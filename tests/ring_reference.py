@@ -1,6 +1,6 @@
 """Reference product of R = (Z/p^M)[b]/(g) [pi]/(pi^(p-1)+p) by convolution.
 
-Independent of padic's structure tensor: the coordinate vectors are
+Independent of padic's b-rows and gather index: the coordinate vectors are
 multiplied as polynomials in (pi, b), the b-degrees above s - 1 are reduced
 by b^s = -(g_0 + ... + g_{s-1} b^(s-1)), and the pi-degrees above p - 2 fold
 back by pi^(p-1) = -p.

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import series_box
+from hull_volume import normalized_volume
 from splitting_floor import sigma_digit_sum, splitting_floors
 from dworksum import dwork, finitefield as ff, gkz, lfunction as lf, padic
 from dworksum import polytope as pt
@@ -139,7 +140,7 @@ def test_criterion_3_l_identity(name):
 
 
 def _recognized(run):
-    need = pt.normalized_volume(run.nd) + 3
+    need = normalized_volume(run.nd) + 3
     sums = list(run.char_sums)
     for m in range(len(sums) + 1, need + 1):
         sums.append(
@@ -148,7 +149,7 @@ def _recognized(run):
             )
         )
     L = lf.l_series_from_sums(sums, need)
-    return lf.rational_recognition(L, pt.normalized_volume(run.nd), run.config.n)
+    return lf.rational_recognition(L, normalized_volume(run.nd), run.config.n)
 
 
 def test_criterion_4_degree_law():
@@ -157,7 +158,7 @@ def test_criterion_4_degree_law():
     mpk = mprime("kloosterman_p5")
     reck = _recognized(runk)
     assert isinstance(reck, lf.LPolynomial)
-    assert reck.degree() == 2 == pt.normalized_volume(runk.nd)
+    assert reck.degree() == 2 == normalized_volume(runk.nd)
     assert all(p >= mpk for p in reck.precs)
     # segment: L = 1 - T exactly mod p^M'
     runs = run_for("segment_p3")
@@ -277,7 +278,7 @@ def test_criterion_10_degenerate_controls():
             t, _ = dwork.trace(dm, m)
             assert t == params.one()
         # rational recognition must refuse the expected degree n! vol
-        vol = pt.normalized_volume(nd)
+        vol = normalized_volume(nd)
         sums = [
             lf.sums_oracle_characters(config, field, a0, twist, m, M)
             for m in range(1, vol + 4)

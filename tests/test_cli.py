@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -640,15 +641,17 @@ SEGMENT_P257 = {"p": 257, "A": [[1]], "gamma_k": [0], "a": [1],
 
 def test_nondegeneracy_budgets_only_the_field_tables(tmp_path, capsys):
     # x over F_257 at s <= 2: the walk builds the tables of F_257 and F_257^2
-    # alone, far below the limit; the character sums would also build the
-    # ring data of R(257, 1, 4), whose multiplication table alone has 256^3
-    # coordinates, and check's recognition level 4 has 257^4 - 1 torus points
+    # alone.  The character sum of one row holds theta_rep, 257 x 256^2
+    # coordinates, within the limit; hyp's batch of 256 rows adds a histogram
+    # and by-trace rows of 256 x 257 x 256 coordinates each, above it; and
+    # check's recognition level 4 has 257^4 - 1 torus points
     result = cli.run("nondegeneracy", SEGMENT_P257)["result"]
     assert result == {"verdict": "NondegenerateUpTo", "s_max": 2}
+    levels = cli.run("sums", SEGMENT_P257)["result"]["levels"]
+    assert [lv["agree"] for lv in levels] == [True]
     job = tmp_path / "job.json"
     job.write_text(json.dumps(SEGMENT_P257))
     for command, message in [
-        ("sums", "level 1 needs a table of"),
         ("hyp", "level 1 needs a table of"),
         ("check", f"level 4 needs {(257**4 - 1)} torus points"),
     ]:
@@ -656,21 +659,35 @@ def test_nondegeneracy_budgets_only_the_field_tables(tmp_path, capsys):
         assert message in capsys.readouterr().err, command
 
 
-def test_oversized_multiplication_table_is_refused_before_any_work(
-    tmp_path, capsys, monkeypatch
-):
-    # x over F_1021: R(1021, 1, 2) would need a multiplication table of
-    # 1020^3 coordinates, so the operator commands refuse it before the
-    # splitting series; the toric commands never multiply in R
-    from dworksum import padic
+def test_sums_splits_theta_rep_product_over_long_rows():
+    # x over F_211 at M = 4: the sum over c multiplies rows of p blow =
+    # 44,310 residues mod 211^4 against theta_rep, more terms than one hi/lo
+    # split matmul keeps below 2^62
+    job = {"p": 211, "A": [[1]], "gamma_k": [0], "a": [1],
+           "precision": {"M": 4, "m_max": 1}}
+    levels = cli.run("sums", job)["result"]["levels"]
+    assert [lv["agree"] for lv in levels] == [True]
 
-    monkeypatch.setattr(padic, "splitting_coefficients", _never)
-    job = tmp_path / "job.json"
-    job.write_text(json.dumps({"p": 1021, "A": [[1]], "gamma_k": [0], "a": [1],
-                               "precision": {"M": 2, "m_max": 1}}))
-    for command in ("trace", "charpoly"):
-        assert cli.main([command, "--job", str(job)]) == 4, command
-        err = capsys.readouterr().err
-        assert "multiplication table" in err and str(1020**3) in err, command
+
+def test_large_prime_rings_multiply_without_a_table(tmp_path):
+    # x over F_263 at M = 2: blow = 262, so a dense multiplication table
+    # would hold 262^3 coordinates; the toric commands never multiply in R
+    job = {"p": 263, "A": [[1]], "gamma_k": [0], "a": [1],
+           "precision": {"M": 2, "m_max": 1}}
+    text = cli.render_report(cli.run("trace", job))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4013e0dd93d5339a105aed993aa0525410867f3399c6ec6320ecaa1b7a544ceb"
+    )
+    (level,) = json.loads(text)["result"]["levels"]
+    assert level["routes_agree"]
+    # the Dwork trace formula in closed form: (p - 1) Tr(alpha) = S_1 =
+    # sum over x != 0 of psi(x) = -1 mod p^M
+    pM = 263**2
+    (tr,) = level["trace_level_series"]["triples"]
+    (scaled,) = level["scaled_trace"]["triples"]
+    assert tr[:2] == scaled[:2] == [0, 0]
+    assert 262 * tr[2] % pM == scaled[2] == pM - 1
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({**job, "p": 1021}))
     for command in ("polytope", "gkz"):
-        assert cli.main([command, "--job", str(job)]) == 0, command
+        assert cli.main([command, "--job", str(path)]) == 0, command

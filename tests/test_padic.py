@@ -49,7 +49,7 @@ def test_unramified_generator_satisfies_modulus():
     for p, s in [(3, 2), (5, 2), (3, 3)]:
         r = padic.ring_create(p, s, 3)
         coords = [0] * r.blow
-        coords[r.idx(0, 1)] = 1
+        coords[1] = 1  # b
         b = r.from_coords(coords)
         acc = r.zero()
         bp = r.one()
@@ -613,3 +613,21 @@ def test_matmul_mod_strategies():
             ]
             got = padic.matmul_mod(A, B, mod)
             assert got.tolist() == want
+
+
+def test_matmul_mod_splits_a_long_inner_dimension():
+    # 211^4 < 2^31, so a hi/lo split at h = 16 bits; 65,792 terms of
+    # 2^16 (211^4 - 1) pass 2^62, so the inner dimension goes in chunks
+    import numpy as np
+
+    mod, k = 211**4, 65_792
+    rng = np.random.default_rng(5)
+    A = rng.integers(0, mod, size=(3, k))
+    B = rng.integers(0, mod, size=(k, 2))
+    A[0] = B[:, 0] = mod - 1
+    want = [
+        [sum(a * b for a, b in zip(A[i].tolist(), B[:, j].tolist())) % mod
+         for j in range(2)]
+        for i in range(3)
+    ]
+    assert padic.matmul_mod(A, B, mod).tolist() == want

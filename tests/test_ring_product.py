@@ -1,9 +1,11 @@
-"""R's product, read from padic's structure tensor, against the convolution
-of ``ring_reference``: element products, regular representations, the
-row-layout block encoding and the diagonal product sum agree exactly on a
-seeded sweep over (p, s, M) with p^M < 2^34."""
+"""R's product, built by padic from its two relations, against the
+convolution of ``ring_reference``: element products, regular
+representations, the row-layout block encoding and the diagonal product sum
+agree exactly on a seeded sweep over (p, s, M) with p^M < 2^34, and on
+sampled rows of rings with blow up to 262."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -56,3 +58,28 @@ def test_product_matches_reference(params, seed):
             prod = ref.mul(params, tuple(A[h, u].tolist()), tuple(B[u, h].tolist()))
             total = [(a + b) % pM for a, b in zip(total, prod)]
     assert padic.diagonal_product_sum(params, A, B).tolist() == total
+
+
+# blow = 256, 262 and 104: a dense (blow, blow^2) table would hold 16.8 M,
+# 18.0 M and 1.1 M coordinates
+LARGE = [(257, 1, 2), (263, 1, 2), (53, 2, 3)]
+
+
+@pytest.mark.parametrize("p,s,M", LARGE)
+def test_product_at_large_blow(p, s, M):
+    params = padic.ring_create(p, s, M)
+    blow = params.blow
+    rng = np.random.default_rng(p)
+    x, y = (tuple(v.tolist()) for v in residues(rng, params, (2,)))
+    assert params.mul_coords(x, y) == ref.mul(params, x, y)
+    # rows of rep(x) are e_a x: the first and last pi-rows, where every
+    # block folds, and a sample between
+    reps = params.rep(np.array([x, y]))
+    rows = [0, s - 1, blow - s, blow - 1, *rng.choice(blow, 4, replace=False)]
+    for a in rows:
+        e = tuple(int(k == a) for k in range(blow))
+        assert reps[0, a].tolist() == list(ref.mul(params, e, x))
+        assert reps[1, a].tolist() == list(ref.mul(params, e, y))
+    A, B = residues(rng, params, (1, 1)), residues(rng, params, (1, 1))
+    want = ref.mul(params, tuple(A[0, 0].tolist()), tuple(B[0, 0].tolist()))
+    assert padic.diagonal_product_sum(params, A, B).tolist() == list(want)
