@@ -140,8 +140,9 @@ def min_irreducible_poly(p: int, s: int) -> tuple[int, ...]:
         return (0, 1)
     for desc in itertools.product(range(p), repeat=s):
         g = tuple(reversed(desc)) + (1,)
-        if g[0] == 0:
-            continue  # b divides g
+        # a root t in F_p (t = 0 when b divides g) is a linear factor
+        if any(sum(c * t**i for i, c in enumerate(g)) % p == 0 for t in range(p)):
+            continue
         if _poly_is_irreducible(list(g), p):
             return g
     raise NoRoot(f"no irreducible polynomial of degree {s} mod {p}")  # unreachable

@@ -43,17 +43,16 @@ value; the nondegeneracy witness is a point of the torus, so it does
 depend on the root.
 
 One kernel, ``_character_values``, evaluates this for a batch of X
-coefficient rows x at once: one ``np.bincount`` per block gives the (x, k, c)
-histogram N_x(k, c), with a zero coefficient read as the appended trace 0,
-and the ring work is two modular matmuls, (X p, q - 1) x (q - 1, blow)
-against the Teichmueller powers and (X, p blow) x (p blow, blow) against
-``theta_rep`` for the sum over c.  Rows and torus points are taken in
-blocks, so memory is bounded whatever q^N and (q^m - 1)^n are.
-``sums_oracle_characters`` runs it on one row at any level, ``hyp_table`` on
-all q^N rows of level 1 and returns the coordinate rows as they are.
-``nondegeneracy_check`` walks the torus of F_{q^s}, s <= s_max, on the same
-tables and in the same blocks, reading the F_p rows of each term of the
-toric derivatives from ``powers``.
+coefficient rows x at once.  ``_torus_grids`` splits the torus into blocks
+that are products of per-axis ranges, where the exponents A_j . l and the
+twist classes are outer sums of per-axis progressions; one ``np.bincount``
+per block gives the (x, k, c) histogram N_x(k, c).  The ring work is two
+modular matmuls, (X p, q - 1) x (q - 1, blow) against the Teichmueller
+powers and (X, p blow) x (p blow, blow) against ``theta_rep`` for the sum
+over c.  Rows and blocks are bounded by _BLOCK, whatever q^N and
+(q^m - 1)^n are.  ``sums_oracle_characters`` runs it on one row at any
+level, ``hyp_table`` on all q^N rows of level 1.  ``nondegeneracy_check``
+walks the torus of F_{q^s}, s <= s_max, on the same tables and blocks.
 
 L-series come either from exp(sum S_m T^m / m) -- with the valuation of
 every division recorded as a per-coefficient precision loss -- or, exactly,
@@ -86,9 +85,9 @@ _BLOCK = 1 << 16
 LEVEL_LIMIT = 6
 
 # torus points above which the character oracle refuses a level: its numpy
-# work is linear in the (q^m - 1)^n points, about 8 M points/s on 2 vCPUs
-# (level 4 of A = I_3, p = 5, 624^3 = 2.4e8 points, takes 30 s), so the
-# limit is about half a minute of counting
+# work is linear in the (q^m - 1)^n points, about 60 M points/s at N = 3 on
+# 2 vCPUs (level 4 of A = I_3, p = 5, 624^3 = 2.4e8 points, takes 4 s), so
+# the limit is about 5 s of counting
 TORUS_LIMIT = 1 << 28
 
 # coefficient points q^N above which hyp_table refuses: it bounds the table,
@@ -240,12 +239,18 @@ def field_table(p: int, s: int) -> FieldTable:
     return FieldTable(field, ff.multiplicative_generator(field))
 
 
-def _torus_blocks(L: int, n: int, size: int):
-    """The torus (Z/L)^n as rows of discrete logs, at most size rows a block."""
-    total = L**n
-    for start in range(0, total, size):
-        idx = np.arange(start, min(start + size, total), dtype=np.int64)
-        yield np.stack([idx // L ** (n - 1 - i) % L for i in range(n)], axis=1)
+def _torus_grids(L: int, n: int, size: int):
+    """The torus (Z/L)^n of logs in row-major order, as blocks of at most
+    max(size, 1) points, each the list of its n per-axis ranges: the axes
+    after the first whole while they fit, the axis before them in ranges
+    (one range if the torus fits), the leading axes one value at a time."""
+    size = max(size, 1)
+    whole = max(w for w in range(n) if L**w <= size)
+    step, tail = size // L**whole, [np.arange(L)] * whole
+    for head in itertools.product(range(L), repeat=n - whole - 1):
+        for start in range(0, L, step):
+            cut = np.arange(start, min(start + step, L))
+            yield [np.array([h]) for h in head] + [cut] + tail
 
 
 def _modulus_roots(tab: FieldTable, big: FieldTable) -> np.ndarray:
@@ -291,29 +296,40 @@ def _character_values(tab: LevelTable, big: FieldTable, config, coeffs, k):
     exponents.  With b -> rho the root ``_embedding`` picks, h = g^d and
     rho(g_q) = h^t0, a point l has teich(h)^(k . l) = teich(g_q)^(k . l / t0),
     so the histogram runs over the q - 1 classes k . l / t0.  Rows are taken
-    so many at a time, and the torus so many points a block, that no array
-    passes _BLOCK x (N or p) entries unless one row alone needs more.
+    so many at a time, and the torus in ``_torus_grids`` blocks of so many
+    points, that no array passes _BLOCK entries unless one row alone needs
+    more.  In a block, x_j + A_j . l < (n + 1) L is an outer sum of per-axis
+    progressions and reads the traces tiled n + 1 times, then n L zeros that
+    a zero coefficient, x_j = (n + 1) L, reads; their sum over j is at most
+    N (p - 1), which fixes its integer type.
     """
     p, pM = tab.field.p, tab.ring.pM
-    L, Lq, n = big.L, tab.L, config.n
+    L, Lq, n, N = big.L, tab.L, config.n, config.N
     rows = _embedding(tab, big)
     x_logs = big.logs(np.asarray(coeffs) @ rows % p)
+    x_logs[x_logs == L] = (n + 1) * L
     t0 = int(big.logs(tab.powers[1] @ rows % p)) // (L // Lq)
     tw = np.array(k, dtype=np.int64) * pow(t0, -1, Lq) % Lq
-    A = np.array(config.A, dtype=np.int64).reshape(n, config.N) % L
-    # a zero coefficient reads the appended Tr = 0, so adds nothing to c
-    trace = np.append(big.trace, 0)
+    A = np.array(config.A, dtype=np.int64).reshape(n, N) % L
+    trace = np.zeros((2 * n + 1) * L, dtype=np.min_scalar_type(N * (p - 1)))
+    trace[:(n + 1) * L] = np.tile(big.trace, n + 1)
+    # trace sum c and class sum e < n (q - 1) key (c mod p, e mod (q - 1))
+    c_key, k_key = np.arange(N * (p - 1) + 1) % p * Lq, np.tile(np.arange(Lq), n)
     batch = max(1, _BLOCK // L**n)
     out = np.empty((len(x_logs), tab.ring.blow), dtype=np.int64)
     for start in range(0, len(x_logs), batch):
-        x = x_logs[start:start + batch, None, :]
+        x = x_logs[start:start + batch]
         X = len(x)
         counts = np.zeros(X * p * Lq, dtype=np.int64)
-        for logs in _torus_blocks(L, n, _BLOCK // X):
-            cls = logs @ tw % Lq
-            e = np.where(x == L, L, (logs @ A + x) % L)
-            c = trace[e].sum(axis=2) % p
-            key = (np.arange(X)[:, None] * p + c) * Lq + cls
+        for grid in _torus_grids(L, n, _BLOCK // X):
+            # the rows are one more axis of the outer sums
+            R, *g = np.ix_(range(X), *grid)
+            c = sum(
+                trace[sum((a * h % L for a, h in zip(A[:, j], g)), x[R, j])]
+                for j in range(N)
+            )
+            cls = k_key.take(sum(t * h % Lq for t, h in zip(tw, g)))
+            key = c_key.take(c) + (cls + R * (p * Lq))
             counts += np.bincount(key.ravel(), minlength=X * p * Lq)
         # row (x, c): sum_k N(k, c) teich(g_q)^k; then the sum over c
         by_trace = padic.matmul_mod(counts.reshape(X * p, Lq) % pM, tab.teich, pM)
@@ -441,13 +457,15 @@ def nondegeneracy_check(nd: pt.NewtonData, field: ff.FqParams, a_coeffs,
                 one = tuple(big.powers[0].tolist())
                 return DegenerateWitness((one,) * n, face)
             exps, mults, x_live = A[:, live] % L, A[:, live] % p, x[live]
-            for idx in _torus_blocks(L, n, max(1, _BLOCK // (f * s))):
-                logs = order[idx]
-                terms = big.powers[(logs @ exps + x_live) % L]
-                derivs = np.tensordot(terms, mults, axes=(1, 1)) % p
-                hits = np.flatnonzero(~derivs.any(axis=(1, 2)))
+            for grid in _torus_grids(L, n, _BLOCK // (f * s)):
+                J, *logs = np.ix_(range(len(live)), *(order[g] for g in grid))
+                lin = sum((exps[i][J] * l for i, l in enumerate(logs)), x_live[J])
+                terms = big.powers[lin % L]
+                derivs = np.tensordot(mults, terms, axes=(1, 0)) % p
+                hits = np.flatnonzero(~derivs.any(axis=(0, -1)))
                 if len(hits):
-                    point = big.powers[logs[hits[0]]].tolist()
+                    at = np.unravel_index(hits[0], terms.shape[1:-1])
+                    point = big.powers[[l.flat[i] for l, i in zip(logs, at)]].tolist()
                     return DegenerateWitness(tuple(map(tuple, point)), face)
     return NondegenerateUpTo(s_max)
 

@@ -110,8 +110,8 @@ def random_config(rng, n, N):
             continue
 
 
-def random_case(rng, p, f):
-    n = rng.choice((1, 2))
+def random_case(rng, p, f, n=None):
+    n = n or rng.choice((1, 2))
     N = rng.randint(n, 3)
     config = random_config(rng, n, N)
     q = p**f
@@ -147,6 +147,29 @@ def test_characters_match_per_point_reference():
                 assert prec == M
                 checked += 1
     assert checked >= 20
+    # n = 3, up to 512 points
+    for p, f, m in [(3, 1, 1), (3, 1, 2), (5, 1, 1), (7, 1, 1), (3, 2, 1)]:
+        config, a, twist = random_case(rng, p, f, n=3)
+        M = rng.randint(2, 4)
+        F = ff.FqParams(p, f)
+        got, prec = lf.sums_oracle_characters(config, F, a, twist, m, M)
+        want = reference_characters(config, F, a, twist, m, M)
+        assert per_point.ring_embed(got, want.params) == want, (
+            p, f, config, a, twist.k, m, M
+        )
+
+
+@pytest.mark.parametrize("L, n, size", [
+    (5, 1, 0), (5, 1, 3), (5, 1, 5), (4, 2, 3), (4, 2, 6), (4, 2, 16),
+    (3, 3, 2), (3, 3, 7), (3, 3, 10), (6, 3, 20), (2, 4, 5), (7, 2, 100),
+])
+def test_torus_grids_partition_the_torus_in_row_major_order(L, n, size):
+    points = []
+    for grid in lf._torus_grids(L, n, size):
+        block = list(itertools.product(*(g.tolist() for g in grid)))
+        assert 0 < len(block) <= max(size, 1)
+        points += block
+    assert points == list(itertools.product(range(L), repeat=n))
 
 
 # (p, f, n, N): q^N <= 81, zero coordinates in every table
@@ -190,9 +213,12 @@ def test_hyp_table_matches_per_point_reference():
 
 
 def test_character_values_independent_of_block_size(monkeypatch):
-    # rows and torus points split across blocks give the same values
+    # rows and torus points split across blocks give the same values; the
+    # block sizes make the walk take the whole torus, ranges of an axis
+    # under whole trailing axes, and leading axes one value at a time, with
+    # batches of hyp rows that hold zero coefficients
     rng = random.Random(11)
-    cases = [hyp_case(rng, *case) for case in HYP_CASES]
+    cases = [hyp_case(rng, *case) for case in HYP_CASES + [(3, 1, 3, 3)]]
 
     def values():
         out = []
@@ -205,9 +231,20 @@ def test_character_values_independent_of_block_size(monkeypatch):
         return out
 
     want = values()
-    for block in (7, 1):
+    walks = set()
+    grids = lf._torus_grids
+
+    def spy(L, n, size):
+        walks.add((L, n, size))
+        return grids(L, n, size)
+
+    monkeypatch.setattr(lf, "_torus_grids", spy)
+    for block in (100, 20, 7, 1):
         monkeypatch.setattr(lf, "_BLOCK", block)
         assert values() == want, block
+    assert any(L**n <= size for L, n, size in walks)
+    assert any(L <= size < L**n for L, n, size in walks)
+    assert any(size < L ** (n - 1) for L, n, size in walks)
 
 
 def test_hyp_entry_at_the_job_coefficients_is_the_level_one_sum():
