@@ -49,11 +49,12 @@ It runs on two index sets:
   read directly, as coordinate rows times its row-layout encoding; the
   encoding is gathered by the same index from one representation per
   nonzero cell.
-  At m >= 2 the box is the tests' exact reference for the diagonal fold;
+  At m >= 2 the box is the tests' exact reference for the diagonal;
 * level_diagonal_sum reads only the diagonal of H_m, the exponents
-  = 0 mod q^m - 1, so it takes (Z/(q^m - 1))^n and the splitting series
-  summed by class.  It gives every level's diagonal, level 1 included:
-  the series side of the trace formula and the series oracle.
+  = 0 mod q^m - 1, on (Z/(q^m - 1))^n with the splitting series summed by
+  class; it meets in the middle, as one ring dot product of the tables of
+  two halves of the columns.  It gives every level's diagonal, level 1
+  included: the series side of the trace formula and the series oracle.
 """
 
 from __future__ import annotations
@@ -133,10 +134,9 @@ class SeriesBox:
 # coordinates of transposed term matrices held at once
 _TERM_BLOCK = 1 << 20
 
-# coordinates that one chunk of the torus product scatters.  Small chunks
-# stay in cache and below BLAS's threaded sizes: at 2^20 the level-3 fold of
-# p = 11, A = [[1, -1]] took 0.51 s against 0.28 s here, and the
-# kloosterman_p5 check peaked 1.3 MB higher
+# coordinates that one chunk of the torus product scatters, kept in cache and
+# below BLAS's threaded sizes.  On the level-3 two-column half of p = 11,
+# A = [[1, -1, 2]], 2^20 took 0.24-0.32 s against 0.22-0.33 s here
 _FOLD_BLOCK = 1 << 13
 
 
@@ -201,35 +201,33 @@ def _column_terms(params: RingParams, base: np.ndarray, a: RamifiedElement, q: i
     return terms
 
 
-def _torus_product(params: RingParams, a_lifts, twist: TwistData,
-                   series: np.ndarray, dims, origin) -> np.ndarray:
-    """prod_j sum_i series[i] a_j^i t^(i w_j) on the torus prod_k Z/dims[k],
-    starting from 1 at the cell origin: a row-major table of prod(dims)
-    cells of blow coordinates, mod p^M.
+def _torus_product(params: RingParams, columns, q: int, series: np.ndarray,
+                   dims, origin) -> np.ndarray:
+    """prod over the columns (a, w) of sum_i series[i] a^i t^(i w) on the
+    torus prod_k Z/dims[k], starting from 1 at the cell origin: a row-major
+    table of prod(dims) cells of blow coordinates, mod p^M; every a != 0.
 
-    A live column sends each nonzero cell c to (c + i w_j) mod dims for every
+    A column sends each nonzero cell c to (c + i w) mod dims for every
     term i, a chunk of terms at once: one matmul_mod of the cells'
     coordinate rows against the chunk's stacked term matrices, one
-    scatter-add.  For a fixed term c -> c + i w_j is a bijection of the
+    scatter-add.  For a fixed term c -> c + i w is a bijection of the
     torus, so a cell gains at most one product per term and the sums stay
     below len(series) p^M.  So a chunk of one term adds by fancy indexing,
     and a longer one sums per cell by bincount, exact in float64 while
     chunk p^M <= 2^53.  (np.add.at would map about 0.1 MB more of numpy into
-    every operator command.)  A zero column contributes only its term 1.
+    every operator command.)
     """
     blow, pM = params.blow, params.pM
     dims = np.asarray(dims, dtype=np.int64)
     strides = np.array([math.prod(dims[k + 1:]) for k in range(len(dims))])
     table = np.zeros((math.prod(dims), blow), dtype=np.int64)
     table[np.dot(origin, strides)] = params.one().coords
-    for a, w in zip(a_lifts, twist.config.columns):
-        if a.is_zero():
-            continue
+    for a, w in columns:
         cells = np.flatnonzero(table.any(axis=1))
         at = np.stack(np.unravel_index(cells, dims), axis=1)
         rows = table[cells]
         chunk = max(1, min(_FOLD_BLOCK // (len(cells) * blow), 2**53 // pM))
-        terms = _column_terms(params, series, a, twist.q)
+        terms = _column_terms(params, series, a, q)
         table = np.zeros_like(table)
         for idx, mats in _term_blocks(params, terms):
             for start in range(0, len(idx), chunk):
@@ -280,15 +278,13 @@ def h_series(
     params = _checked_ring(a_lifts, twist, nd)
     Q = twist.q**m
     i_cut = precision_cut(params, Q)
-    W = np.array(
-        [w for a, w in zip(a_lifts, config.columns) if not a.is_zero()],
-        dtype=np.int64,
-    ).reshape(-1, config.n)
+    live = [(a, w) for a, w in zip(a_lifts, config.columns) if not a.is_zero()]
+    W = np.array([w for _, w in live], dtype=np.int64).reshape(-1, config.n)
     lo = i_cut * np.minimum(W, 0).min(axis=0, initial=0)
     dims = i_cut * np.maximum(W, 0).max(axis=0, initial=0) - lo + 1
     _require_table(params, m, dims)
     base = padic.splitting_coefficients(params, Q, i_cut)
-    table = _torus_product(params, a_lifts, twist, base, dims, -lo)
+    table = _torus_product(params, live, twist.q, base, dims, -lo)
     return SeriesBox(params, Q, lo + np.array(twist.shift(m)), dims, table)
 
 
@@ -297,6 +293,28 @@ def require_fold_budget(params: RingParams, q: int, m: int, n: int) -> None:
     blow coordinates, passes TABLE_LIMIT.  The table grows with m, so the
     commands test their top level before any work."""
     _require_table(params, m, (q**m - 1,) * n)
+
+
+def _half_product(params: RingParams, columns, q: int, classes: np.ndarray,
+                  n: int) -> np.ndarray:
+    """prod over the columns (a, w) of sum_r classes[r] a^r t^(r w) on
+    (Z/L)^n, L = len(classes), from 1 at the origin.  One column is placed
+    at r w mod L by one bincount: its terms are below p^M and at most L of
+    them share a cell, so chunks of 2^53 // p^M rows (at least 2^12, since
+    matmul_mod takes p^M below 2^41) sum exactly in float64."""
+    L, blow, pM = len(classes), params.blow, params.pM
+    if len(columns) != 1:
+        return _torus_product(params, columns, q, classes, (L,) * n, (0,) * n)
+    (a, w), = columns
+    terms = _column_terms(params, classes, a, q)
+    cells = np.ravel_multi_index(tuple(np.outer(w, np.arange(L)) % L), (L,) * n)
+    spots = cells[:, None] * blow + np.arange(blow)
+    table = np.zeros(L**n * blow, dtype=np.int64)
+    step = 2**53 // pM
+    for rows in (slice(start, start + step) for start in range(0, L, step)):
+        spread = np.bincount(spots[rows].ravel(), terms[rows].ravel(), table.size)
+        table = (table + spread.astype(np.int64)) % pM
+    return table.reshape(-1, blow)
 
 
 def level_diagonal_sum(
@@ -316,13 +334,19 @@ def level_diagonal_sum(
 
     The sum reads only these exponents, so the product is taken on the torus
     (Z/L)^n: each column's splitting coefficients are summed by class,
-    C[r] = sum of c_i over i = r mod L, and the torus product moves the
-    table by r w_j mod L times C[r] a_j^r for every class r.  The exponent
-    shift + sum i_j w_j is then = 0 mod L at the cell -shift mod L.  a_j^i
-    depends only on i mod (q - 1), which divides L, so C[r] a_j^r is the
-    class sum of the c_i a_j^i.  The table holds every product with each
-    i_j <= i_cut; one with sum i_j > i_cut has ord >= (p-1)(i_cut + 1)/(p q^m)
-    > M, so it is zero mod p^M, as in the wrap of h_series.  Same checks and
+    C[r] = sum of c_i over i = r mod L, and column j moves a table by
+    r w_j mod L times C[r] a_j^r for every class r (a_j^i depends only on
+    i mod (q - 1), which divides L).  The exponent shift + sum i_j w_j is
+    = 0 mod L at the cell target = -shift mod L.  The table holds every
+    product with each i_j <= i_cut; one with sum i_j > i_cut has
+    ord >= (p-1)(i_cut + 1)/(p q^m) > M, so it is zero mod p^M, as in the
+    wrap of h_series.
+
+    Meet in the middle: the live columns (a_j != 0) split in two halves
+    whose products T_1, T_2 start at the origin (_half_product), and the sum
+    is sum_c T_1[c] T_2[target - c] over T_1's nonzero cells: one
+    padic.diagonal_product_sum on (K, 1, blow) and (1, K, blow), chunked by
+    heads.  For N = 2 this costs O(L^n), not O(L^(n+1)).  Same checks and
     table limit as h_series.
     """
     config = twist.config
@@ -335,9 +359,16 @@ def level_diagonal_sum(
     padded = np.zeros((-(-(i_cut + 1) // L) * L, params.blow), dtype=np.int64)
     padded[:i_cut + 1] = base
     classes = padded.reshape(-1, L, params.blow).sum(axis=0) % params.pM
-    table = _torus_product(params, a_lifts, twist, classes, dims, (0,) * config.n)
-    target = np.ravel_multi_index([-s % L for s in twist.shift(m)], dims)
-    return params.from_coords(table[target])
+    live = [(a, w) for a, w in zip(a_lifts, config.columns) if not a.is_zero()]
+    first, second = (_half_product(params, cols, twist.q, classes, config.n)
+                     for cols in (live[:len(live) // 2], live[len(live) // 2:]))
+    cells = np.flatnonzero(first.any(axis=1))
+    target = [-s % L for s in twist.shift(m)]
+    partner = np.ravel_multi_index(
+        [(t - c) % L for t, c in zip(target, np.unravel_index(cells, dims))], dims
+    )
+    S = padic.diagonal_product_sum(params, first[cells][:, None], second[partner][None])
+    return params.from_coords(S)
 
 
 # ----------------------------------------------------------------------

@@ -172,15 +172,15 @@ class FqParams:
 
 
 def absolute_trace_int(x, field: FqParams) -> int:
-    """Tr_{F_{p^s}/F_p}(x) = x + x^p + ... + x^(p^(s-1)) as an integer in
-    0..p-1, for a coefficient tuple x of F_q."""
-    p, g = field.p, field.modulus
-    tr = y = tuple(x)
-    for _ in range(field.degree - 1):
-        y = polypowmod(y, p, g, p)
-        tr = tuple((a + b) % p for a, b in zip(tr, y))
-    assert not any(tr[1:])
-    return tr[0]
+    """Tr_{F_{p^s}/F_p}(x) in 0..p-1 for a coefficient tuple x of F_q:
+    sum_j x_j P_j, with P_j = Tr(b^j) the power sums of the roots of
+    g = b^s + c_(s-1) b^(s-1) + ... + c_0, P_0 = s and, by Newton's
+    identities, P_k = -(k c_(s-k) + sum_(0<i<k) c_(s-i) P_(k-i))."""
+    p, g, s = field.p, field.modulus, field.degree
+    P = [s]
+    for k in range(1, s):
+        P.append(-(k * g[s - k] + sum(g[s - i] * P[k - i] for i in range(1, k))) % p)
+    return sum(c * t for c, t in zip(x, P)) % p
 
 
 def multiplicative_generator(field: FqParams) -> tuple:

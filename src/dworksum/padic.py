@@ -26,8 +26,9 @@ there), so traces and series reduce to modular matmuls.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -335,19 +336,26 @@ def _pi_factorial_units(params: RingParams, k_max: int) -> list[int]:
     With k! = p^e u, u prime to p, and p = -pi^(p-1):
     pi^k / k! = (-1)^(k // (p-1)) p^(k // (p-1) - e) u^-1 pi^(k mod (p-1)),
     where the exponent of p is (sigma(k) - k mod (p-1)) / (p-1) >= 0, with
-    sigma the base-p digit sum, so every pi^k / k! is integral.
+    sigma the base-p digit sum, so every pi^k / k! is integral.  A sieve gives
+    v_p(k) and k / p^v_p(k); one inverse, of u at k_max, is walked down.
     """
     p, pM, M = params.p, params.pM, params.M
-    out = [1]
-    e, u = 0, 1
-    for k in range(1, k_max + 1):
-        kk = k
-        while kk % p == 0:
-            kk //= p
-            e += 1
-        u = u * kk % pM
+    val = [0] * (k_max + 1)  # v_p(k)
+    unit = list(range(k_max + 1))  # k / p^v_p(k)
+    pk = p
+    while pk <= k_max:
+        val[pk::pk] = [v + 1 for v in val[pk::pk]]
+        unit[pk::pk] = [u // p for u in unit[pk::pk]]
+        pk *= p
+    inverse = [1] * (k_max + 1)  # of the unit part of k!
+    inverse[-1] = pow(reduce(lambda x, u: x * u % pM, unit[1:], 1), -1, pM)
+    for k in range(k_max, 1, -1):
+        inverse[k - 1] = inverse[k] * unit[k] % pM
+    power = [pow(p, t, pM) for t in range(M)]
+    out = []
+    for k, e in enumerate(itertools.accumulate(val)):
         t = k // (p - 1) - e
-        v = pow(p, t, pM) * pow(u, -1, pM) % pM if t < M else 0
+        v = power[t] * inverse[k] % pM if t < M else 0
         out.append(-v % pM if k // (p - 1) % 2 else v)
     return out
 
@@ -497,20 +505,21 @@ _PAIR_BLOCK = 1 << 14
 
 
 def diagonal_product_sum(params: RingParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Coordinates of sum over h, u of A[h, u] B[u, h] for (n, n, blow) arrays of
-    residues: the ring trace of A B without the product.  It is one
+    """Coordinates of sum over h, u of A[h, u] B[u, h] for (n, k, blow) and
+    (k, n, blow) arrays of residues (at k = 1 a ring dot product): the ring
+    trace of A B without the product.  It is one
     contraction, S = sum over the pairs of the outer products
     A[h, u] (x) B[u, h], taken a chunk of heads h at a time: as many as keep
     the float64 sums exact and the chunk within _PAIR_BLOCK pairs, and at
     least blow, so a chunk that cannot go to float64 contracts no more than
-    the n*blow terms of a row product and keeps that product's strategy and
+    the k*blow terms of a row product and keeps that product's strategy and
     overflow guard."""
-    n = len(A)
+    k = A.shape[1]
     blow, pM = params.blow, params.pM
-    heads = max(blow, min(_float_terms(pM), _PAIR_BLOCK) // max(n, 1))
-    dtype = np.float64 if heads * n <= _float_terms(pM) else np.int64
+    heads = max(blow, min(_float_terms(pM), _PAIR_BLOCK) // max(k, 1))
+    dtype = np.float64 if heads * k <= _float_terms(pM) else np.int64
     S = np.zeros((blow, blow), dtype=np.int64)
-    for h in range(0, n, heads):
+    for h in range(0, len(A), heads):
         X = A[h:h + heads].reshape(-1, blow)
         Y = np.ascontiguousarray(B[:, h:h + heads].transpose(1, 0, 2), dtype=dtype)
         S = (S + matmul_mod(X.T, Y.reshape(-1, blow), pM)) % pM

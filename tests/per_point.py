@@ -1,5 +1,5 @@
-"""Per-point references: finite-field arithmetic and embeddings one element
-at a time, ring embeddings with a Newton inverse, and the nondegeneracy
+"""Per-point references: finite-field arithmetic, the absolute trace as a
+Frobenius sum, and embeddings one element at a time, ring embeddings with a Newton inverse, and the nondegeneracy
 search one torus point at a time.
 
 Elements of F_q are coefficient tuples, as in the package, multiplied by
@@ -44,6 +44,17 @@ def mul(field: ff.FqParams, x, y) -> tuple:
 
 def power(field: ff.FqParams, x, e: int) -> tuple:
     return ff.polypowmod(x, e, field.modulus, field.p)
+
+
+def frobenius_trace(x, field: ff.FqParams) -> int:
+    """Tr_{F_q/F_p}(x) = x + x^p + ... + x^(p^(s-1)) as an integer in 0..p-1,
+    from s - 1 Frobenius powers; the sum lies in F_p."""
+    tr = y = tuple(x)
+    for _ in range(field.degree - 1):
+        y = power(field, y, field.p)
+        tr = add(field, tr, y)
+    assert not any(tr[1:])
+    return tr[0]
 
 
 def evaluate(field: ff.FqParams, poly, x) -> tuple:

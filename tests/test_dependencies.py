@@ -1,11 +1,15 @@
 """numpy is the package's only declared dependency: every import in
-src/dworksum is the package itself, the standard library or numpy."""
+src/dworksum is the package itself, the standard library or numpy.  The
+commands keep numpy's lazily imported parts out of a cold process."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dworksum"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dworksum"
 ALLOWED = {"dworksum", "numpy"} | set(sys.stdlib_module_names)
 
 
@@ -30,3 +34,26 @@ def test_only_declared_dependencies_are_imported():
     ]
     assert not foreign, foreign
 
+
+
+def test_commands_leave_numpy_ma_unloaded():
+    # np.unique, among others, imports numpy.ma on first use: about 36 ms
+    # and 0.5 MB in every cold process.  Every command on every sample job,
+    # in a fresh interpreter, must leave it unloaded
+    jobs = sorted(str(path) for path in (ROOT / "jobs").glob("*.json"))
+    assert len(jobs) >= 4
+    code = (
+        "import json, sys\n"
+        "from dworksum import cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    for command in cli.COMMANDS:\n"
+        "        cli.run(command, json.load(open(path)))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *jobs],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -111,6 +111,90 @@ def test_level_diagonal_sum_checks_and_budget():
     assert dwork.level_diagonal_sum(zero, twist, 2, nd) == params.one()
 
 
+def test_level_diagonal_sum_matches_one_pass_fold_sweep():
+    # seeded sweep over n <= 3, N <= 5, f <= 2, twists and zero coefficients
+    # (all-zero a included): the meet-in-the-middle diagonal against the
+    # one-pass fold.  The draws must cover halves of one column and of two
+    # or more, and one-column halves whose w shares a factor with L, so that
+    # several classes land on one cell of its bincount
+    import itertools
+    import math
+    import random
+
+    from dworksum.errors import RankDeficient
+
+    rng = random.Random(4242)
+    seen = set()
+    draws = 0
+    while draws < 120:
+        p, f = rng.choice(((3, 1), (3, 2), (5, 1), (7, 1)))
+        q = p**f
+        n = rng.choice((1, 2, 3))
+        N = rng.randint(n, 5)
+        m = rng.randint(1, 3)
+        L = q**m - 1
+        if L ** (n + 1) > 100_000:
+            continue
+        try:
+            config = ExponentConfig(
+                [[rng.randint(-3, 3) for _ in range(N)] for _ in range(n)]
+            )
+        except (RankDeficient, ValueError):
+            continue
+        nd = newton_data(config)
+        ks = [
+            k for k in itertools.product(range(-2, 3), repeat=n)
+            if dwork.twist_validate(dwork.TwistData(config, k, q), nd)
+        ]
+        if not ks:
+            continue
+        draws += 1
+        twist = dwork.TwistData(config, rng.choice(ks), q)
+        params = padic.ring_create(p, f, rng.randint(2, 4))
+        F = ff.FqParams(p, f)
+        zero_prob = rng.choice((0.0, 0.3, 1.0))
+        a_res = [
+            (0,) * f if rng.random() < zero_prob else rng.choice(per_point.enumerate_units(F))
+            for _ in range(N)
+        ]
+        a_lifts = [padic.teichmueller(a, params) for a in a_res]
+        got = dwork.level_diagonal_sum(a_lifts, twist, m, nd)
+        assert got == series_box.diagonal_fold(a_lifts, twist, m, nd), (
+            p, f, m, config.A, a_res, twist.k
+        )
+        live = [w for a, w in zip(a_res, config.columns) if any(a)]
+        halves = (live[:len(live) // 2], live[len(live) // 2:])
+        seen.add(("live", min(len(live), 3)))
+        seen |= {("half", min(len(h), 2)) for h in halves if h}
+        seen.add(("twist", any(twist.k)))
+        seen.add(("zero column", len(live) not in (0, N)))
+        seen |= {
+            ("collide", math.gcd(L, *h[0]) > 1) for h in halves if len(h) == 1
+        }
+        seen.add(("n", n))
+    assert seen >= {
+        ("live", 0), ("live", 1), ("live", 2), ("live", 3),
+        ("half", 1), ("half", 2), ("twist", True), ("zero column", True),
+        ("collide", True), ("collide", False), ("n", 1), ("n", 2), ("n", 3),
+    }, seen
+
+
+def test_one_column_half_sums_exactly_past_float64():
+    # every class of a one-column half with w = 0 lands on one cell, and
+    # L (p^M - 1) > 2^53: the bincount must sum in chunks of 2^53 // p^M
+    # rows (four here, the last of one row) to stay exact
+    import numpy as np
+
+    params = padic.ring_create(3, 1, 25)
+    pM = params.pM
+    L = 3 * (2**53 // pM) + 1
+    classes = np.random.default_rng(5).integers(pM // 2, pM, (L, params.blow))
+    assert classes.sum(axis=0).min() > 2**53
+    table = dwork._half_product(params, [(params.one(), (0,))], 3, classes, 1)
+    assert table[0].tolist() == (classes.sum(axis=0) % pM).tolist()
+    assert not table[1:].any()
+
+
 def test_matrix_entries_and_sparsity():
     params, F, config, nd, twist, a_res, a_lifts = setup(3, 5, [[1]], [1], [0])
     dm = dwork.build_operator(config, nd, a_lifts, twist)
@@ -158,6 +242,7 @@ def test_trace_routes_agree():
             assert prec_pow >= params.M
             assert tr_pow == tr_ser
             assert dwork.level_diagonal_sum(a_lifts, twist, m, nd) == tr_ser
+            assert series_box.diagonal_fold(a_lifts, twist, m, nd) == tr_ser
 
 
 def test_trace_formula_over_extension_field():
@@ -488,6 +573,7 @@ def test_h_series_matches_brute_force_sweep(monkeypatch):
                     diagonal = diagonal + params.from_coords(c)
             assert series_box.diagonal(series) == diagonal
             assert dwork.level_diagonal_sum(a_lifts, twist, m, nd) == diagonal
+            assert series_box.diagonal_fold(a_lifts, twist, m, nd) == diagonal
             ranks.add(n)
             zero_columns += any(not any(a) for a in a_res)
     assert ranks == {1, 2, 3} and zero_columns

@@ -162,6 +162,18 @@ def test_absolute_trace_int():
     assert all(vals.count(c) == 3 for c in (0, 1, 2))
 
 
+def test_absolute_trace_int_matches_frobenius_sum():
+    # the basis traces by Newton's identities against x + x^p + ... on every
+    # element of every field with p <= 11 and q <= 3^7
+    for p in (3, 5, 7, 11):
+        s = 1
+        while p**s <= 3**7:
+            F = ff.FqParams(p, s)
+            for x in per_point.elements(F):
+                assert ff.absolute_trace_int(x, F) == per_point.frobenius_trace(x, F)
+            s += 1
+
+
 def _moduli_up_to(bound):
     for p in (3, 5, 7, 11, 13):
         s = 2

@@ -61,7 +61,7 @@ def reference_characters(config, field, a_residues, twist, m, M):
                 term = per_point.mul(big_field, a_big[j], gen_pows[e])
                 val = per_point.add(big_field, val, term)
         k = sum(tw[i] * logs[i] for i in range(config.n)) % L
-        trace = ff.absolute_trace_int(val, big_field)
+        trace = per_point.frobenius_trace(val, big_field)
         total = total + teich_pow[k] * theta_pow[trace]
     return total
 
@@ -402,7 +402,7 @@ def test_level_table_contents():
         x = per_point.const(tab.field, 1)
         for e in range(L):
             assert tab.logs(x) == e
-            assert tab.trace[e] == ff.absolute_trace_int(x, tab.field)
+            assert tab.trace[e] == per_point.frobenius_trace(x, tab.field)
             assert tab.ring.from_coords(tab.teich[e]) == padic.teichmueller(
                 x, tab.ring
             )

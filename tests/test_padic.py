@@ -496,16 +496,19 @@ def test_char_series_reads_each_degree_on_its_block():
 
 
 def test_diagonal_product_sum_matches_ring_loops():
-    # at p = 7, M = 12 matmul_mod's hi/lo split admits at most 2541 terms:
-    # 53^2 pairs in one contraction would be refused, 6 heads at a time are not
+    # at p = 7, M = 12 no product is exact in float64, so every chunk of 6
+    # heads takes matmul_mod's hi/lo split (at most 2541 terms a pass); the
+    # operands may be (n, k) and (k, n), down to a dot product of 3000 pairs
+    # at k = 1
     rng = random.Random(47)
-    for p, s, M, n in [(3, 2, 4, 5), (7, 1, 12, 53)]:
+    for p, s, M, n, k in [(3, 2, 4, 5, 5), (7, 1, 12, 53, 53), (5, 2, 3, 4, 7),
+                          (5, 1, 6, 40, 1), (7, 1, 12, 3000, 1)]:
         params = padic.ring_create(p, s, M)
-        A = [[rand_element(params, rng) for _ in range(n)] for _ in range(n)]
-        B = [[rand_element(params, rng) for _ in range(n)] for _ in range(n)]
+        A = [[rand_element(params, rng) for _ in range(k)] for _ in range(n)]
+        B = [[rand_element(params, rng) for _ in range(n)] for _ in range(k)]
         want = params.zero()
         for h in range(n):
-            for u in range(n):
+            for u in range(k):
                 want = want + A[h][u] * B[u][h]
         got = padic.diagonal_product_sum(params, coords_of(A), coords_of(B))
         assert got.tolist() == list(want.coords)
