@@ -32,6 +32,8 @@ from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 
+import numpy as np
+
 from . import dwork, finitefield as ff, gkz, lfunction as lf, padic, polytope as pt
 from .errors import (
     BudgetExceeded,
@@ -164,6 +166,11 @@ class JobConfig:
         construction; only the commands that multiply in R lift them."""
         return [padic.teichmueller(r, self.params) for r in self.a_residues]
 
+    @property
+    def live_columns(self) -> list:
+        """The exponent columns w_j of the nonzero coefficients a_j."""
+        return [w for w, a in zip(self.config.columns, self.a_residues) if any(a)]
+
     def torus_points(self, m: int) -> int:
         """(q^m - 1)^n, the size of the torus over F_{q^m}."""
         return (self.q**m - 1) ** self.config.n
@@ -258,7 +265,9 @@ def cmd_gkz(job: JobConfig) -> dict:
 
 def cmd_sums(job: JobConfig) -> dict:
     lf.require_level_budget(job.p, job.f, job.m_max, job.config.n)
-    dwork.require_fold_budget(job.params, job.q, job.m_max, job.config.n)
+    dwork.require_fold_budget(
+        job.params, job.q, job.m_max, job.config.n, job.live_columns
+    )
     out = {"levels": []}
     for m in range(1, job.m_max + 1):
         Sc, pc = lf.sums_oracle_characters(
@@ -279,16 +288,18 @@ def cmd_sums(job: JobConfig) -> dict:
 
 
 def cmd_hyp(job: JobConfig) -> dict:
-    values = lf.hyp_table(job.config, job.twist, job.field, job.M)
-    # every entry carries the full precision M
-    prec = [job.M, 1]
+    grid, values = lf.hyp_table(job.config, job.twist, job.field, job.M)
+    # every nonzero coordinate as [i, j, c] in row-major order, one slice
+    # of the list per entry; every entry carries the full precision M
+    row, col = np.nonzero(values)
     s = job.params.s
+    found = np.stack([col // s, col % s, values[row, col]], axis=1).tolist()
+    ends = np.searchsorted(row, np.arange(len(values) + 1)).tolist()
+    prec = [job.M, 1]
     return {
         "entries": [
-            {"x": [list(c) for c in x],
-             "value": {"triples": triples(row, s), "precision": prec}}
-            for x, row in zip(lf.hyp_points(job.field, job.config.N),
-                              values.tolist())
+            {"x": x, "value": {"triples": found[lo:hi], "precision": prec}}
+            for x, lo, hi in zip(grid.tolist(), ends, ends[1:])
         ]
     }
 
@@ -300,7 +311,9 @@ def _operator(job: JobConfig) -> dwork.DworkMatrix:
 
 
 def cmd_trace(job: JobConfig) -> dict:
-    dwork.require_fold_budget(job.params, job.q, job.m_max, job.config.n)
+    dwork.require_fold_budget(
+        job.params, job.q, job.m_max, job.config.n, job.live_columns
+    )
     dm = _operator(job)
     out = {
         "basis_size": dm.dim,
@@ -452,7 +465,9 @@ def cmd_check(job: JobConfig) -> dict:
     # nondegeneracy level or the top diagonal fold is over budget
     top = max(job.m_max, job.volume + 3, job.s_max)
     lf.require_level_budget(job.p, job.f, top, job.config.n)
-    dwork.require_fold_budget(job.params, job.q, job.m_max, job.config.n)
+    dwork.require_fold_budget(
+        job.params, job.q, job.m_max, job.config.n, job.live_columns
+    )
     checks = []
 
     def record(name, passed, detail=None):

@@ -198,6 +198,7 @@ def _column_terms(params: RingParams, base: np.ndarray, a: RamifiedElement, q: i
         for r, mat in zip(idx, mats):
             cls = residue == r
             terms[cls] = padic.matmul_mod(base[cls], mat, params.pM)
+        del mats, mat  # before _term_blocks builds the next block
     return terms
 
 
@@ -288,11 +289,51 @@ def h_series(
     return SeriesBox(params, Q, lo + np.array(twist.shift(m)), dims, table)
 
 
-def require_fold_budget(params: RingParams, q: int, m: int, n: int) -> None:
-    """Refuse the level-m diagonal fold when its table, (q^m - 1)^n cells of
-    blow coordinates, passes TABLE_LIMIT.  The table grows with m, so the
-    commands test their top level before any work."""
+# cells x classes x coordinates above which the level-m diagonal refuses the
+# torus product of a half of two or more columns: its time is linear in
+# them, about 6.5e7 a second on 2 vCPUs (A = [[1, -1, 2]] at level 3:
+# p = 13, 5.8e7, takes 0.76 s; p = 17, 3.9e8, 6.0 s), so the limit is
+# about 4 s of products
+FOLD_LIMIT = 1 << 28
+
+
+def _halves(live: list) -> tuple[list, list]:
+    """The two halves of the live columns that the level-m diagonal
+    multiplies apart."""
+    return live[:len(live) // 2], live[len(live) // 2:]
+
+
+def _require_fold_work(params: RingParams, m: int, L: int, columns) -> None:
+    """Refuse the torus product on (Z/L)^n of a half of two or more of the
+    live columns w_j when it would move more than FOLD_LIMIT cells x
+    classes x coordinates.  Column j moves the nonzero cells that the
+    columns before it leave, at most the L^n cells and at most the product
+    of their orders L / gcd(L, w_i), by all L classes."""
+    if len(columns) < 2:
+        return
+    n = len(columns[0])
+    work, cells = 0, 1
+    for w in columns:
+        work += cells * L * params.blow
+        cells = min(L**n, cells * (L // math.gcd(L, *w)))
+    if work > FOLD_LIMIT:
+        raise BudgetExceeded(
+            f"level-{m} torus product of {len(columns)} columns moves {work} "
+            f"cells x classes x coordinates, above the limit {FOLD_LIMIT}"
+        )
+
+
+def require_fold_budget(params: RingParams, q: int, m: int, n: int,
+                        columns) -> None:
+    """Refuse the level-m diagonal fold before any work: when its table,
+    (q^m - 1)^n cells of blow coordinates, passes TABLE_LIMIT, or when at
+    any level up to m a half of the live columns (those with a_j != 0) has
+    a torus product above FOLD_LIMIT.  The table grows with m, so the
+    commands test their top level."""
     _require_table(params, m, (q**m - 1,) * n)
+    for level in range(1, m + 1):
+        for half in _halves(list(columns)):
+            _require_fold_work(params, level, q**level - 1, half)
 
 
 def _half_product(params: RingParams, columns, q: int, classes: np.ndarray,
@@ -347,21 +388,25 @@ def level_diagonal_sum(
     is sum_c T_1[c] T_2[target - c] over T_1's nonzero cells: one
     padic.diagonal_product_sum on (K, 1, blow) and (1, K, blow), chunked by
     heads.  For N = 2 this costs O(L^n), not O(L^(n+1)).  Same checks and
-    table limit as h_series.
+    table limit as h_series; a half of two or more columns is refused
+    above FOLD_LIMIT (_require_fold_work) before any work.
     """
     config = twist.config
     params = _checked_ring(a_lifts, twist, nd)
     L = twist.q**m - 1
     dims = (L,) * config.n
     _require_table(params, m, dims)
+    live = [(a, w) for a, w in zip(a_lifts, config.columns) if not a.is_zero()]
+    halves = _halves(live)
+    for half in halves:
+        _require_fold_work(params, m, L, [w for _, w in half])
     i_cut = precision_cut(params, L + 1)
     base = padic.splitting_coefficients(params, L + 1, i_cut)
     padded = np.zeros((-(-(i_cut + 1) // L) * L, params.blow), dtype=np.int64)
     padded[:i_cut + 1] = base
     classes = padded.reshape(-1, L, params.blow).sum(axis=0) % params.pM
-    live = [(a, w) for a, w in zip(a_lifts, config.columns) if not a.is_zero()]
     first, second = (_half_product(params, cols, twist.q, classes, config.n)
-                     for cols in (live[:len(live) // 2], live[len(live) // 2:]))
+                     for cols in halves)
     cells = np.flatnonzero(first.any(axis=1))
     target = [-s % L for s in twist.shift(m)]
     partner = np.ravel_multi_index(

@@ -51,8 +51,11 @@ modular matmuls, (X p, q - 1) x (q - 1, blow) against the Teichmueller
 powers and (X, p blow) x (p blow, blow) against ``theta_rep`` for the sum
 over c.  Rows and blocks are bounded by _BLOCK, whatever q^N and
 (q^m - 1)^n are.  ``sums_oracle_characters`` runs it on one row at any
-level, ``hyp_table`` on all q^N rows of level 1.  ``nondegeneracy_check``
-walks the torus of F_{q^s}, s <= s_max, on the same tables and blocks.
+level, ``hyp_table`` on all q^N rows of level 1: the rows are
+``coefficient_grid``, built once as the base-p digits of 0..q^N - 1 in
+itertools.product order, which the kernel reads as they are and the hyp
+command reports entry by entry.  ``nondegeneracy_check`` walks the torus
+of F_{q^s}, s <= s_max, on the same tables and blocks.
 
 L-series come either from exp(sum S_m T^m / m) -- with the valuation of
 every division recorded as a per-coefficient precision loss -- or, exactly,
@@ -320,7 +323,7 @@ def _character_values(tab: LevelTable, big: FieldTable, config, coeffs, k):
     for start in range(0, len(x_logs), batch):
         x = x_logs[start:start + batch]
         X = len(x)
-        counts = np.zeros(X * p * Lq, dtype=np.int64)
+        counts = None  # the first block's histogram, then the running sum
         for grid in _torus_grids(L, n, _BLOCK // X):
             # the rows are one more axis of the outer sums
             R, *g = np.ix_(range(X), *grid)
@@ -330,9 +333,17 @@ def _character_values(tab: LevelTable, big: FieldTable, config, coeffs, k):
             )
             cls = k_key.take(sum(t * h % Lq for t, h in zip(tw, g)))
             key = c_key.take(c) + (cls + R * (p * Lq))
-            counts += np.bincount(key.ravel(), minlength=X * p * Lq)
-        # row (x, c): sum_k N(k, c) teich(g_q)^k; then the sum over c
-        by_trace = padic.matmul_mod(counts.reshape(X * p, Lq) % pM, tab.teich, pM)
+            spread = np.bincount(key.ravel(), minlength=X * p * Lq)
+            if counts is None:
+                counts = spread
+            else:
+                counts += spread
+        # row (x, c): sum_k N(k, c) teich(g_q)^k; then the sum over c.  A
+        # count is at most the L^n points of its row, so below p^M unless
+        # L^n reaches it
+        if L**n >= pM:
+            counts %= pM
+        by_trace = padic.matmul_mod(counts.reshape(X * p, Lq), tab.teich, pM)
         out[start:start + X] = padic.matmul_mod(
             by_trace.reshape(X, p * tab.ring.blow), tab.theta_rep, pM
         )
@@ -362,13 +373,14 @@ def sums_oracle_characters(
     return tab.ring.from_coords(value), Fraction(M)
 
 
-def hyp_points(field: ff.FqParams, N: int) -> list:
-    """Every coefficient point x in F_q^N as a tuple of N coefficient tuples,
-    in itertools.product order over sorted ranges, which is sorted order."""
-    return list(
-        itertools.product(itertools.product(range(field.p), repeat=field.degree),
-                          repeat=N)
-    )
+def coefficient_grid(field: ff.FqParams, N: int) -> np.ndarray:
+    """Every coefficient point x in F_q^N as a (q^N, N, f) array of base-p
+    digits: row i holds the digits of i, most significant first, which is
+    itertools.product order over sorted ranges, so the rows are sorted."""
+    digits = N * field.degree
+    place = field.p ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+    grid = np.arange(field.p**digits, dtype=np.int64)[:, None] // place % field.p
+    return grid.reshape(-1, N, field.degree)
 
 
 def hyp_table(
@@ -376,11 +388,12 @@ def hyp_table(
     twist: dwork.TwistData,
     field: ff.FqParams,
     M: int,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """The twisted sum at every rational coefficient point x in F_q^N, all
-    q^N character sums from one batched histogram of level 1: row i of the
-    (q^N, blow) result holds the coordinates in R(p, f, M), residues in
-    [0, p^M), of the sum at hyp_points(field, N)[i]."""
+    q^N character sums from one batched histogram of level 1.  Returns the
+    points, the (q^N, N, f) coefficient_grid, and the (q^N, blow) values:
+    row i holds the coordinates in R(p, f, M), residues in [0, p^M), of the
+    sum at point i."""
     if field.q**config.N > HYP_LIMIT:
         raise BudgetExceeded(
             f"q^N = {field.q ** config.N} exceeds the table budget {HYP_LIMIT}"
@@ -389,7 +402,8 @@ def hyp_table(
     assert twist.q == field.q
     require_level_budget(p, f, 1, config.n, rows=field.q**config.N)
     tab = level_table(p, f, M)
-    return _character_values(tab, tab, config, hyp_points(field, config.N), twist.k)
+    grid = coefficient_grid(field, config.N)
+    return grid, _character_values(tab, tab, config, grid, twist.k)
 
 
 # ----------------------------------------------------------------------

@@ -18,10 +18,16 @@ b^k mod g, k <= 2s - 2; nothing of size blow^3 is built.  Element products
 (RingParams.mul_coords) are pure Python; arrays of elements multiply through
 RingParams.rep, one matmul_mod against the b-rows and one gather.
 
+Teichmueller lifts live in the unramified subring (Z/p^M)[b]/(g), the pi^0
+row, which the product keeps closed; they are iterated there with
+finitefield's polynomial product mod (g, p^M), on s coordinates.
+
 Matrices over R are (n, m, blow) coordinate arrays.  The row-layout block
 encoding at the bottom makes a matrix product the left factor's coordinate
 rows times one integer matrix (held in float64 when those products are exact
-there), so traces and series reduce to modular matmuls.
+there), so traces and series reduce to modular matmuls.  matmul_mod runs
+every one of them on float64 BLAS: one product when its sums are exact in
+float64, else one product of both factors' float64 limbs.
 """
 
 from __future__ import annotations
@@ -311,17 +317,22 @@ def pi_ord(x: RamifiedElement) -> PiOrd:
 def teichmueller(residue, params: RingParams) -> RamifiedElement:
     """The unique root of x^(p^s) = x lifting the residue, a coefficient
     tuple (c_0, ..., c_{s-1}) of F_{p^s}: iterate x -> x^(p^s) from its
-    coefficient-wise lift; each step fixes one more p-adic digit."""
-    if len(residue) != params.s:
+    coefficient-wise lift; each step fixes one more p-adic digit.
+
+    The iteration stays in the unramified subring (Z/p^M)[b]/(g), the pi^0
+    row of R, which R's product keeps closed: its elements are the s
+    coefficients of a polynomial in b, multiplied by finitefield's product
+    mod (g, p^M), and the lift is that row with every other coordinate 0."""
+    s, pM = params.s, params.pM
+    if len(residue) != s:
         raise ParamsMismatch(
             f"a residue of {len(residue)} coefficients does not lift to {params!r}"
         )
-    x = params.from_coords(tuple(residue) + (0,) * (params.blow - params.s))
-    q = params.p**params.s
+    x = tuple(int(c) % pM for c in residue)
     for _ in range(params.M + 2):
-        nxt = x**q
+        nxt = ff.polypowmod(x, params.p**s, params.g, pM)
         if nxt == x:
-            return x
+            return RamifiedElement(params, x + (0,) * (params.blow - s))
         x = nxt
     raise ArithmeticError("Teichmueller iteration did not stabilize")  # unreachable
 
@@ -427,47 +438,82 @@ def _float_terms(mod: int) -> int:
     return (2**53 - 1) // (mod - 1) ** 2
 
 
+# limb coordinates of either factor that matmul_mod holds at once (4 MB).
+# On x over F_211 at M = 4 (one row of sums, 211 rows of hyp, against the
+# 74 MB theta_rep) 2^20 raised the peak of sums by 8 MB, and 2^17 took hyp
+# from 1.3 to 2.0 s
+_LIMB_BLOCK = 1 << 19
+
+
+def _limb_split(k: int, mod: int) -> tuple[int, int]:
+    """(t, h): the fewest limbs t >= 2 of h = ceil(bits / t) bits, bits the
+    width of mod - 1, such that the t k limb products of equal weight in a
+    product of two rows of k residues sum below 2^53."""
+    bits = (mod - 1).bit_length()
+    for t in range(2, bits + 1):
+        h = -(-bits // t)
+        if t * k * ((1 << h) - 1) ** 2 < 2**53:
+            return t, h
+    raise OverflowError(f"{k} terms are too many for float64 limbs")
+
+
+def _limbs(X: np.ndarray, t: int, h: int, axis: int) -> np.ndarray:
+    """The t limbs of h bits of a 2-D int64 array as float64, stacked on a
+    new axis 0 or 1."""
+    out = np.empty(X.shape[:axis] + (t,) + X.shape[axis:])
+    for i in range(t):
+        limb = out[i] if axis == 0 else out[:, i]
+        np.bitwise_and(X >> (h * i), (1 << h) - 1, out=limb, casting="unsafe")
+    return out
+
+
 def matmul_mod(A: np.ndarray, B: np.ndarray, mod: int) -> np.ndarray:
     """Exact (A @ B) % mod as int64, for arrays of integers in [0, mod)
-    (int64, or float64 holding integers).
+    (int64, or float64 holding integers), mod below 2^41.
 
-    Picks float64 BLAS when the sums stay exact (_float_terms), plain int64
-    matmul below 2^62, else A split into h-bit halves over chunks of k terms,
-    k 2^h (mod - 1) < 2^62.  A float64 input goes to BLAS without a copy.
+    Every product runs on float64 BLAS.  When the k-term sums stay exact
+    (_float_terms) it is one matmul, and a float64 input needs no copy.
+    Otherwise both factors split into t limbs of h bits (_limb_split),
+    A = sum_i A_i 2^(h i) and B = sum_j B_j 2^(h j).  One matmul of the
+    stacked limbs gives every A_i B_j; the products of weight w = i + j sum
+    exactly in float64 to C_w, and sum_w C_w 2^(h w) is taken by Horner mod
+    mod in int64 (each step below 2^41 2^21).  The limbs are made a block
+    of at most _LIMB_BLOCK coordinates of each factor at a time, inner
+    terms of B and then rows of A, and the blocks' sums are added mod mod.
     """
     if A.ndim == 1:
-        A = A[None, :]
-        squeeze = 0
-    elif B.ndim == 1:
-        B = B[:, None]
-        squeeze = 1
-    else:
-        squeeze = None
+        return matmul_mod(A[None, :], B, mod)[0]
+    if B.ndim == 1:
+        return matmul_mod(A, B[:, None], mod)[:, 0]
     k = A.shape[1]
     if k <= _float_terms(mod):
         C = A.astype(np.float64, copy=False) @ B.astype(np.float64, copy=False)
         out = np.rint(C, out=C).astype(np.int64)
         out %= mod
-    else:
-        A, B = A.astype(np.int64, copy=False), B.astype(np.int64, copy=False)
-        if k * (mod - 1) ** 2 < 2**62:
-            out = (A @ B) % mod
-        else:
-            h = (mod.bit_length() + 1) // 2
-            chunk = (2**62 - 1) // ((1 << h) * (mod - 1))
-            if chunk < 1:
-                raise OverflowError("modulus too large for split matmul")
-            lo = A & ((1 << h) - 1)
-            hi = A >> h
-            out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-            for c in range(0, k, chunk):
-                part = slice(c, c + chunk)
-                out += (hi[:, part] @ B[part] % mod << h) + lo[:, part] @ B[part] % mod
-                out %= mod
-    if squeeze == 0:
-        return out[0]
-    if squeeze == 1:
-        return out[:, 0]
+        return out
+    if mod >= 2**41:
+        raise OverflowError("modulus too large for float64 limbs")
+    t, h = _limb_split(k, mod)
+    A, B = A.astype(np.int64, copy=False), B.astype(np.int64, copy=False)
+    m, n = len(A), B.shape[1]
+    terms = max(1, _LIMB_BLOCK // (t * n))
+    rows = max(1, _LIMB_BLOCK // (t * min(k, terms)))
+    out = np.zeros((m, n), dtype=np.int64)
+    for k0 in range(0, k, terms):
+        limbs_B = _limbs(B[k0:k0 + terms], t, h, 1).reshape(-1, t * n)
+        for r0 in range(0, m, rows):
+            limbs_A = _limbs(A[r0:r0 + rows, k0:k0 + terms], t, h, 0)
+            r = limbs_A.shape[1]
+            P = (limbs_A.reshape(t * r, -1) @ limbs_B).reshape(t, r, t, n)
+            acc = np.zeros((r, n), dtype=np.int64)
+            for w in range(2 * t - 2, -1, -1):
+                C = sum(P[i, :, w - i] for i in range(max(0, w - t + 1), min(w + 1, t)))
+                acc <<= h
+                acc += C.astype(np.int64) % mod
+                acc %= mod
+            block = out[r0:r0 + rows]
+            block += acc
+            block %= mod
     return out
 
 

@@ -24,6 +24,12 @@ def elements(field: ff.FqParams) -> list:
     return list(itertools.product(range(field.p), repeat=field.degree))
 
 
+def hyp_points(field: ff.FqParams, N: int) -> list:
+    """Every coefficient point x in F_q^N as a tuple of N coefficient tuples,
+    in itertools.product order over sorted ranges, which is sorted order."""
+    return list(itertools.product(elements(field), repeat=N))
+
+
 def enumerate_units(field: ff.FqParams) -> list:
     """All q-1 nonzero elements, lexicographic in the coefficient vector."""
     return [x for x in elements(field) if any(x)]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -418,6 +419,23 @@ def test_sums_and_check_refuse_oversized_fold_before_any_work(
         assert f"needs {(41**4 - 1) * 40} coordinates" in err, command
 
 
+def test_trace_refuses_a_long_two_column_half_fast(tmp_path, capsys):
+    # p = 11, A = [[1, -1, 2]]: at level 4 the half {-1, 2} would move
+    # 14,640^2 cells x classes x 10 coordinates, about 30 s; level 3 (1,330^2
+    # x 10) runs, and its report is pinned in test_golden
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(
+        {"p": 11, "A": [[1, -1, 2]], "gamma_k": [0], "a": [1, 1, 1],
+         "precision": {"M": 5, "m_max": 4}}
+    ))
+    start = time.perf_counter()
+    assert cli.main(["trace", "--job", str(job)]) == 4
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    work = 14640 * 10 + 14640**2 * 10
+    assert f"level-4 torus product of 2 columns moves {work}" in err
+
+
 def test_trace_beyond_desk_scale():
     # A = I_3, p = 7, M = 5: the level-2 box would need 287^3 cells of 6
     # coordinates; the diagonal fold needs 48^3 of them
@@ -661,8 +679,8 @@ def test_nondegeneracy_budgets_only_the_field_tables(tmp_path, capsys):
 
 def test_sums_splits_theta_rep_product_over_long_rows():
     # x over F_211 at M = 4: the sum over c multiplies rows of p blow =
-    # 44,310 residues mod 211^4 against theta_rep, more terms than one hi/lo
-    # split matmul keeps below 2^62
+    # 44,310 residues mod 211^4 against theta_rep, which matmul_mod takes
+    # in float64 limbs, blocks of the inner terms at a time
     job = {"p": 211, "A": [[1]], "gamma_k": [0], "a": [1],
            "precision": {"M": 4, "m_max": 1}}
     levels = cli.run("sums", job)["result"]["levels"]

@@ -69,6 +69,13 @@ fundamental cells.  They were taken while the toric geometry still ran a
 Gauss-Jordan elimination beside the column Hermite reduction and searched
 the cone's facets over (n - 1)-subsets of generators, before column Hermite
 became the only elimination and the cone read its facets off the hull.
+
+The ``sums`` digest of x over F_211 (M = 4; the character sum multiplies
+rows of 210 and of 44,310 residues mod 211^4) and the ``trace`` digest of
+twocol_p11 (A = [[1, -1, 2]], p = 11, M = 5, m_max = 3; its level-3 half
+{-1, 2} runs the two-column torus product on 1,330 cells) were taken while
+matmul_mod still summed int64 products beyond float64's exact range, before
+every product ran on float64 limbs and before the fold's work had a budget.
 """
 
 import hashlib
@@ -116,6 +123,10 @@ INLINE_JOBS = {
     "diamond": {"p": 3, "A": [[1, 0, -1, 0], [0, 1, 0, -1]],
                 "gamma_k": [0, 0], "a": [1, 1, 1, 1], "precision": {"M": 4}},
     "kl_f2": {**KL_P3F2, "a": [[1, 0], [1, 0]]},
+    "x_F211": {"p": 211, "A": [[1]], "gamma_k": [0], "a": [1],
+               "precision": {"M": 4, "m_max": 1}},
+    "twocol_p11": {"p": 11, "A": [[1, -1, 2]], "gamma_k": [0], "a": [1, 1, 1],
+                   "precision": {"M": 5, "m_max": 3}},
     "edge_p3f2": {"p": 3, "f": 2, "A": [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]],
                   "gamma_k": [0, 0],
                   "a": [[2, 0], [1, 0], [2, 2], [0, 2], [1, 0]]},
@@ -258,6 +269,10 @@ GOLDEN = [
      "845ecc015eaa3960a741e132694542967d196423550263c274b038d55f3fb9d8"),
     ("trace", "kl_f2",
      "959533ae40fd5aa16dc4eb64a31b950d0e01c24ba362bd14a7a1de91cf68394e"),
+    ("sums", "x_F211",
+     "6ef9a2163d847909994ae3a0f856e31e20684eb64f82e4b1d556fcf303c268ed"),
+    ("trace", "twocol_p11",
+     "82e7922f085bbd143b4dab2150d034df01a9327c298675276af9989b1ba7b8b8"),
 ]
 
 

@@ -190,14 +190,14 @@ def hyp_case(rng, p, f, n, N):
 
 def hyp_entries(config, twist, F, M) -> dict:
     """hyp_table's coordinate rows as ring elements keyed by their
-    coefficient points."""
-    rows = lf.hyp_table(config, twist, F, M)
+    coefficient points, which must be the points in per_point.hyp_points
+    order."""
+    grid, rows = lf.hyp_table(config, twist, F, M)
     ring = padic.ring_create(F.p, F.degree, M)
     assert rows.shape == (F.q**config.N, ring.blow)
-    return {
-        x: ring.from_coords(row)
-        for x, row in zip(lf.hyp_points(F, config.N), rows)
-    }
+    points = per_point.hyp_points(F, config.N)
+    assert [tuple(map(tuple, x)) for x in grid.tolist()] == points
+    return {x: ring.from_coords(row) for x, row in zip(points, rows)}
 
 
 def test_hyp_table_matches_per_point_reference():
@@ -223,7 +223,7 @@ def test_character_values_independent_of_block_size(monkeypatch):
     def values():
         out = []
         for config, twist, F, M in cases:
-            out.append(lf.hyp_table(config, twist, F, M).tolist())
+            out.append(lf.hyp_table(config, twist, F, M)[1].tolist())
             a = [per_point.const(F, 1)] * (config.N - 1) + [per_point.const(F, 0)]
             for m in (1, 2):
                 if (F.q**m - 1) ** config.n <= 700:

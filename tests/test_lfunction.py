@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+import per_point
 import series_box
 from dworksum import dwork, finitefield as ff, lfunction as lf, padic
 from dworksum.errors import BudgetExceeded, NonUnitConstantTerm
@@ -88,26 +90,29 @@ def test_oracle_equivalence_with_field_extension():
 
 def test_hyp_table(monkeypatch):
     params, F, config, nd, twist, a_res = setup(3, 5, [[1]], [1], [0])
-    rows = lf.hyp_table(config, twist, F, 5)
-    table = {
-        x: params.from_coords(row)
-        for x, row in zip(lf.hyp_points(F, config.N), rows)
-    }
-    assert table[((0,),)] == params.from_int(2)
-    assert table[((1,),)] == params.from_int(-1)
-    assert table[((2,),)] == params.from_int(-1)
+    grid, rows = lf.hyp_table(config, twist, F, 5)
+    assert grid.tolist() == [[[0]], [[1]], [[2]]]
+    assert rows.tolist() == [
+        list(x.coords) for x in (params.from_int(2), params.from_int(-1),
+                                 params.from_int(-1))
+    ]
     monkeypatch.setattr(lf, "HYP_LIMIT", 2)
     with pytest.raises(BudgetExceeded):
         lf.hyp_table(config, twist, F, 5)
 
 
 def test_hyp_points_are_in_sorted_order():
-    # the hyp report lists its entries in this order without sorting them
-    for p, f, N in [(3, 1, 3), (5, 1, 2), (3, 2, 2), (5, 2, 2), (7, 1, 2)]:
-        points = lf.hyp_points(ff.FqParams(p, f), N)
+    # the hyp report lists its entries in coefficient_grid order without
+    # sorting them: itertools.product order, which is sorted order
+    for p, f, N in itertools.product((3, 5, 7), (1, 2), (1, 2, 3)):
+        field = ff.FqParams(p, f)
+        points = per_point.hyp_points(field, N)
         assert len(points) == p ** (f * N)
         assert points == sorted(points)
         assert len(set(points)) == len(points)
+        grid = lf.coefficient_grid(field, N)
+        assert grid.shape == (p ** (f * N), N, f)
+        assert grid.tolist() == [[list(c) for c in x] for x in points]
 
 
 # ----------------------------------------------------------------------

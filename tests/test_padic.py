@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import per_point
+import ring_reference
 from splitting_floor import sigma_digit_sum, splitting_floors
 from dworksum import finitefield as ff
 from dworksum import padic
@@ -193,6 +194,37 @@ def test_teichmueller_multiplicative():
         u, v = rng.choice(els), rng.choice(els)
         assert padic.teichmueller(u, params) * padic.teichmueller(v, params) == \
             padic.teichmueller(per_point.mul(F, u, v), params)
+
+
+def _full_ring_power(params, x: tuple, e: int) -> tuple:
+    """x^e by square-and-multiply on the reference product of the whole
+    ring, (p - 1) s coordinates."""
+    result, base = params.one().coords, x
+    while e:
+        if e & 1:
+            result = ring_reference.mul(params, result, base)
+        base = ring_reference.mul(params, base, base)
+        e >>= 1
+    return result
+
+
+def test_teichmueller_is_the_full_ring_iteration():
+    # the lift runs in the unramified subring; the reference iterates
+    # x -> x^q on every coordinate of R from the coefficient-wise lift
+    rng = random.Random(17)
+    for p, s, M in [(3, 1, 7), (5, 1, 4), (7, 1, 3), (3, 2, 5), (5, 2, 3),
+                    (7, 2, 2), (3, 3, 3), (5, 3, 2)]:
+        params = padic.ring_create(p, s, M)
+        q = p**s
+        points = per_point.elements(ff.FqParams(p, s))
+        for x in points[:2] + rng.sample(points[2:], min(4, len(points) - 2)):
+            want = params.from_coords(x + (0,) * (params.blow - s)).coords
+            while (nxt := _full_ring_power(params, want, q)) != want:
+                want = nxt
+            got = padic.teichmueller(x, params)
+            assert got.coords == want, (p, s, M, x)
+            assert not any(got.coords[s:])
+            assert _full_ring_power(params, got.coords, q) == got.coords
 
 
 def test_character_orthogonality():
@@ -497,9 +529,8 @@ def test_char_series_reads_each_degree_on_its_block():
 
 def test_diagonal_product_sum_matches_ring_loops():
     # at p = 7, M = 12 no product is exact in float64, so every chunk of 6
-    # heads takes matmul_mod's hi/lo split (at most 2541 terms a pass); the
-    # operands may be (n, k) and (k, n), down to a dot product of 3000 pairs
-    # at k = 1
+    # heads takes matmul_mod's float64 limbs; the operands may be (n, k)
+    # and (k, n), down to a dot product of 3000 pairs at k = 1
     rng = random.Random(47)
     for p, s, M, n, k in [(3, 2, 4, 5, 5), (7, 1, 12, 53, 53), (5, 2, 3, 4, 7),
                           (5, 1, 6, 40, 1), (7, 1, 12, 3000, 1)]:
@@ -548,8 +579,8 @@ def test_char_series_companion_reversal():
 
 def test_char_series_matches_leibniz_and_prefix():
     rng = random.Random(41)
-    # the last three reach matmul_mod's hi/lo split (7^12), float64 (5^6)
-    # and int64 (3^17) strategies; K runs through 1, 2, n - 1 and n
+    # the last three reach matmul_mod's float64 limbs (7^12 and 3^17) and
+    # its single float64 product (5^6); K runs through 1, 2, n - 1 and n
     cases = [(3, 1, 4, 3), (5, 1, 3, 3), (3, 2, 3, 2), (7, 1, 2, 4),
              (7, 1, 12, 5), (5, 2, 6, 6), (3, 2, 17, 4)]
     for p, s, M, n in cases:
@@ -619,8 +650,8 @@ def test_matmul_mod_strategies():
 
 
 def test_matmul_mod_splits_a_long_inner_dimension():
-    # 211^4 < 2^31, so a hi/lo split at h = 16 bits; 65,792 terms of
-    # 2^16 (211^4 - 1) pass 2^62, so the inner dimension goes in chunks
+    # 211^4 < 2^31, so two float64 limbs of 16 bits; 65,792 terms are
+    # limbed in blocks of the inner dimension
     import numpy as np
 
     mod, k = 211**4, 65_792
@@ -634,3 +665,71 @@ def test_matmul_mod_splits_a_long_inner_dimension():
         for i in range(3)
     ]
     assert padic.matmul_mod(A, B, mod).tolist() == want
+
+
+def _exact_product(A, B, mod: int) -> list:
+    """(A @ B) % mod in Python integers."""
+    return (A.astype(object) @ B.astype(object) % mod).tolist()
+
+
+def _matmul_cases():
+    """Seeded (A, B, mod) cases: moduli up to 2^34 - 1, the JobConfig
+    ceiling, and inner lengths k up to 10^5 on both sides of the bounds
+    k (mod - 1)^2 < 2^53 and < 2^62 that once chose float64, int64 and a
+    hi/lo split, with 1-D operands and every residue at mod - 1 in one row
+    and one column."""
+    import numpy as np
+
+    rng = np.random.default_rng(2025)
+    for mod in (3**6, 5**8, 3**12, 2**24 + 43, 2**26 + 5, 211**4, 7**12,
+                2**34 - 1):
+        sides = {1, 2, 3, 17, 1000, 100_000}
+        for bound in (2**53, 2**62):
+            k = (bound - 1) // (mod - 1) ** 2
+            sides |= {k, k + 1}
+        for k in sorted(x for x in sides if 1 <= x <= 100_000):
+            m, n = (1, 2) if k > 20_000 else (3, 4)
+            A = rng.integers(0, mod, size=(m, k))
+            B = rng.integers(0, mod, size=(k, n))
+            A[0] = B[:, 0] = mod - 1
+            yield A, B, mod
+            yield A[0], B, mod
+            yield A, B[:, 1], mod
+
+
+def test_matmul_mod_matches_exact_products():
+    import numpy as np
+
+    for A, B, mod in _matmul_cases():
+        got = padic.matmul_mod(A, B, mod)
+        assert got.dtype == np.int64
+        assert got.tolist() == _exact_product(A, B, mod), (A.shape, B.shape, mod)
+    # float64 operands holding integers take the same path
+    A, B, mod = next(x for x in _matmul_cases() if x[2] == 7**12)
+    assert padic.matmul_mod(A.astype(float), B.astype(float), mod).tolist() == \
+        _exact_product(A, B, mod)
+
+
+def test_matmul_mod_limb_blocks(monkeypatch):
+    # blocks of a few coordinates split both the inner terms and the rows
+    import numpy as np
+
+    rng = np.random.default_rng(7)
+    monkeypatch.setattr(padic, "_LIMB_BLOCK", 40)
+    for mod, (m, k, n) in [(211**4, (7, 45, 3)), (2**34 - 1, (5, 33, 6)),
+                           (7**12, (9, 1, 2))]:
+        A = rng.integers(0, mod, size=(m, k))
+        B = rng.integers(0, mod, size=(k, n))
+        A[-1] = B[:, -1] = mod - 1
+        assert padic.matmul_mod(A, B, mod).tolist() == _exact_product(A, B, mod)
+
+
+def test_limb_split_keeps_equal_weight_sums_below_2_53():
+    for mod in (5**8, 211**4, 7**12, 2**34 - 1):
+        for k in (1, 210, 44_310, 100_000):
+            t, h = padic._limb_split(k, mod)
+            assert t * h >= (mod - 1).bit_length()
+            assert t * k * (2**h - 1) ** 2 < 2**53
+            if t > 2:  # one limb fewer would overflow
+                h1 = -(-(mod - 1).bit_length() // (t - 1))
+                assert (t - 1) * k * (2**h1 - 1) ** 2 >= 2**53
