@@ -30,7 +30,9 @@ import os
 import sys
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 import numpy as np
 
@@ -302,6 +304,64 @@ def cmd_hyp(job: JobConfig) -> dict:
             for x, lo, hi in zip(grid.tolist(), ends, ends[1:])
         ]
     }
+
+
+def _int_template(shape, nl: str) -> str:
+    """render_report's text of a nested list of ints of this shape (the
+    lengths from the outer list in) at the indent nl ends in, with a %d in
+    place of every int."""
+    if not shape[0]:
+        return "[]"
+    inner = nl + "  "
+    item = _int_template(shape[1:], inner) if shape[1:] else "%d"
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
+
+
+def _lengths(rows) -> set | None:
+    """The lengths of the rows when every row is a list, else None."""
+    return set(map(len, rows)) if set(map(type, rows)) <= {list} else None
+
+
+def _records(rows, *keys) -> bool:
+    """Whether every row is a dict with exactly these keys."""
+    return (set(map(type, rows)) == {dict}
+            and set(map(frozenset, rows)) == {frozenset(keys)})
+
+
+def _entries_text(entries, nl: str) -> str | None:
+    """cmd_hyp's entries as render_report writes them at the indent nl ends
+    in, or None when an entry is off that layout.  Each entry is the
+    template of its triple count, and one % fills the ints of all entries
+    (precision, triples, x) in key order."""
+    if type(entries) is not list or not _records(entries, "value", "x"):
+        return None
+    values = list(map(itemgetter("value"), entries))
+    if not _records(values, "precision", "triples"):
+        return None
+    precs = list(map(itemgetter("precision"), values))
+    found = list(map(itemgetter("triples"), values))
+    xs = list(map(itemgetter("x"), entries))
+    P, K, N = _lengths(precs), _lengths(found), _lengths(xs)
+    if None in (P, K, N) or len(P) > 1 or len(N) > 1:
+        return None
+    F = _lengths(list(chain.from_iterable(xs)))
+    if (_lengths(list(chain.from_iterable(found))) not in ({3}, set())
+            or F is None or len(F) > 1):
+        return None
+    ints = tuple(chain.from_iterable(chain.from_iterable(
+        chain.from_iterable(zip(zip(precs), found, xs))
+    )))
+    if not set(map(type, ints)) <= {int}:
+        return None
+    (width,), (n,), (f,) = P, N, F or {0}
+    entry, value = nl + "  ", nl + "    "
+    inner = value + "  "
+    head = ("{" + value + '"value": {' + inner + '"precision": '
+            + _int_template((width,), inner) + "," + inner + '"triples": ')
+    tail = value + "}," + value + '"x": ' + _int_template((n, f), value) + entry + "}"
+    shapes = {k: head + _int_template((k, 3), inner) + tail for k in K}
+    return ("[" + entry + ("," + entry).join(map(shapes.__getitem__, map(len, found)))
+            + nl + "]") % ints
 
 
 def _operator(job: JobConfig) -> dwork.DworkMatrix:
@@ -607,11 +667,22 @@ def render_report(report: dict) -> str:
     """The report as JSON with sorted keys, a two-space indent and ASCII
     escapes: the bytes of json.dumps(report, sort_keys=True, indent=2) plus
     a newline.  The emitter exists because json writes an indented document
-    in pure Python; a list of plain ints here is one str.join."""
+    in pure Python; a list of plain ints here is one str.join.  The entries
+    of a hyp report are written from per-shape templates (_entries_text),
+    with the same bytes; any other value goes through _emit."""
+    result = report.get("result") if type(report) is dict else None
+    entries = None
+    if type(result) is dict and result.keys() == {"entries"}:
+        entries = _entries_text(result["entries"], "\n    ")
     out = []
-    _emit(report, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    if entries is None:
+        _emit(report, "\n", out)
+        return "".join(out) + "\n"
+    # only a top-level key starts a line with two spaces and a quote
+    _emit(dict(report, result=None), "\n", out)
+    return "".join(out).replace(
+        '\n  "result": null', '\n  "result": {\n    "entries": ' + entries + "\n  }", 1
+    ) + "\n"
 
 
 def _require_writable(path: str) -> None:

@@ -80,6 +80,9 @@ every product ran on float64 limbs and before the fold's work had a budget.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -291,3 +294,18 @@ def load_job(job):
 def test_report_digest(command, job, digest):
     text = cli.render_report(cli.run(command, load_job(job)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_command_line_writes_the_hyp_report(tmp_path):
+    # the largest report, through main's --out path in a fresh interpreter
+    job = "bench/jobs/hyp_twist_p5f2.json"
+    digest = next(d for c, j, d in GOLDEN if (c, j) == ("hyp", job))
+    out = tmp_path / "hyp.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dworksum", "hyp", "--job", job, "--out", str(out)],
+        capture_output=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
