@@ -36,9 +36,9 @@ c sum_{u in S} d(u + gamma) with c = (p-1)(q-1)/(p q).  Three consequences:
   25 points for the eight degrees charpoly reads on square_p3).
 
 Ring data here are int64 coordinate arrays, as in padic's matrix kernels.
-One kernel, the torus product, multiplies the splitting series in one
-column at a time on a dense table indexed by a finite torus prod_k Z/dims[k].
-It runs on two index sets:
+One kernel, the torus product, places the first column's splitting series
+on a dense table indexed by a finite torus prod_k Z/dims[k] and multiplies
+in the other columns one at a time.  It runs on two index sets:
 
 * h_series takes a box that holds every term of the truncated H_m, so the
   table is H_m exponent by exponent, and returns it as a SeriesBox.  The
@@ -208,22 +208,37 @@ def _torus_product(params: RingParams, columns, q: int, series: np.ndarray,
     torus prod_k Z/dims[k], starting from 1 at the cell origin: a row-major
     table of prod(dims) cells of blow coordinates, mod p^M; every a != 0.
 
-    A column sends each nonzero cell c to (c + i w) mod dims for every
-    term i, a chunk of terms at once: one matmul_mod of the cells'
-    coordinate rows against the chunk's stacked term matrices, one
-    scatter-add.  For a fixed term c -> c + i w is a bijection of the
-    torus, so a cell gains at most one product per term and the sums stay
-    below len(series) p^M.  So a chunk of one term adds by fancy indexing,
-    and a longer one sums per cell by bincount, exact in float64 while
-    chunk p^M <= 2^53.  (np.add.at would map about 0.1 MB more of numpy into
-    every operator command.)
+    The first column is placed, with no product: term i lands at
+    (origin + i w) mod dims.  Each later column sends each nonzero cell c to
+    (c + i w) mod dims for every term i, a chunk of terms at once: one
+    matmul_mod of the cells' coordinate rows against the chunk's stacked
+    term matrices, one scatter-add.  Either way a cell gains at most one
+    term per i (for a fixed term c -> c + i w is a bijection of the torus),
+    so the sums stay below len(series) p^M, and a chunk sums per cell by
+    bincount, exact in float64 while chunk p^M <= 2^53: the placement takes
+    2^53 // p^M terms a chunk (at least 2^12, as matmul_mod takes p^M below
+    2^41), and a product chunk of one term adds by fancy indexing.
+    (np.add.at, or np.add.outer for the placed cells, would map about 0.1 MB
+    more of numpy into every operator command.)
     """
     blow, pM = params.blow, params.pM
     dims = np.asarray(dims, dtype=np.int64)
     strides = np.array([math.prod(dims[k + 1:]) for k in range(len(dims))])
     table = np.zeros((math.prod(dims), blow), dtype=np.int64)
-    table[np.dot(origin, strides)] = params.one().coords
-    for a, w in columns:
+    if not columns:
+        table[np.dot(origin, strides)] = params.one().coords
+        return table
+    (a, w), *rest = columns
+    terms = _column_terms(params, series, a, q)
+    cells = (np.outer(np.arange(len(series)), w) + origin) % dims @ strides
+    spots = cells[:, None] * blow + np.arange(blow)
+    flat, step = table.reshape(-1), 2**53 // pM
+    for start in range(0, len(series), step):
+        rows = slice(start, start + step)
+        spread = np.bincount(spots[rows].ravel(), terms[rows].ravel(), flat.size)
+        flat += spread.astype(np.int64)
+        flat %= pM
+    for a, w in rest:
         cells = np.flatnonzero(table.any(axis=1))
         at = np.stack(np.unravel_index(cells, dims), axis=1)
         rows = table[cells]
@@ -336,28 +351,6 @@ def require_fold_budget(params: RingParams, q: int, m: int, n: int,
             _require_fold_work(params, level, q**level - 1, half)
 
 
-def _half_product(params: RingParams, columns, q: int, classes: np.ndarray,
-                  n: int) -> np.ndarray:
-    """prod over the columns (a, w) of sum_r classes[r] a^r t^(r w) on
-    (Z/L)^n, L = len(classes), from 1 at the origin.  One column is placed
-    at r w mod L by one bincount: its terms are below p^M and at most L of
-    them share a cell, so chunks of 2^53 // p^M rows (at least 2^12, since
-    matmul_mod takes p^M below 2^41) sum exactly in float64."""
-    L, blow, pM = len(classes), params.blow, params.pM
-    if len(columns) != 1:
-        return _torus_product(params, columns, q, classes, (L,) * n, (0,) * n)
-    (a, w), = columns
-    terms = _column_terms(params, classes, a, q)
-    cells = np.ravel_multi_index(tuple(np.outer(w, np.arange(L)) % L), (L,) * n)
-    spots = cells[:, None] * blow + np.arange(blow)
-    table = np.zeros(L**n * blow, dtype=np.int64)
-    step = 2**53 // pM
-    for rows in (slice(start, start + step) for start in range(0, L, step)):
-        spread = np.bincount(spots[rows].ravel(), terms[rows].ravel(), table.size)
-        table = (table + spread.astype(np.int64)) % pM
-    return table.reshape(-1, blow)
-
-
 def level_diagonal_sum(
     a_lifts,
     twist: TwistData,
@@ -384,12 +377,13 @@ def level_diagonal_sum(
     wrap of h_series.
 
     Meet in the middle: the live columns (a_j != 0) split in two halves
-    whose products T_1, T_2 start at the origin (_half_product), and the sum
-    is sum_c T_1[c] T_2[target - c] over T_1's nonzero cells: one
-    padic.diagonal_product_sum on (K, 1, blow) and (1, K, blow), chunked by
-    heads.  For N = 2 this costs O(L^n), not O(L^(n+1)).  Same checks and
-    table limit as h_series; a half of two or more columns is refused
-    above FOLD_LIMIT (_require_fold_work) before any work.
+    whose torus products T_1, T_2 start at the origin (a half of one column
+    is placed, with no product), and the sum is sum_c T_1[c] T_2[target - c]
+    over T_1's nonzero cells: one padic.diagonal_product_sum on (K, 1, blow)
+    and (1, K, blow), chunked by heads.  For N = 2 this costs O(L^n), not
+    O(L^(n+1)).  Same checks and table limit as h_series; a half of two or
+    more columns is refused above FOLD_LIMIT (_require_fold_work) before
+    any work.
     """
     config = twist.config
     params = _checked_ring(a_lifts, twist, nd)
@@ -405,7 +399,8 @@ def level_diagonal_sum(
     padded = np.zeros((-(-(i_cut + 1) // L) * L, params.blow), dtype=np.int64)
     padded[:i_cut + 1] = base
     classes = padded.reshape(-1, L, params.blow).sum(axis=0) % params.pM
-    first, second = (_half_product(params, cols, twist.q, classes, config.n)
+    origin = (0,) * config.n
+    first, second = (_torus_product(params, cols, twist.q, classes, dims, origin)
                      for cols in halves)
     cells = np.flatnonzero(first.any(axis=1))
     target = [-s % L for s in twist.shift(m)]

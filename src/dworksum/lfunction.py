@@ -19,11 +19,11 @@ The character route evaluates every level in the base ring R(p, f, M).  It
 reads the cached table of F_{q^m} (the discrete log of every element to the
 distinguished generator g, the F_p coefficients of g^e and Tr(g^e) for
 every e) and that of F_q with its ring data: the Teichmueller powers
-teich(g_q)^e, e < q - 1, and ``theta_rep``, the regular representations of
-theta(1)^c for c < p stacked into one (p blow, blow) matrix.  The walks over
-powers are built by doubling, the first 2^k powers times y^(2^k) giving the
-next 2^k (as an F_p matrix for y = g, as a regular representation for
-y = teich(g_q) and theta(1)).  ``require_level_budget`` refuses a level
+teich(g_q)^e, e < q - 1, on the f coordinates of the pi^0 row, and
+theta(1)^c, c < p, on the p - 1 of the b^0 column.  The walks over powers
+are built by doubling, the first 2^k powers times y^(2^k) giving the next
+2^k (as an F_p matrix for y = g, as a block of the regular representation
+for y = teich(g_q) and theta(1)).  ``require_level_budget`` refuses a level
 before its tables are built when the level, its torus points or its table
 coordinates pass a module limit.  No ring of the level is needed: with
 d = (q^m - 1)/(q - 1) the twist is teich(g)^(shift(m) . l) = teich(h)^(k . l)
@@ -47,9 +47,10 @@ coefficient rows x at once.  ``_torus_grids`` splits the torus into blocks
 that are products of per-axis ranges, where the exponents A_j . l and the
 twist classes are outer sums of per-axis progressions; one ``np.bincount``
 per block gives the (x, k, c) histogram N_x(k, c).  The ring work is two
-modular matmuls, (X p, q - 1) x (q - 1, blow) against the Teichmueller
-powers and (X, p blow) x (p blow, blow) against ``theta_rep`` for the sum
-over c.  Rows and blocks are bounded by _BLOCK, whatever q^N and
+modular matmuls, (X p, q - 1) x (q - 1, f) against the Teichmueller powers
+and (X f, p) x (p, p - 1) against the theta(1) powers for the sum over c;
+pi^i times b^j is the coordinate i f + j, so no representation is needed.
+Rows and blocks are bounded by _BLOCK, whatever q^N and
 (q^m - 1)^n are.  ``sums_oracle_characters`` runs it on one row at any
 level, ``hyp_table`` on all q^N rows of level 1: the rows are
 ``coefficient_grid``, built once as the base-p digits of 0..q^N - 1 in
@@ -99,9 +100,9 @@ HYP_LIMIT = 4096
 
 # coordinates above which the character oracle refuses a level: the logs,
 # traces and power rows of F_{q^m}, and the ring data of R(p, f, M) that it
-# holds (the Teichmueller powers, theta_rep, and per batch of coefficient
-# rows the histogram and its by-trace rows); p = 19, f = 1, m = 5 (17.3 M
-# coordinates) peaks at 203 MB in 0.35-0.45 s on 2 vCPUs
+# holds (the Teichmueller and theta(1) powers, and per batch of coefficient
+# rows the histogram and its by-trace rows); p = 19, f = 1, m = 5 at M = 4
+# (17.3 M coordinates) peaks at 239 MB in 0.3-0.45 s on 2 vCPUs
 LEVEL_TABLE_LIMIT = 1 << 25
 
 
@@ -110,8 +111,8 @@ def require_level_budget(p: int, f: int, m: int, n: int, rows: int = 1) -> None:
     LEVEL_LIMIT, with more than TORUS_LIMIT torus points, or with tables of
     more than LEVEL_TABLE_LIMIT coordinates: those of F_{q^m}, and for the
     character sums of rows coefficient rows (none in the nondegeneracy walk)
-    the (q - 1, blow) Teichmueller powers, the (p blow, blow) theta_rep and,
-    per row of a batch, the (p, q - 1) histogram and (p, blow) by-trace rows.
+    the (q - 1, f) Teichmueller powers, the (p, p - 1) theta(1) powers and,
+    per row of a batch, the (p, q - 1) histogram and (p, f) by-trace rows.
     Every count grows with m, so checking the top level checks them all."""
     if m > LEVEL_LIMIT:
         raise LevelTooLarge(f"level {m} exceeds the budget {LEVEL_LIMIT}")
@@ -125,9 +126,9 @@ def require_level_budget(p: int, f: int, m: int, n: int, rows: int = 1) -> None:
     # the logs, traces and power rows of F_{q^m}
     size = (L + 1) + L * (1 + f * m)
     if rows:
-        blow, Lq = (p - 1) * f, p**f - 1
+        Lq = p**f - 1
         batch = min(rows, max(1, _BLOCK // L**n))
-        size += Lq * blow + p * blow**2 + batch * p * (Lq + blow)
+        size += Lq * f + p * (p - 1) + batch * p * (Lq + f)
     if size > LEVEL_TABLE_LIMIT:
         raise BudgetExceeded(
             f"level {m} needs a table of {size} coordinates, above the limit "
@@ -205,24 +206,25 @@ class FieldTable:
 
 class LevelTable(FieldTable):
     """The FieldTable of F_q = F_{p^s} with its generator g, and the ring
-    data of R(p, s, M) that every level's character sum is evaluated with.
+    data of R(p, s, M) that every level's character sum is evaluated with,
+    each in the subring that holds it.
 
-    teich[e] holds the coordinates of teich(g)^e, shape (L, blow);
-    theta_rep, shape (p blow, blow), stacks ring.rep(theta(1)^c) for
-    c = 0..p-1, so that a row holding y_c in block c times theta_rep is
-    sum_c theta(1)^c y_c.
+    teich[e] holds the pi^0 row of teich(g)^e, its s coordinates in the
+    unramified subring (Z/p^M)[b]/(g), shape (L, s); theta[c] holds the b^0
+    column of theta(1)^c, its p - 1 coordinates in Z_p[pi], shape (p, p - 1).
+    Every other coordinate of both is 0.
     """
 
     def __init__(self, field: ff.FqParams, ring: RingParams, gen: tuple):
         super().__init__(field, gen)
         self.ring = ring
-        tg = padic.teichmueller(gen, ring)
-        one = ring.one().coords
-        self.teich = _powers(one, ring.rep(tg.coords), self.L, ring.pM)
-        th = padic.theta_one(ring)
-        theta = _powers(one, ring.rep(th.coords), field.p, ring.pM)
-        self.theta_rep = ring.rep(theta).reshape(field.p * ring.blow, ring.blow)
-        for arr in (self.teich, self.theta_rep):
+        s, one = ring.s, ring.one().coords
+        # each power walk runs on its subring's block of the element's rep
+        tg = ring.rep(padic.teichmueller(gen, ring).coords)
+        th = ring.rep(padic.theta_one(ring).coords)
+        self.teich = _powers(one[:s], tg[:s, :s], self.L, ring.pM)
+        self.theta = _powers(one[::s], th[::s, ::s], field.p, ring.pM)
+        for arr in (self.teich, self.theta):
             arr.flags.writeable = False
 
 
@@ -306,7 +308,7 @@ def _character_values(tab: LevelTable, big: FieldTable, config, coeffs, k):
     a zero coefficient, x_j = (n + 1) L, reads; their sum over j is at most
     N (p - 1), which fixes its integer type.
     """
-    p, pM = tab.field.p, tab.ring.pM
+    p, f, pM = tab.field.p, tab.ring.s, tab.ring.pM
     L, Lq, n, N = big.L, tab.L, config.n, config.N
     rows = _embedding(tab, big)
     x_logs = big.logs(np.asarray(coeffs) @ rows % p)
@@ -338,15 +340,16 @@ def _character_values(tab: LevelTable, big: FieldTable, config, coeffs, k):
                 counts = spread
             else:
                 counts += spread
-        # row (x, c): sum_k N(k, c) teich(g_q)^k; then the sum over c.  A
-        # count is at most the L^n points of its row, so below p^M unless
-        # L^n reaches it
+        # row (x, c): sum_k N(k, c) teich(g_q)^k on the pi^0 row; then the
+        # sum over c on rows (x, b^j) against the b^0 column of theta(1)^c,
+        # pi^i b^j to coordinate i f + j.  A count is at most the L^n points
+        # of its row, so below p^M unless L^n reaches it
         if L**n >= pM:
             counts %= pM
         by_trace = padic.matmul_mod(counts.reshape(X * p, Lq), tab.teich, pM)
-        out[start:start + X] = padic.matmul_mod(
-            by_trace.reshape(X, p * tab.ring.blow), tab.theta_rep, pM
-        )
+        by_trace = by_trace.reshape(X, p, f).transpose(0, 2, 1).reshape(X * f, p)
+        S = padic.matmul_mod(by_trace, tab.theta, pM).reshape(X, f, p - 1)
+        out[start:start + X] = S.transpose(0, 2, 1).reshape(X, -1)
     return out
 
 

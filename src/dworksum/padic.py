@@ -439,9 +439,9 @@ def _float_terms(mod: int) -> int:
 
 
 # limb coordinates of either factor that matmul_mod holds at once (4 MB).
-# On x over F_211 at M = 4 (one row of sums, 211 rows of hyp, against the
-# 74 MB theta_rep) 2^20 raised the peak of sums by 8 MB, and 2^17 took hyp
-# from 1.3 to 2.0 s
+# On hyp of x over F_211 and F_257 at M = 4 (histograms against the
+# Teichmueller powers, on limbs) 2^17 and 2^20 take the same 0.1-0.2 s on
+# 2 vCPUs as 2^19, and peak 4-6 MB lower and 10 MB higher
 _LIMB_BLOCK = 1 << 19
 
 

@@ -659,28 +659,30 @@ SEGMENT_P257 = {"p": 257, "A": [[1]], "gamma_k": [0], "a": [1],
 
 def test_nondegeneracy_budgets_only_the_field_tables(tmp_path, capsys):
     # x over F_257 at s <= 2: the walk builds the tables of F_257 and F_257^2
-    # alone.  The character sum of one row holds theta_rep, 257 x 256^2
-    # coordinates, within the limit; hyp's batch of 256 rows adds a histogram
-    # and by-trace rows of 256 x 257 x 256 coordinates each, above it; and
-    # check's recognition level 4 has 257^4 - 1 torus points
+    # alone.  The character sums hold the Teichmueller powers and theta(1)
+    # powers on their subrings' coordinates, so hyp's batch of 256 rows (a
+    # histogram of 256 x 257 x 256 coordinates) stays within the limit and
+    # its entries are the series route's values; check's recognition level 4
+    # has 257^4 - 1 torus points
     result = cli.run("nondegeneracy", SEGMENT_P257)["result"]
     assert result == {"verdict": "NondegenerateUpTo", "s_max": 2}
-    levels = cli.run("sums", SEGMENT_P257)["result"]["levels"]
-    assert [lv["agree"] for lv in levels] == [True]
+    entries = cli.run("hyp", SEGMENT_P257)["result"]["entries"]
+    assert len(entries) == 257
+    for x in (0, 1, 2, 128, 256):
+        levels = cli.run("sums", {**SEGMENT_P257, "a": [x]})["result"]["levels"]
+        assert [lv["agree"] for lv in levels] == [True], x
+        assert entries[x]["x"] == [[x]]
+        assert entries[x]["value"] == levels[0]["series_oracle"], x
     job = tmp_path / "job.json"
     job.write_text(json.dumps(SEGMENT_P257))
-    for command, message in [
-        ("hyp", "level 1 needs a table of"),
-        ("check", f"level 4 needs {(257**4 - 1)} torus points"),
-    ]:
-        assert cli.main([command, "--job", str(job)]) == 4, command
-        assert message in capsys.readouterr().err, command
+    assert cli.main(["check", "--job", str(job)]) == 4
+    assert f"level 4 needs {(257**4 - 1)} torus points" in capsys.readouterr().err
 
 
-def test_sums_splits_theta_rep_product_over_long_rows():
-    # x over F_211 at M = 4: the sum over c multiplies rows of p blow =
-    # 44,310 residues mod 211^4 against theta_rep, which matmul_mod takes
-    # in float64 limbs, blocks of the inner terms at a time
+def test_sums_routes_agree_over_f211_at_m4():
+    # x over F_211 at M = 4: p^M is near 2^31, so the character sum's
+    # products against the 210 Teichmueller powers and the 211 theta(1)
+    # powers run in float64 limbs, and the two routes must still agree
     job = {"p": 211, "A": [[1]], "gamma_k": [0], "a": [1],
            "precision": {"M": 4, "m_max": 1}}
     levels = cli.run("sums", job)["result"]["levels"]

@@ -180,9 +180,10 @@ def test_level_diagonal_sum_matches_one_pass_fold_sweep():
 
 
 def test_one_column_half_sums_exactly_past_float64():
-    # every class of a one-column half with w = 0 lands on one cell, and
-    # L (p^M - 1) > 2^53: the bincount must sum in chunks of 2^53 // p^M
-    # rows (four here, the last of one row) to stay exact
+    # the torus product places its first column: with w = 0 every class of
+    # a one-column half lands on one cell, and L (p^M - 1) > 2^53, so the
+    # bincount must sum in chunks of 2^53 // p^M rows (four here, the last
+    # of one row) to stay exact
     import numpy as np
 
     params = padic.ring_create(3, 1, 25)
@@ -190,7 +191,9 @@ def test_one_column_half_sums_exactly_past_float64():
     L = 3 * (2**53 // pM) + 1
     classes = np.random.default_rng(5).integers(pM // 2, pM, (L, params.blow))
     assert classes.sum(axis=0).min() > 2**53
-    table = dwork._half_product(params, [(params.one(), (0,))], 3, classes, 1)
+    table = dwork._torus_product(
+        params, [(params.one(), (0,))], 3, classes, (L,), (0,)
+    )
     assert table[0].tolist() == (classes.sum(axis=0) % pM).tolist()
     assert not table[1:].any()
 

@@ -70,12 +70,17 @@ Gauss-Jordan elimination beside the column Hermite reduction and searched
 the cone's facets over (n - 1)-subsets of generators, before column Hermite
 became the only elimination and the cone read its facets off the hull.
 
-The ``sums`` digest of x over F_211 (M = 4; the character sum multiplies
-rows of 210 and of 44,310 residues mod 211^4) and the ``trace`` digest of
-twocol_p11 (A = [[1, -1, 2]], p = 11, M = 5, m_max = 3; its level-3 half
+The ``sums`` digest of x over F_211 (M = 4; residues mod 211^4, so every
+product of the character sum runs on float64 limbs) and the ``trace`` digest
+of twocol_p11 (A = [[1, -1, 2]], p = 11, M = 5, m_max = 3; its level-3 half
 {-1, 2} runs the two-column torus product on 1,330 cells) were taken while
 matmul_mod still summed int64 products beyond float64's exact range, before
 every product ran on float64 limbs and before the fold's work had a budget.
+
+The ``sums`` digest of x over F_257 and the ``hyp`` digest of x over F_211
+(both at M = 4) were taken while the character sum still multiplied the
+Teichmueller powers and the powers of theta(1) through blow-wide regular
+representations, before each was held on its own subring's coordinates.
 """
 
 import hashlib
@@ -127,6 +132,8 @@ INLINE_JOBS = {
                 "gamma_k": [0, 0], "a": [1, 1, 1, 1], "precision": {"M": 4}},
     "kl_f2": {**KL_P3F2, "a": [[1, 0], [1, 0]]},
     "x_F211": {"p": 211, "A": [[1]], "gamma_k": [0], "a": [1],
+               "precision": {"M": 4, "m_max": 1}},
+    "x_F257": {"p": 257, "A": [[1]], "gamma_k": [0], "a": [1],
                "precision": {"M": 4, "m_max": 1}},
     "twocol_p11": {"p": 11, "A": [[1, -1, 2]], "gamma_k": [0], "a": [1, 1, 1],
                    "precision": {"M": 5, "m_max": 3}},
@@ -276,6 +283,10 @@ GOLDEN = [
      "6ef9a2163d847909994ae3a0f856e31e20684eb64f82e4b1d556fcf303c268ed"),
     ("trace", "twocol_p11",
      "82e7922f085bbd143b4dab2150d034df01a9327c298675276af9989b1ba7b8b8"),
+    ("sums", "x_F257",
+     "ee97bc8d58b3184b905c1390385bffc69e97d1f168611ac079e4fc9bf56d76f2"),
+    ("hyp", "x_F211",
+     "d46005aa6cb6de1f75cf3634e7ec3cd41b3d694a69cf044dd5b0fd790a72e0d3"),
 ]
 
 

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 import per_point
-import ring_reference
 import series_box
 from dworksum import dwork, finitefield as ff, lfunction as lf, padic
 from dworksum.cli import JobConfig
@@ -395,7 +394,7 @@ def test_level_table_contents():
     for p, s, M in [(5, 2, 3), (3, 1, 3), (3, 5, 2), (5, 3, 2), (7, 2, 2)]:
         tab = lf.level_table(p, s, M)
         L = p**s - 1
-        assert tab.L == L and tab.teich.shape == (L, tab.ring.blow)
+        assert tab.L == L and tab.teich.shape == (L, s)
         assert (tab.log >= 0).sum() == L and tab.log[0] == -1
         assert tab.logs((0,) * s) == L
         g = ff.multiplicative_generator(tab.field)
@@ -403,19 +402,20 @@ def test_level_table_contents():
         for e in range(L):
             assert tab.logs(x) == e
             assert tab.trace[e] == per_point.frobenius_trace(x, tab.field)
-            assert tab.ring.from_coords(tab.teich[e]) == padic.teichmueller(
-                x, tab.ring
-            )
+            # the pi^0 row of the lift, which has no other coordinate
+            lift = padic.teichmueller(x, tab.ring).coords
+            assert tab.teich[e].tolist() == list(lift[:s])
+            assert not any(lift[s:])
             x = per_point.mul(tab.field, x, g)
         th = per_point.ring_embed(
             padic.theta_one(padic.ring_create(p, 1, M)), tab.ring
         )
-        blow = tab.ring.blow
-        assert tab.theta_rep.shape == (p * blow, blow)
+        assert tab.theta.shape == (p, p - 1)
         for c in range(p):
-            block = tab.theta_rep[c * blow:(c + 1) * blow]
-            assert tab.ring.from_coords(block[0]) == th**c
-            assert (block == ring_reference.rep(tab.ring, (th**c).coords)).all()
+            # the b^0 column of theta(1)^c, which is 0 off it
+            power = np.array((th**c).coords).reshape(p - 1, s)
+            assert tab.theta[c].tolist() == power[:, 0].tolist()
+            assert not power[:, 1:].any()
 
 
 def test_non_generator_makes_the_oracle_raise(monkeypatch):
@@ -514,6 +514,11 @@ def test_level_budget_admits_measured_levels_and_refuses_the_rest():
     lf.require_level_budget(5, 1, 4, 3)
     # p = 13, n = 1 at level 5: a table of 2.6 M coordinates
     lf.require_level_budget(13, 1, 5, 1)
+    # x over F_331, one row and hyp's 331 rows: the ring data are held on
+    # their subrings' coordinates; as regular representations they would
+    # count 36.4 M and 79.4 M coordinates
+    lf.require_level_budget(331, 1, 1, 1)
+    lf.require_level_budget(331, 1, 1, 1, rows=331)
     with pytest.raises(BudgetExceeded, match=f"level 4 needs {2400**3} torus"):
         lf.require_level_budget(7, 1, 4, 3)
     # n = 1 keeps the torus small but not the table: L = 1021^2 - 1 rows
