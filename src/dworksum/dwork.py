@@ -30,10 +30,12 @@ c sum_{u in S} d(u + gamma) with c = (p-1)(q-1)/(p q).  Three consequences:
   c_k = 0 mod p^M once c (sum of the k smallest weights) >= M;
 * per-degree prefixes: c_k is (-1)^k times the sum of the k x k principal
   minors, and a minor through u has ord_p >= c (d(u + gamma) + the k - 1
-  smallest other weights).  So c_k(G) = c_k(G|B_k) mod p^M on the prefix
-  B_k of the points u with c (d(u + gamma) + the k - 1 smallest other
-  weights) < M, which shrinks as k grows (196, 196, 169, 144, 121, 81, 49,
-  25 points for the eight degrees charpoly reads on square_p3).
+  smallest other weights).  So c_k(G) = c_k(G|B) mod p^M on any leading
+  block B that contains the prefix B_k of the points u with c (d(u + gamma)
+  + the k - 1 smallest other weights) < M, which shrinks as k grows (196,
+  196, 169, 144, 121, 81, 49, 25 points for the eight degrees charpoly
+  reads on square_p3); char_series reads several degrees in one pass on
+  the largest of their prefixes where that costs fewer products.
 
 Ring data here are int64 coordinate arrays, as in padic's matrix kernels.
 One kernel, the torus product, places the first column's splitting series
@@ -477,9 +479,9 @@ class DworkMatrix:
     p^M, and vanishing_degree <= live.  block_sizes[k - 1] = |B_k| for
     k <= vanishing_degree: B_k, the points u with c (d(u + gamma) + the k - 1
     smallest other weights) < M, is a prefix of the live block, and a k x k
-    minor through a point outside it vanishes mod p^M, so
-    c_k(G) = c_k(G|B_k) mod p^M.  All three thresholds are exact integer
-    comparisons in the basis's grading.
+    minor through a point outside it vanishes mod p^M, so c_k(G) = c_k(G|B)
+    mod p^M on any leading block B that contains B_k.  All three thresholds
+    are exact integer comparisons in the basis's grading.
 
     The block is gathered from the series box by cell index (_operator_cells);
     the table and the index stay, so the row-layout encoding is built from
@@ -517,7 +519,7 @@ class DworkMatrix:
         held one, and only a larger one encodes again.  A trace needs it
         between its free first degree and its last, which reads just the
         closing diagonal (padic.diagonal_product_sum); char_series from
-        degree 3 on, on B_3."""
+        degree 3 on, on the block of degree 3's pass."""
         size = self.live if size is None else size
         span = size * self.params.blow
         if self._encoded is None or len(self._encoded) < span:
@@ -574,18 +576,41 @@ def trace(dm: DworkMatrix, m: int = 1) -> tuple[RamifiedElement, Fraction]:
     return params.from_coords(value), min(Fraction(params.M), dm.power_tail_bound(m))
 
 
+# the fixed cost of one clow product (its restart and a dozen numpy calls
+# around the matmul) in multiply-adds of its order^3 blow^2 term: fits of the
+# product time over orders 9-169 gave 17-28 us at 26,500-27,500 multiply-adds
+# a us (p^M = 3^6) and 19 us at 18,000-19,000 (5^3), 0.34-0.76 M (2 vCPUs,
+# one BLAS thread)
+_PRODUCT_MADDS = 500_000
+
+
+def _pass_sizes(block_sizes, blow: int) -> list[int]:
+    """The block orders char_series hands padic.char_series_prefix: degrees
+    2..K in passes of consecutive degrees i..j on B_i, which contains their
+    B_k, each costing j - 2 products charged |B_i|^3 blow^2 + _PRODUCT_MADDS;
+    the cheapest split, by a dynamic program over the last pass."""
+    sizes = [int(b) for b in block_sizes]
+    best = [(0, [])] * 2  # best[j]: (cost, orders of degrees 2..j)
+    for j in range(2, len(sizes) + 1):
+        best.append(min(
+            (cost + (j - 2) * (b**3 * blow**2 + _PRODUCT_MADDS), plan + [b] * (j - i + 1))
+            for i, (cost, plan), b in zip(range(2, j + 1), best[1:], sizes[1:])))
+    return sizes[:1] + best[-1][1] if sizes else []
+
+
 def char_series(dm: DworkMatrix, max_degree: int | None = None):
     """det(I - T G) coefficients through T^max_degree (all dim of them when
     max_degree is None) with their shared certified precision, by the
-    division-free clow dynamic program: each c_k on its Hodge prefix B_k
-    (c_k(G) = c_k(G|B_k) mod p^M, DworkMatrix.block_sizes) up to the
-    vanishing degree; every later coefficient is an exact zero mod p^M."""
+    division-free clow dynamic program up to the vanishing degree; every
+    later coefficient is an exact zero mod p^M.  c_k(G) = c_k(G|B) mod p^M
+    on any leading block B that contains the Hodge prefix B_k, so degrees
+    share passes of the program as _pass_sizes plans them."""
     params = dm.params
     prec = min(Fraction(params.M), dm.tail_bound)
     K = dm.dim if max_degree is None else min(max_degree, dm.dim)
     k = min(K, dm.vanishing_degree)
-    sizes = dm.block_sizes[:k]
+    sizes = _pass_sizes(dm.block_sizes[:k], params.blow)
     # the encoding the traces may already have built; degrees <= 2 skip it
-    encoded = dm.encoded(int(sizes[2])) if k > 2 else None
+    encoded = dm.encoded(sizes[2]) if k > 2 else None
     coeffs = padic.char_series_prefix(params, dm.coords, k, encoded, sizes)
     return coeffs + [params.zero()] * (K - k), prec

@@ -325,7 +325,7 @@ def _character_values(tab: LevelTable, big: FieldTable, config, coeffs, k):
     for start in range(0, len(x_logs), batch):
         x = x_logs[start:start + batch]
         X = len(x)
-        counts = None  # the first block's histogram, then the running sum
+        counts = spread = None  # the first block's histogram, then the running sum
         for grid in _torus_grids(L, n, _BLOCK // X):
             # the rows are one more axis of the outer sums
             R, *g = np.ix_(range(X), *grid)

@@ -577,37 +577,45 @@ def diagonal_product_sum(params: RingParams, A: np.ndarray, B: np.ndarray) -> np
     return np.take(Y.reshape(-1, s), idx, axis=0).sum(axis=0).reshape(blow) % pM
 
 
-def _row_product(G: np.ndarray, E: np.ndarray, pM: int, out: np.ndarray,
-                 scratch: np.ndarray) -> None:
-    """out = G E mod p^M for a walk state G (n, n, blow) and an encoding E of
-    the same order, in E's dtype.  In float64 the product stays below 2^53
-    (_float_terms), so floor(out / p^M) is the exact quotient, taken in
-    scratch, an array of out's shape (np.fmod and np.floor_divide are slow
-    on large quotients)."""
-    rows = G.reshape(len(G), -1)
-    if E.dtype == np.float64:
-        np.matmul(rows, E, out=out.reshape(rows.shape))
-        np.divide(out, pM, out=scratch)
-        np.floor(scratch, out=scratch)
-        scratch *= pM
-        out -= scratch
-    else:
-        out[...] = matmul_mod(rows, E, pM).reshape(out.shape)
+# the order from which the clow kernel holds its walk state in three chunks
+# of heads: a product in three chunks beats a dense one from order 56 at
+# blow = 2 and 40 at blow = 4 (2-vCPU host, one BLAS thread)
+_STAIR_ORDER = 56
 
 
-def _restart(P: np.ndarray, upper: np.ndarray, pM: int, out: np.ndarray):
-    """The walk state that follows the products P, into out (contiguous):
-    it keeps the open-walk extensions v > h, and each head d restarts on the
-    diagonal with minus the closures P[h, h] at all heads h < d.  Returns
-    the closures, a (n, blow) view of P's diagonal."""
-    n = len(P)
-    close = np.diagonal(P).T  # walks closing at each head
-    np.multiply(P, upper[:n, :n], out=out)
-    restart = out.reshape(n * n, -1)[n + 1::n + 1]
-    np.cumsum(close[:-1], axis=0, out=restart)
-    np.negative(restart, out=restart)
-    restart %= pM
-    return close
+def _staircase(m: int) -> list[tuple[int, int]]:
+    """Head chunks [a, b) of the walk state on a block of order m: a chunk
+    holds G[h, v] for v >= a only, (b - a)(m - a)^2 blow^2 multiply-adds a
+    product; edges 9m/50 and 11m/25 make three about equal, 0.53 m^3 in all."""
+    edges = (0, 9 * m // 50, 11 * m // 25, m) if m >= _STAIR_ORDER else (0, m)
+    return list(zip(edges, edges[1:]))
+
+
+def _chunks(flat: np.ndarray, m: int, blow: int) -> list:
+    """(a, b, (b - a, m - a, blow) view of flat) per chunk of _staircase(m)."""
+    stair = _staircase(m)
+    parts = np.split(flat, np.cumsum([(b - a) * (m - a) * blow for a, b in stair])[:-1])
+    return [(a, b, x.reshape(b - a, m - a, blow)) for (a, b), x in zip(stair, parts)]
+
+
+def _restart(chunks, upper: np.ndarray, pM: int):
+    """Turn the products P of every chunk (a, b, P), heads a + i and columns
+    a + j, into the next walk state, in place: it keeps the open walks,
+    column > head, and head d restarts on the diagonal with minus the
+    closures P[h, h] at all heads h < d.  upper is 1 on and above the
+    diagonal, in P's dtype (a mask broadcast along blow is several times
+    slower).  Returns the sum of the closures, not reduced."""
+    diagonals = []
+    for a, b, P in chunks:
+        P[:, :b - a] *= upper[:b - a, :b - a]
+        diagonals.append(P.reshape(-1, P.shape[2])[::P.shape[1] + 1][:b - a])
+    close = np.concatenate(diagonals)  # walks closing at each head
+    closed = np.cumsum(close, axis=0)
+    np.subtract(close, closed, out=close)
+    close %= pM
+    for (a, b, _), diagonal in zip(chunks, diagonals):
+        diagonal[...] = close[a:b]
+    return closed[-1]
 
 
 # ----------------------------------------------------------------------
@@ -628,18 +636,24 @@ def char_series_prefix(
 
     coords: the square matrix as an (n, n, blow) array of residues.  sizes,
     when given, is nonincreasing and c_k is read on the leading principal
-    block of order sizes[k - 1], which the caller knows to carry c_k (dwork's
-    per-degree Hodge prefixes); by default every degree reads the whole
-    matrix.  Each run of degrees on one block is one pass of the program.
-    The walk state G[h, v] has the block's shape; degree 1 is free (I E = E)
-    and so is the state after it, the leading part of one state shared by
-    every block; a middle degree is G's coordinate rows times the row-layout
-    encoding E, and the pass's last degree reads only the closing diagonal
-    of G E (diagonal_product_sum).  encoded, when given, is E
-    (encode_ring_matrix) of a leading block no smaller than any pass that
-    multiplies (sizes[2]), so a caller that holds it does not encode the
-    matrix again.  All passes share three state buffers, allocated once in
-    E's dtype.
+    block of order sizes[k - 1], which the caller knows to carry c_k (dwork
+    plans them); by default every degree reads the whole matrix.  Each run
+    of degrees on one block is one pass of the program.  Degree 1 is free
+    (I E = E) and so is the walk state after it; a middle degree is G's
+    coordinate rows times the row-layout encoding E, and the pass's last
+    degree reads only the closing diagonal of G E (diagonal_product_sum).
+    encoded, when given, is E (encode_ring_matrix) of a leading block no
+    smaller than any pass that multiplies, so a caller that holds it does
+    not encode the matrix again.
+
+    The state G[h, v], walks with head h now at v, is 0 for v < h, so it is
+    held as a staircase: chunks of heads [a, b) (_staircase), each a
+    (b - a, m - a, blow) array of the columns v >= a, times E's trailing
+    block from a on (a view).  The state and the products have one buffer
+    each, allocated once in E's dtype, and trade them after each product.
+    In float64 a product stays below 2^53 (_float_terms), so floor(P / p^M),
+    taken in the spent state, is the exact quotient (np.fmod is slow on
+    large quotients).
     """
     n = coords.shape[0]
     K = min(K, n)
@@ -648,39 +662,40 @@ def char_series_prefix(
     if K == 0:
         return out
     blow, pM = params.blow, params.pM
-    d = np.arange(sizes[0])
-    out.append(params.from_coords(-coords[d, d].sum(axis=0)))
+    out.append(params.from_coords(-np.einsum("hhb->b", coords[:sizes[0], :sizes[0]])))
     if K == 1:
         return out
-    E = None
-    if K > 2:
-        block = coords[:sizes[2], :sizes[2]]
-        E = encode_ring_matrix(params, block) if encoded is None else encoded
+    runs = [(m, list(ks)) for m, ks in
+            itertools.groupby(range(2, K + 1), lambda k: sizes[k - 1])]
+    E = encoded
+    if E is None and K > 2:
+        E = encode_ring_matrix(params, coords[:sizes[2], :sizes[2]])
     dtype = np.int64 if E is None else E.dtype
-    upper = np.triu(np.ones((sizes[1], sizes[1]), dtype=bool), k=1)[:, :, None]
-    # the state after degree 1, on the largest block that reads it
-    first_state = np.empty((sizes[1], sizes[1], blow), dtype=dtype)
-    _restart(coords[:sizes[1], :sizes[1]], upper, pM, first_state)
-    state = np.empty(sizes[2] ** 2 * blow if K > 2 else 0, dtype=dtype)
-    products = np.empty_like(state)
-    first = 2
-    while first <= K:
-        m = sizes[first - 1]
-        last = first
-        while last < K and sizes[last] == m:
-            last += 1
-        G = first_state[:m, :m]
-        for k in range(2, last):
-            P = products[:m * m * blow].reshape(m, m, blow)
-            # the product's scratch, then the next state: G's own buffer
-            # from the second product on, which the product spends
-            nxt = state[:m * m * blow].reshape(m, m, blow)
-            _row_product(G, E[:m * blow, :m * blow], pM, P, nxt)
-            G = nxt
-            close = _restart(P, upper, pM, G)
-            if k >= first:
-                out.append(params.from_coords(-close.sum(axis=0)))
-        close = diagonal_product_sum(params, G, coords[:m, :m])
+    area = {m: sum((b - a) * (m - a) for a, b in _staircase(m)) * blow for m, _ in runs}
+    heads = max(b - a for m, _ in runs for a, b in _staircase(m))
+    upper = np.repeat(np.triu(np.ones((heads, heads), dtype=dtype))[:, :, None], blow, 2)
+    state = np.empty(max(area.values()), dtype=dtype)
+    products = np.empty(max([area[m] for m, ks in runs if ks[-1] > 2], default=0), dtype)
+    for m, ks in runs:
+        G, P = state[:area[m]], products[:area[m]]
+        chunks, spare = _chunks(G, m, blow), _chunks(P, m, blow) if ks[-1] > 2 else []
+        for a, b, Gc in chunks:
+            Gc[...] = coords[a:b, a:m]
+        _restart(chunks, upper, pM)
+        for k in range(2, ks[-1]):
+            for (a, b, Gc), (_, _, Pc) in zip(chunks, spare):
+                rows, tail = Gc.reshape(b - a, -1), E[a * blow:m * blow, a * blow:m * blow]
+                if dtype == np.float64:
+                    np.matmul(rows, tail, out=Pc.reshape(rows.shape))
+                else:
+                    Pc[...] = matmul_mod(rows, tail, pM).reshape(Pc.shape)
+            if dtype == np.float64:
+                np.floor(np.divide(P, pM, out=G), out=G)
+                P -= np.multiply(G, pM, out=G)
+            closed = _restart(spare, upper, pM)
+            G, P, chunks, spare = P, G, spare, chunks
+            if k >= ks[0]:
+                out.append(params.from_coords(-closed))
+        close = sum(diagonal_product_sum(params, X, coords[a:m, a:b]) for a, b, X in chunks)
         out.append(params.from_coords(-close))
-        first = last + 1
     return out

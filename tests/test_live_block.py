@@ -2,8 +2,9 @@
 
 ``dwork.DworkMatrix`` keeps only the basis points with c d(u + gamma) < M,
 c = (p-1)(Q-1)/(p Q), and ``dwork.char_series`` stops at the vanishing
-degree and reads each c_k on its prefix B_k.  All three rest on the Hodge
-bound: a closed walk or principal minor through the points S has
+degree and reads each c_k on a leading block that contains its prefix
+B_k.  All three rest on the Hodge bound: a closed walk or principal minor
+through the points S has
 ord_p >= c sum_{u in S} d(u + gamma).  If the bound or its strict
 inequality were wrong, the traces and characteristic series below would
 differ from the full-matrix reference (``full_operator``) in some
@@ -13,6 +14,7 @@ the prefix sizes are also counted point by point (``brute_block_sizes``).  The i
 Fraction walk (``fraction_lattice``) point for point and weight for weight.
 """
 
+import itertools
 import json
 from fractions import Fraction
 from math import ceil, floor
@@ -135,6 +137,49 @@ def test_square_block_sizes():
     job = cli.JobConfig(JOBS["square_p3"])
     dm = dwork.build_operator(job.config, job.nd, job.a_lifts, job.twist)
     assert dm.block_sizes.tolist() == [196, 196, 169, 144, 121, 81, 49, 25, 9]
+
+
+PLAN_JOBS = {name: JOBS[name] for name in (
+    "kloosterman_p5", "segment_p3", "square_p3", "twist_p5", "kl2var", "kl_f2", "I3_p7_M5"
+)}
+PLAN_JOBS["hyp_twist_p5f2"] = json.loads(
+    (ROOT / "bench" / "jobs" / "hyp_twist_p5f2.json").read_text()
+)
+PLAN_JOBS["p11_kl"] = {"p": 11, "A": [[1, -1]], "gamma_k": [0], "a": [1, 1],
+                       "precision": {"M": 5, "m_max": 3}}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_JOBS))
+def test_planned_passes_equal_per_degree_blocks(name):
+    # char_series merges degrees into passes on blocks that contain their
+    # B_k; the series is the per-B_k one (each degree on its own prefix)
+    # through the vanishing degree
+    job = cli.JobConfig(PLAN_JOBS[name])
+    dm = dwork.build_operator(
+        job.config, job.nd, job.a_lifts, job.twist, cap=job.operator_cap()
+    )
+    K = dm.vanishing_degree
+    with mock.patch.object(padic, "char_series_prefix",
+                           wraps=padic.char_series_prefix) as spy:
+        got = dwork.char_series(dm, K)[0]
+    want = padic.char_series_prefix(dm.params, dm.coords, K, None, dm.block_sizes[:K])
+    assert got == want
+    if K:
+        sizes = spy.call_args.args[4]
+        assert all(s >= b for s, b in zip(sizes, dm.block_sizes[:K]))
+
+
+def test_square_charpoly_plan_products():
+    # square_p3 charpoly's eight degrees run as the passes [2] [3] [4, 5]
+    # [6..8]: 10 row products, where one pass per degree takes 21
+    with mock.patch.object(padic, "char_series_prefix",
+                           wraps=padic.char_series_prefix) as spy:
+        cli.run("charpoly", JOBS["square_p3"])
+    K, sizes = spy.call_args.args[2], spy.call_args.args[4]
+    runs = [list(ks) for _, ks in itertools.groupby(range(2, K + 1), lambda k: sizes[k - 1])]
+    assert K == 8
+    assert [(ks[0], ks[-1]) for ks in runs] == [(2, 2), (3, 3), (4, 5), (6, 8)]
+    assert sum(ks[-1] - 2 for ks in runs) == 10
 
 
 @st.composite

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import dense_clow
 import per_point
 import ring_reference
 from splitting_floor import sigma_digit_sum, splitting_floors
@@ -525,6 +526,29 @@ def test_char_series_reads_each_degree_on_its_block():
         held = padic.encode_ring_matrix(params, coords)
         assert padic.char_series_prefix(params, coords, K, held, sizes) == want
         assert padic.char_series_prefix(params, coords, 3, held, sizes) == want[:4]
+
+
+def test_char_series_staircase_matches_dense_reference():
+    # the head-chunked walk state against the dense per-pass program
+    # (dense_clow) at orders up to 150, past padic._STAIR_ORDER, so every
+    # chunk edge of every pass is crossed; float64 (3^6, 5^3) and int64
+    # (7^12) encodings, with and without sizes and a held encoding
+    import numpy as np
+
+    rng = np.random.default_rng(61)
+    cases = [(3, 1, 6, (150, 97, 56, 9)), (5, 1, 3, (100, 61, 40)), (7, 1, 12, (72, 57))]
+    for p, s, M, orders in cases:
+        params = padic.ring_create(p, s, M)
+        for n in orders:
+            coords = rng.integers(0, params.pM, size=(n, n, params.blow))
+            K = min(n, 6)
+            sizes = sorted(rng.integers(max(1, n // 3), n + 1, size=K).tolist(), reverse=True)
+            held = padic.encode_ring_matrix(params, coords)
+            assert held.dtype == (np.int64 if p == 7 else np.float64)
+            for size_arg in (None, sizes):
+                want = dense_clow.char_series_prefix(params, coords, K, None, size_arg)
+                assert padic.char_series_prefix(params, coords, K, None, size_arg) == want
+                assert padic.char_series_prefix(params, coords, K, held, size_arg) == want
 
 
 def test_diagonal_product_sum_matches_ring_loops():
