@@ -426,57 +426,44 @@ def cmd_nondegeneracy(job: JobConfig) -> dict:
     }
 
 
-def _character_sums(job: JobConfig, sums, order: int):
-    """The character-oracle sums (S_m, precision) extended to levels 1..order."""
-    return list(sums) + [
-        lf.sums_oracle_characters(
-            job.config, job.field, job.a_residues, job.twist, m, job.M
-        )
-        for m in range(len(sums) + 1, order + 1)
-    ]
+def _l_char(job: JobConfig, dm: dwork.DworkMatrix, order: int) -> lf.PowerSeriesT:
+    """The operator-side L series to T^order, from the characteristic series
+    of the Dwork matrix (the Dwork trace formula: L is det(I - T Frob) of the
+    operator, through the binomial product)."""
+    P, P_prec = dwork.char_series(dm, max_degree=order)
+    return lf.l_from_charseries(P, P_prec, job.config.n, job.q, order)
 
 
-def _l_series(job: JobConfig, sums) -> lf.PowerSeriesT:
-    """The sums-side L series to T^max(m_max, volume + 3), the sums extended
-    as far as that needs.  Coefficient k reads only S_1..S_k, so the L
-    identity's series to T^m_max and recognition's to T^(volume + 3) are
-    both prefixes of this one."""
-    order = max(job.m_max, job.volume + 3)
-    return lf.l_series_from_sums(_character_sums(job, sums, order), order)
-
-
-def _recognize(job: JobConfig, L: lf.PowerSeriesT):
-    """Rational recognition on the sums-side series to order volume + 3."""
-    need = job.volume + 3
-    rec = lf.rational_recognition(L.truncate(need), job.volume, job.config.n)
-    return rec, need
-
-
-def _l_identity(
-    job: JobConfig, L: lf.PowerSeriesT, dm: dwork.DworkMatrix, mprime: int
-):
-    """L through T^m_max from the sums and from the characteristic series,
-    and whether every coefficient agrees at min(M', both precisions)."""
-    L_sums = L.truncate(job.m_max)
-    P, P_prec = dwork.char_series(dm, max_degree=min(job.m_max, dm.dim))
-    L_char = lf.l_from_charseries(P, P_prec, job.config.n, job.q, job.m_max)
-    agree = all(
+def _routes_agree(
+    L_sums: lf.PowerSeriesT, L_char: lf.PowerSeriesT, mprime: int
+) -> bool:
+    """Whether the two L series agree coefficient by coefficient at
+    min(M', both precisions), through the shorter of them."""
+    return all(
         congruent(a, b, min(mprime, pa, pb))
         for (a, pa), (b, pb) in zip(
             zip(L_sums.coeffs, L_sums.precs), zip(L_char.coeffs, L_char.precs)
         )
     )
-    return L_sums, L_char, agree
 
 
 def cmd_lfunction(job: JobConfig) -> dict:
     # refuse before any work when the top character-oracle level is over budget
-    top = max(job.m_max, job.volume + 3)
-    lf.require_level_budget(job.p, job.f, top, job.config.n)
-    L = _l_series(job, [])
+    order = max(job.m_max, job.volume + 3)
+    lf.require_level_budget(job.p, job.f, order, job.config.n)
+    # the sums-side L series to T^order: coefficient k reads only S_1..S_k, so
+    # the L identity's series to T^m_max and recognition's to T^(volume + 3)
+    # are both prefixes of this one
+    L = lf.l_series_from_sums([
+        lf.sums_oracle_characters(
+            job.config, job.field, job.a_residues, job.twist, m, job.M
+        )
+        for m in range(1, order + 1)
+    ], order)
     dm = _operator(job)
     mprime = job.comparison_precision()
-    L_sums, L_char, agree = _l_identity(job, L, dm, mprime)
+    L_sums = L.truncate(job.m_max)
+    L_char = _l_char(job, dm, job.m_max)
     out = {
         "m_max": job.m_max,
         "comparison_precision": mprime,
@@ -486,10 +473,13 @@ def cmd_lfunction(job: JobConfig) -> dict:
         "from_charseries": [
             element_json(c, p) for c, p in zip(L_char.coeffs, L_char.precs)
         ],
-        "routes_agree": agree,
+        "routes_agree": _routes_agree(L_sums, L_char, mprime),
         "expected_degree": job.volume,
     }
-    rec, used_order = _recognize(job, L)
+    used_order = job.volume + 3
+    rec = lf.rational_recognition(
+        L.truncate(used_order), job.volume, job.config.n
+    )
     if isinstance(rec, lf.LPolynomial):
         poly = {
             "degree": rec.degree(),
@@ -516,15 +506,28 @@ def cmd_lfunction(job: JobConfig) -> dict:
 
 
 def cmd_check(job: JobConfig) -> dict:
+    """The identity suite, reported as verdicts only.
+
+    The character sums run at the levels m <= m_max alone, as the
+    independent check of the operator route.  The L identity compares the
+    sums-side L series with the operator's through T^m_max, and the degree
+    law recognizes on the operator's series to T^(volume + 3): by the Dwork
+    trace formula L is det(I - T Frob) of the operator, so its
+    characteristic series gives every coefficient recognition reads, at
+    the matrix's precision, which no division of exp(sum S_m T^m / m)
+    lowers.  ``cmd_lfunction`` still recognizes on the sums-side series,
+    whose coefficient precisions its recognition block prints; moving it to
+    the operator route changes those bytes and waits for a schema bump."""
     mprime = job.comparison_precision()
     if mprime < 1:
         raise ValidationError(
             "precision.M too small for the identity suite at this m_max"
         )
-    # refuse before any work when the top character-oracle level, the top
-    # nondegeneracy level or the top diagonal fold is over budget
-    top = max(job.m_max, job.volume + 3, job.s_max)
-    lf.require_level_budget(job.p, job.f, top, job.config.n)
+    # refuse before any work when the top character-oracle level m_max, the
+    # top nondegeneracy level s_max (field tables only) or the top diagonal
+    # fold is over budget
+    lf.require_level_budget(job.p, job.f, job.m_max, job.config.n)
+    lf.require_level_budget(job.p, job.f, job.s_max, job.config.n, rows=0)
     dwork.require_fold_budget(
         job.params, job.q, job.m_max, job.config.n, job.live_columns
     )
@@ -559,15 +562,17 @@ def cmd_check(job: JobConfig) -> dict:
             congruent(scaled, Sc, min(Fraction(mprime), prec_pow, pc)),
         )
 
-    # L identity
-    L = _l_series(job, sums)
-    _, _, l_agree = _l_identity(job, L, dm, mprime)
-    record("l_identity", l_agree)
+    # L identity: the sums-side series against the first m_max + 1 terms of
+    # the operator's one series, taken to the order recognition needs too
+    need = job.volume + 3
+    L_char = _l_char(job, dm, max(job.m_max, need))
+    L_sums = lf.l_series_from_sums(sums, job.m_max)
+    record("l_identity", _routes_agree(L_sums, L_char, mprime))
 
     # degree law: recognized iff the bounded certificate says nondegenerate
     verdict = lf.nondegeneracy_check(job.nd, job.field, job.a_residues, job.s_max)
     nondeg = isinstance(verdict, lf.NondegenerateUpTo)
-    rec, _ = _recognize(job, L)
+    rec = lf.rational_recognition(L_char.truncate(need), job.volume, job.config.n)
     recognized = isinstance(rec, lf.LPolynomial)
     if nondeg:
         record("degree_law", recognized, f"expected degree {job.volume}")
@@ -577,13 +582,12 @@ def cmd_check(job: JobConfig) -> dict:
             not recognized,
             "degenerate coefficients must not recognize",
         )
-    out = {
+    return {
         "comparison_precision": mprime,
         "nondegenerate_up_to": job.s_max if nondeg else None,
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
     }
-    return out
 
 
 COMMAND_FNS = {

@@ -493,22 +493,11 @@ def test_lfunction_refuses_oversized_recognition_torus(tmp_path, capsys):
     assert "level 4" in err and str(2400**3) in err
 
 
-def test_check_refuses_oversized_recognition_before_any_work(
-    tmp_path, capsys, monkeypatch
-):
-    # the top level volume + 3 = 4 is known when the job is read, so check
-    # refuses before any oracle, operator or nondegeneracy work
-    from dworksum import dwork, lfunction as lf
-
-    def never(*args, **kwargs):
-        raise AssertionError("work done before the budget refusal")
-
-    for module, name in [
-        (lf, "sums_oracle_characters"),
-        (dwork, "build_operator"),
-        (lf, "nondegeneracy_check"),
-    ]:
-        monkeypatch.setattr(module, name, never)
+def test_check_completes_where_lfunction_refuses_recognition(tmp_path, capsys):
+    # A = I_3, p = 7: recognition reads T^0..T^(volume + 3) = T^4.  check
+    # reads them off the operator's characteristic series and runs the
+    # character sums at m_max = 1 alone; lfunction still recognizes on the
+    # sums side, whose level 4 is a torus of (7^4 - 1)^3 points
     job = tmp_path / "job.json"
     job.write_text(
         json.dumps(
@@ -521,8 +510,38 @@ def test_check_refuses_oversized_recognition_before_any_work(
             }
         )
     )
-    assert cli.main(["check", "--job", str(job)]) == 4
+    start = time.monotonic()
+    assert cli.main(["check", "--job", str(job)]) == 0
+    assert time.monotonic() - start < 5
+    assert json.loads(capsys.readouterr().out)["result"]["all_pass"] is True
+    assert cli.main(["lfunction", "--job", str(job)]) == 4
     assert "level 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["kloosterman_p5", "twist_p5"])
+def test_check_runs_no_level_above_m_max_and_s_max(name, monkeypatch):
+    # the character sums run at m <= m_max and the nondegeneracy walk reads
+    # the tables of F_(q^s), s <= s_max; recognition needs no level of its own
+    raw = json.loads((ROOT / "jobs" / f"{name}.json").read_text())
+    job = cli.JobConfig(raw)
+    top = max(job.m_max, job.s_max)
+    assert job.volume + 3 > top
+    levels = []
+    sums, table = lf.sums_oracle_characters, lf.field_table
+
+    def sums_spy(config, field, a_coeffs, twist, m, M):
+        levels.append(m)
+        return sums(config, field, a_coeffs, twist, m, M)
+
+    def table_spy(p, s):
+        assert s % job.f == 0
+        levels.append(s // job.f)
+        return table(p, s)
+
+    monkeypatch.setattr(lf, "sums_oracle_characters", sums_spy)
+    monkeypatch.setattr(lf, "field_table", table_spy)
+    assert cli.run("check", raw)["result"]["all_pass"]
+    assert levels and max(levels) <= top
 
 
 def test_nondegeneracy_and_check_refuse_oversized_s_max(
@@ -662,8 +681,9 @@ def test_nondegeneracy_budgets_only_the_field_tables(tmp_path, capsys):
     # alone.  The character sums hold the Teichmueller powers and theta(1)
     # powers on their subrings' coordinates, so hyp's batch of 256 rows (a
     # histogram of 256 x 257 x 256 coordinates) stays within the limit and
-    # its entries are the series route's values; check's recognition level 4
-    # has 257^4 - 1 torus points
+    # its entries are the series route's values.  check runs the character
+    # sums at m_max = 1 alone and recognizes on the operator's series, so it
+    # completes where the sums side's level 4 would need 257^4 - 1 points
     result = cli.run("nondegeneracy", SEGMENT_P257)["result"]
     assert result == {"verdict": "NondegenerateUpTo", "s_max": 2}
     entries = cli.run("hyp", SEGMENT_P257)["result"]["entries"]
@@ -675,8 +695,8 @@ def test_nondegeneracy_budgets_only_the_field_tables(tmp_path, capsys):
         assert entries[x]["value"] == levels[0]["series_oracle"], x
     job = tmp_path / "job.json"
     job.write_text(json.dumps(SEGMENT_P257))
-    assert cli.main(["check", "--job", str(job)]) == 4
-    assert f"level 4 needs {(257**4 - 1)} torus points" in capsys.readouterr().err
+    assert cli.main(["check", "--job", str(job)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["all_pass"] is True
 
 
 def test_sums_routes_agree_over_f211_at_m4():
