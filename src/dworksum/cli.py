@@ -40,7 +40,6 @@ from . import dwork, finitefield as ff, gkz, lfunction as lf, padic, polytope as
 from .errors import (
     BudgetExceeded,
     DworksumError,
-    LevelTooLarge,
     NotPrime,
     ParseError,
     UnsupportedPrime,
@@ -48,18 +47,6 @@ from .errors import (
 )
 
 SCHEMA_VERSION = 1
-
-COMMANDS = (
-    "polytope",
-    "gkz",
-    "sums",
-    "hyp",
-    "trace",
-    "charpoly",
-    "lfunction",
-    "check",
-    "nondegeneracy",
-)
 
 
 # ----------------------------------------------------------------------
@@ -329,11 +316,11 @@ def _records(rows, *keys) -> bool:
 
 
 def _entries_text(entries, nl: str) -> str | None:
-    """cmd_hyp's entries as render_report writes them at the indent nl ends
-    in, or None when an entry is off that layout.  Each entry is the
-    template of its triple count, and one % fills the ints of all entries
-    (precision, triples, x) in key order."""
-    if type(entries) is not list or not _records(entries, "value", "x"):
+    """cmd_hyp's entries, a list of dicts, as render_report writes them at
+    the indent nl ends in, or None when an entry is off that layout.  Each
+    entry is the template of its triple count, and one % fills the ints of
+    all entries (precision, triples, x) in key order."""
+    if not _records(entries, "value", "x"):
         return None
     values = list(map(itemgetter("value"), entries))
     if not _records(values, "precision", "triples"):
@@ -375,6 +362,8 @@ def cmd_trace(job: JobConfig) -> dict:
         job.params, job.q, job.m_max, job.config.n, job.live_columns
     )
     dm = _operator(job)
+    # every Tr(G^m), m <= m_max, off det(I - T G) to T^m_max
+    traces = dwork.traces(dm, dwork.char_series(dm, job.m_max)[0], job.m_max)
     out = {
         "basis_size": dm.dim,
         "weight_cap": frac(dm.cap),
@@ -382,8 +371,7 @@ def cmd_trace(job: JobConfig) -> dict:
         "tail_bound": frac(dm.tail_bound),
         "levels": [],
     }
-    for m in range(1, job.m_max + 1):
-        t_pow, prec_pow = dwork.trace(dm, m)
+    for m, (t_pow, prec_pow) in enumerate(traces, 1):
         t_ser = dwork.level_diagonal_sum(job.a_lifts, job.twist, m, job.nd)
         scaled = t_pow * job.torus_points(m)
         out["levels"].append(
@@ -426,14 +414,6 @@ def cmd_nondegeneracy(job: JobConfig) -> dict:
     }
 
 
-def _l_char(job: JobConfig, dm: dwork.DworkMatrix, order: int) -> lf.PowerSeriesT:
-    """The operator-side L series to T^order, from the characteristic series
-    of the Dwork matrix (the Dwork trace formula: L is det(I - T Frob) of the
-    operator, through the binomial product)."""
-    P, P_prec = dwork.char_series(dm, max_degree=order)
-    return lf.l_from_charseries(P, P_prec, job.config.n, job.q, order)
-
-
 def _routes_agree(
     L_sums: lf.PowerSeriesT, L_char: lf.PowerSeriesT, mprime: int
 ) -> bool:
@@ -463,7 +443,10 @@ def cmd_lfunction(job: JobConfig) -> dict:
     dm = _operator(job)
     mprime = job.comparison_precision()
     L_sums = L.truncate(job.m_max)
-    L_char = _l_char(job, dm, job.m_max)
+    # the operator side: L is det(I - T Frob) of the operator, through the
+    # binomial product of its characteristic series (Dwork's trace formula)
+    P, P_prec = dwork.char_series(dm, max_degree=job.m_max)
+    L_char = lf.l_from_charseries(P, P_prec, job.config.n, job.q, job.m_max)
     out = {
         "m_max": job.m_max,
         "comparison_precision": mprime,
@@ -509,15 +492,17 @@ def cmd_check(job: JobConfig) -> dict:
     """The identity suite, reported as verdicts only.
 
     The character sums run at the levels m <= m_max alone, as the
-    independent check of the operator route.  The L identity compares the
-    sums-side L series with the operator's through T^m_max, and the degree
-    law recognizes on the operator's series to T^(volume + 3): by the Dwork
-    trace formula L is det(I - T Frob) of the operator, so its
-    characteristic series gives every coefficient recognition reads, at
-    the matrix's precision, which no division of exp(sum S_m T^m / m)
-    lowers.  ``cmd_lfunction`` still recognizes on the sums-side series,
-    whose coefficient precisions its recognition block prints; moving it to
-    the operator route changes those bytes and waits for a schema bump."""
+    independent check of the operator route.  The operator route is one
+    characteristic series det(I - T G), to T^max(m_max, volume + 3): the
+    traces Tr(G^m) are read off it, the L identity compares the sums-side L
+    series with its binomial product through T^m_max, and the degree law
+    recognizes on that product to T^(volume + 3).  By the Dwork trace
+    formula L is det(I - T Frob) of the operator, so the series gives every
+    coefficient recognition reads, at the matrix's precision, which no
+    division of exp(sum S_m T^m / m) lowers.  ``cmd_lfunction`` still
+    recognizes on the sums-side series, whose coefficient precisions its
+    recognition block prints; moving it to the operator route changes those
+    bytes and waits for a schema bump."""
     mprime = job.comparison_precision()
     if mprime < 1:
         raise ValidationError(
@@ -539,12 +524,18 @@ def cmd_check(job: JobConfig) -> dict:
             entry["detail"] = detail
         checks.append(entry)
 
+    # the operator's one characteristic series, to the order recognition
+    # needs too
+    need = job.volume + 3
+    order = max(job.m_max, need)
+    dm = _operator(job)
+    P, P_prec = dwork.char_series(dm, max_degree=order)
+    traces = dwork.traces(dm, P, job.m_max)
     # oracle equivalence and trace formula, every level; the level-m diagonal
     # is the series side of both: scaled by (q^m - 1)^n it is the series
     # summed over the torus
-    dm = _operator(job)
     sums = []
-    for m in range(1, job.m_max + 1):
+    for m, (t_pow, prec_pow) in enumerate(traces, 1):
         Sc, pc = lf.sums_oracle_characters(
             job.config, job.field, job.a_residues, job.twist, m, job.M
         )
@@ -554,7 +545,6 @@ def cmd_check(job: JobConfig) -> dict:
             f"oracle_equivalence_m{m}",
             congruent(Sc, t_ser * job.torus_points(m), mprime),
         )
-        t_pow, prec_pow = dwork.trace(dm, m)
         record(f"trace_routes_m{m}", congruent(t_pow, t_ser, mprime))
         scaled = t_pow * job.torus_points(m)
         record(
@@ -563,9 +553,8 @@ def cmd_check(job: JobConfig) -> dict:
         )
 
     # L identity: the sums-side series against the first m_max + 1 terms of
-    # the operator's one series, taken to the order recognition needs too
-    need = job.volume + 3
-    L_char = _l_char(job, dm, max(job.m_max, need))
+    # the operator's
+    L_char = lf.l_from_charseries(P, P_prec, job.config.n, job.q, order)
     L_sums = lf.l_series_from_sums(sums, job.m_max)
     record("l_identity", _routes_agree(L_sums, L_char, mprime))
 
@@ -602,6 +591,8 @@ COMMAND_FNS = {
     "nondegeneracy": cmd_nondegeneracy,
 }
 
+COMMANDS = tuple(COMMAND_FNS)
+
 
 def run(command: str, raw_job: dict) -> dict:
     """Execute a command against a parsed job; returns the report dict."""
@@ -623,7 +614,8 @@ _INT_ONLY = {int}
 def _emit(value, nl: str, out: list) -> None:
     """Append value to out as json.dumps(value, sort_keys=True, indent=2)
     writes it at the indent that nl ends in.  Only dict with str keys, list,
-    str, int, bool and None are accepted; anything else is a TypeError."""
+    str, int, bool and None are accepted; anything else is a TypeError.  A
+    list of hyp entries is written from their templates (_entries_text)."""
     kind = type(value)
     if kind is int:
         out.append(int.__repr__(value))
@@ -643,6 +635,10 @@ def _emit(value, nl: str, out: list) -> None:
         if set(map(type, value)) == _INT_ONLY:
             out.append("[" + inner + ("," + inner).join(map(int.__repr__, value))
                        + nl + "]")
+            return
+        text = _entries_text(value, nl) if type(value[0]) is dict else None
+        if text is not None:
+            out.append(text)
             return
         sep = "[" + inner
         for item in value:
@@ -671,22 +667,12 @@ def render_report(report: dict) -> str:
     """The report as JSON with sorted keys, a two-space indent and ASCII
     escapes: the bytes of json.dumps(report, sort_keys=True, indent=2) plus
     a newline.  The emitter exists because json writes an indented document
-    in pure Python; a list of plain ints here is one str.join.  The entries
-    of a hyp report are written from per-shape templates (_entries_text),
-    with the same bytes; any other value goes through _emit."""
-    result = report.get("result") if type(report) is dict else None
-    entries = None
-    if type(result) is dict and result.keys() == {"entries"}:
-        entries = _entries_text(result["entries"], "\n    ")
+    in pure Python; a list of plain ints here is one str.join, and the
+    entries of a hyp report are written from per-shape templates
+    (_entries_text), with the same bytes."""
     out = []
-    if entries is None:
-        _emit(report, "\n", out)
-        return "".join(out) + "\n"
-    # only a top-level key starts a line with two spaces and a quote
-    _emit(dict(report, result=None), "\n", out)
-    return "".join(out).replace(
-        '\n  "result": null', '\n  "result": {\n    "entries": ' + entries + "\n  }", 1
-    ) + "\n"
+    _emit(report, "\n", out)
+    return "".join(out) + "\n"
 
 
 def _require_writable(path: str) -> None:
@@ -725,7 +711,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, LevelTooLarge) as e:
+    except BudgetExceeded as e:
         print(f"budget: {e}", file=sys.stderr)
         return 4
     except OSError as e:

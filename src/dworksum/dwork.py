@@ -47,10 +47,10 @@ in the other columns one at a time.  It runs on two index sets:
   commands build only H_1 this way, and only for the operator matrix,
   which gathers c_{q w - u} for all live basis pairs at once from the box
   by cell index (one integer gather on a zero-padded box) into an
-  (n, n, blow) array that the traces and the characteristic-series kernel
-  read directly, as coordinate rows times its row-layout encoding; the
+  (n, n, blow) array that the characteristic-series kernel reads
+  directly, as coordinate rows times its row-layout encoding; the
   encoding is gathered by the same index from one representation per
-  nonzero cell.
+  nonzero cell.  Every Tr(G^m) is read off det(I - T G) (traces).
   At m >= 2 the box is the tests' exact reference for the diagonal;
 * level_diagonal_sum reads only the diagonal of H_m, the exponents
   = 0 mod q^m - 1, on (Z/(q^m - 1))^n with the splitting series summed by
@@ -484,8 +484,8 @@ class DworkMatrix:
     are exact integer comparisons in the basis's grading.
 
     The block is gathered from the series box by cell index (_operator_cells);
-    the table and the index stay, so the row-layout encoding is built from
-    one representation per table row (encoded).
+    the table and the index stay, so char_series encodes its block from one
+    representation per table row.
     """
 
     def __init__(self, series: SeriesBox, basis: LatticePointSet, twist: TwistData):
@@ -507,25 +507,9 @@ class DworkMatrix:
         self.block_sizes = np.searchsorted(grades, top - others, side="right")
         self._table, self._cells = _operator_cells(series, basis.array[:self.live])
         self.coords = np.take(self._table, self._cells, axis=0)
-        self._encoded = None
         self.cap = basis.cap
         q = twist.q
         self.tail_bound = Fraction((p - 1) * (q - 1), p * q) * self.cap
-
-    def encoded(self, size: int | None = None) -> np.ndarray:
-        """Row-layout encoding (padic.encode_ring_matrix) of the first size
-        live points (all of them by default), from one representation per
-        table row.  It is built once and held: a smaller prefix reads the
-        held one, and only a larger one encodes again.  A trace needs it
-        between its free first degree and its last, which reads just the
-        closing diagonal (padic.diagonal_product_sum); char_series from
-        degree 3 on, on the block of degree 3's pass."""
-        size = self.live if size is None else size
-        span = size * self.params.blow
-        if self._encoded is None or len(self._encoded) < span:
-            cells = self._cells[:size, :size]
-            self._encoded = padic.encode_ring_matrix(self.params, self._table, cells)
-        return self._encoded[:span, :span]
 
     def power_tail_bound(self, m: int) -> Fraction:
         """Truncation floor for Tr(G^m) through the level-1 matrix: the m
@@ -558,24 +542,6 @@ def build_operator(
 # traces and characteristic series
 # ----------------------------------------------------------------------
 
-def trace(dm: DworkMatrix, m: int = 1) -> tuple[RamifiedElement, Fraction]:
-    """Tr(G^m) through the m-th power of the live block, with a certified
-    precision (min of p^M and the tail floor): the diagonal sum for m = 1,
-    else m - 2 row products and the closing diagonal of the last one.  A
-    closed walk through a point outside the live block is 0 mod p^M."""
-    params = dm.params
-    C = dm.coords
-    if m == 1:
-        value = np.einsum("hhb->b", C)
-    else:
-        P = C
-        for _ in range(m - 2):
-            rows = P.reshape(dm.live, dm.live * params.blow)
-            P = padic.matmul_mod(rows, dm.encoded(), params.pM).reshape(C.shape)
-        value = padic.diagonal_product_sum(params, P, C)
-    return params.from_coords(value), min(Fraction(params.M), dm.power_tail_bound(m))
-
-
 # the fixed cost of one clow product (its restart and a dozen numpy calls
 # around the matmul) in multiply-adds of its order^3 blow^2 term: fits of the
 # product time over orders 9-169 gave 17-28 us at 26,500-27,500 multiply-adds
@@ -604,13 +570,36 @@ def char_series(dm: DworkMatrix, max_degree: int | None = None):
     division-free clow dynamic program up to the vanishing degree; every
     later coefficient is an exact zero mod p^M.  c_k(G) = c_k(G|B) mod p^M
     on any leading block B that contains the Hodge prefix B_k, so degrees
-    share passes of the program as _pass_sizes plans them."""
+    share passes of the program as _pass_sizes plans them.  Only a pass
+    past degree 2 multiplies, on a block no larger than degree 3's, so that
+    block is encoded, once, from one representation per cell-table row."""
     params = dm.params
     prec = min(Fraction(params.M), dm.tail_bound)
     K = dm.dim if max_degree is None else min(max_degree, dm.dim)
     k = min(K, dm.vanishing_degree)
     sizes = _pass_sizes(dm.block_sizes[:k], params.blow)
-    # the encoding the traces may already have built; degrees <= 2 skip it
-    encoded = dm.encoded(sizes[2]) if k > 2 else None
+    encoded = None
+    if k > 2:
+        cells = dm._cells[:sizes[2], :sizes[2]]
+        encoded = padic.encode_ring_matrix(params, dm._table, cells)
     coeffs = padic.char_series_prefix(params, dm.coords, k, encoded, sizes)
     return coeffs + [params.zero()] * (K - k), prec
+
+
+def traces(dm: DworkMatrix, coeffs, m_max: int) -> list:
+    """[(Tr(G^m), its certified precision)] for m = 1..m_max, read off
+    coeffs = [1, c_1, ...] of det(I - T G) (char_series to T^m_max) by
+    Newton's identities p_m = -m c_m - sum_{0<i<m} c_i p_(m-i).  They divide
+    by nothing, so each trace is exact mod p^M with the c_k, which are
+    exact mod p^M on the whole truncated matrix; a c_k past the end of
+    coeffs is 0 (k > dim).  The precision is min(p^M, the tail floor)."""
+    params = dm.params
+    c = list(coeffs[1:]) + [params.zero()] * m_max
+    out = []
+    for m in range(1, m_max + 1):
+        value = c[m - 1] * -m
+        for i in range(1, m):
+            value = value - c[i - 1] * out[m - i - 1]
+        out.append(value)
+    return [(t, min(Fraction(params.M), dm.power_tail_bound(m)))
+            for m, t in enumerate(out, 1)]

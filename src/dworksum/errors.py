@@ -66,12 +66,13 @@ class TwistOutsideCone(DworksumError):
 
 # -- L-functions / budgets ----------------------------------------------
 
-class LevelTooLarge(DworksumError):
-    pass
-
-
 class BudgetExceeded(DworksumError):
     pass
+
+
+class LevelTooLarge(BudgetExceeded):
+    """A level above the character oracle's LEVEL_LIMIT: a budget refusal
+    like any other, kept by name for the callers that match it."""
 
 
 class NonUnitConstantTerm(DworksumError):

@@ -153,7 +153,7 @@ def _powers(one, step, count: int, mod: int) -> np.ndarray:
 
 
 class FieldTable:
-    """F_{p^s}^* by discrete logarithm to a generator g, L = p^s - 1.
+    """F_{p^s}^* by discrete logarithm to a generator gen = g, L = p^s - 1.
 
     powers[e] holds the F_p coefficients of g^e, shape (L, s); log[code] is
     the log of the element with coefficient vector c, where
@@ -163,7 +163,7 @@ class FieldTable:
     def __init__(self, field: ff.FqParams, gen: tuple):
         p, s = field.p, field.degree
         L = field.q - 1
-        self.field, self.L = field, L
+        self.field, self.gen, self.L = field, gen, L
         self.codes = p ** np.arange(s, dtype=np.int64)
         # row j of the F_p step matrix: the coefficients of b^j g
         basis = [tuple(int(i == j) for i in range(s)) for j in range(s)]
@@ -204,10 +204,10 @@ class FieldTable:
         return np.where(e < 0, self.L, e)
 
 
-class LevelTable(FieldTable):
-    """The FieldTable of F_q = F_{p^s} with its generator g, and the ring
-    data of R(p, s, M) that every level's character sum is evaluated with,
-    each in the subring that holds it.
+class LevelTable:
+    """The FieldTable of F_q = F_{p^s} (base) with its generator g, and the
+    ring data of R(p, s, M) that every level's character sum is evaluated
+    with, each in the subring that holds it.
 
     teich[e] holds the pi^0 row of teich(g)^e, its s coordinates in the
     unramified subring (Z/p^M)[b]/(g), shape (L, s); theta[c] holds the b^0
@@ -215,26 +215,16 @@ class LevelTable(FieldTable):
     Every other coordinate of both is 0.
     """
 
-    def __init__(self, field: ff.FqParams, ring: RingParams, gen: tuple):
-        super().__init__(field, gen)
-        self.ring = ring
+    def __init__(self, base: FieldTable, ring: RingParams):
+        self.base, self.ring = base, ring
         s, one = ring.s, ring.one().coords
         # each power walk runs on its subring's block of the element's rep
-        tg = ring.rep(padic.teichmueller(gen, ring).coords)
+        tg = ring.rep(padic.teichmueller(base.gen, ring).coords)
         th = ring.rep(padic.theta_one(ring).coords)
-        self.teich = _powers(one[:s], tg[:s, :s], self.L, ring.pM)
-        self.theta = _powers(one[::s], th[::s, ::s], field.p, ring.pM)
+        self.teich = _powers(one[:s], tg[:s, :s], base.L, ring.pM)
+        self.theta = _powers(one[::s], th[::s, ::s], base.field.p, ring.pM)
         for arr in (self.teich, self.theta):
             arr.flags.writeable = False
-
-
-@lru_cache(maxsize=None)
-def level_table(p: int, s: int, M: int) -> LevelTable:
-    """The table of F_{p^s} and R(p, s, M), built once per process."""
-    field = ff.FqParams(p, s)
-    return LevelTable(
-        field, padic.ring_create(p, s, M), ff.multiplicative_generator(field)
-    )
 
 
 @lru_cache(maxsize=None)
@@ -242,6 +232,13 @@ def field_table(p: int, s: int) -> FieldTable:
     """The table of F_{p^s} alone, built once per process."""
     field = ff.FqParams(p, s)
     return FieldTable(field, ff.multiplicative_generator(field))
+
+
+@lru_cache(maxsize=None)
+def level_table(p: int, s: int, M: int) -> LevelTable:
+    """The ring data of R(p, s, M) over the cached table of F_{p^s}, built
+    once per process."""
+    return LevelTable(field_table(p, s), padic.ring_create(p, s, M))
 
 
 def _torus_grids(L: int, n: int, size: int):
@@ -296,8 +293,8 @@ def _character_values(tab: LevelTable, big: FieldTable, config, coeffs, k):
     ring: row i of the (X, blow) result holds the coordinates in tab.ring of
     S_m at coefficient row i.
 
-    tab: the table of F_q and R(p, f, M); big: the table of F_{q^m} (tab
-    itself at m = 1); coeffs: (X, N, f) coefficients in F_q; k: the twist
+    tab: the table of F_q and R(p, f, M); big: the table of F_{q^m} (tab.base
+    at m = 1); coeffs: (X, N, f) coefficients in F_q; k: the twist
     exponents.  With b -> rho the root ``_embedding`` picks, h = g^d and
     rho(g_q) = h^t0, a point l has teich(h)^(k . l) = teich(g_q)^(k . l / t0),
     so the histogram runs over the q - 1 classes k . l / t0.  Rows are taken
@@ -308,12 +305,13 @@ def _character_values(tab: LevelTable, big: FieldTable, config, coeffs, k):
     a zero coefficient, x_j = (n + 1) L, reads; their sum over j is at most
     N (p - 1), which fixes its integer type.
     """
-    p, f, pM = tab.field.p, tab.ring.s, tab.ring.pM
-    L, Lq, n, N = big.L, tab.L, config.n, config.N
-    rows = _embedding(tab, big)
+    base = tab.base
+    p, f, pM = base.field.p, tab.ring.s, tab.ring.pM
+    L, Lq, n, N = big.L, base.L, config.n, config.N
+    rows = _embedding(base, big)
     x_logs = big.logs(np.asarray(coeffs) @ rows % p)
     x_logs[x_logs == L] = (n + 1) * L
-    t0 = int(big.logs(tab.powers[1] @ rows % p)) // (L // Lq)
+    t0 = int(big.logs(base.powers[1] @ rows % p)) // (L // Lq)
     tw = np.array(k, dtype=np.int64) * pow(t0, -1, Lq) % Lq
     A = np.array(config.A, dtype=np.int64).reshape(n, N) % L
     trace = np.zeros((2 * n + 1) * L, dtype=np.min_scalar_type(N * (p - 1)))
@@ -370,8 +368,7 @@ def sums_oracle_characters(
     p, f = field.p, field.degree
     assert twist.q == field.q
     require_level_budget(p, f, m, config.n)
-    tab = level_table(p, f, M)
-    big = tab if m == 1 else field_table(p, f * m)
+    tab, big = level_table(p, f, M), field_table(p, f * m)
     (value,) = _character_values(tab, big, config, [a_coeffs], twist.k)
     return tab.ring.from_coords(value), Fraction(M)
 
@@ -406,7 +403,7 @@ def hyp_table(
     require_level_budget(p, f, 1, config.n, rows=field.q**config.N)
     tab = level_table(p, f, M)
     grid = coefficient_grid(field, config.N)
-    return grid, _character_values(tab, tab, config, grid, twist.k)
+    return grid, _character_values(tab, tab.base, config, grid, twist.k)
 
 
 # ----------------------------------------------------------------------

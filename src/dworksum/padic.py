@@ -25,7 +25,7 @@ finitefield's polynomial product mod (g, p^M), on s coordinates.
 Matrices over R are (n, m, blow) coordinate arrays.  The row-layout block
 encoding at the bottom makes a matrix product the left factor's coordinate
 rows times one integer matrix (held in float64 when those products are exact
-there), so traces and series reduce to modular matmuls.  matmul_mod runs
+there), so the characteristic series reduces to modular matmuls.  matmul_mod runs
 every one of them on float64 BLAS: one product when its sums are exact in
 float64, else one product of both factors' float64 limbs.
 """
@@ -643,8 +643,8 @@ def char_series_prefix(
     coordinate rows times the row-layout encoding E, and the pass's last
     degree reads only the closing diagonal of G E (diagonal_product_sum).
     encoded, when given, is E (encode_ring_matrix) of a leading block no
-    smaller than any pass that multiplies, so a caller that holds it does
-    not encode the matrix again.
+    smaller than any pass that multiplies, so a caller that holds the
+    matrix as a cell table encodes it from the table's rows (dwork does).
 
     The state G[h, v], walks with head h now at v, is 0 for v < h, so it is
     held as a staircase: chunks of heads [a, b) (_staircase), each a

@@ -58,7 +58,8 @@ class Run:
             )
             for m in (1, 2)
         ]
-        self.traces = {m: dwork.trace(self.dm, m) for m in (1, 2)}
+        traces = dwork.traces(self.dm, dwork.char_series(self.dm, 2)[0], 2)
+        self.traces = dict(enumerate(traces, 1))
         self.L_sums = lf.l_series_from_sums(self.char_sums, m_max)
         P, P_prec = dwork.char_series(self.dm, max_degree=min(m_max, self.dm.dim))
         self.L_char = lf.l_from_charseries(
@@ -274,8 +275,7 @@ def test_criterion_10_degenerate_controls():
         # operator side of the degenerate identity: trace is exactly 1
         lifts0 = [padic.teichmueller(r, params) for r in a0]
         dm = dwork.build_operator(config, nd, lifts0, twist)
-        for m in (1, 2):
-            t, _ = dwork.trace(dm, m)
+        for t, _ in dwork.traces(dm, dwork.char_series(dm, 2)[0], 2):
             assert t == params.one()
         # rational recognition must refuse the expected degree n! vol
         vol = normalized_volume(nd)

@@ -447,10 +447,11 @@ def test_trace_beyond_desk_scale():
 
 
 def test_check_encodes_the_operator_once(monkeypatch):
-    # m_max = 3: Tr(G^3) and the degree-3 characteristic series both read
-    # the row-layout encoding of the same matrix.  It is gathered once, for
-    # the (25, 25) live block of the 31-point basis, from one representation
-    # per row of the operator's cell table; the series reads a prefix of it
+    # check takes det(I - T G) to T^5 (volume 2 + 3) and reads Tr(G^m),
+    # m <= 3, off it.  Its passes after degree 2 run on the planned 23-point
+    # block of degree 3 (the prefix B_3 of the 25-point live block of the
+    # 31-point basis), encoded once from one representation per row of the
+    # operator's cell table
     from dworksum import padic
 
     shapes = []
@@ -466,7 +467,23 @@ def test_check_encodes_the_operator_once(monkeypatch):
     assert cli.run("check", job)["result"]["all_pass"]
     assert len(shapes) == 1
     (rows, blow), cells = shapes[0]
-    assert (blow, cells) == (4, (25, 25)) and rows < 25 * 25
+    assert (blow, cells) == (4, (23, 23)) and rows < 23 * 23
+
+
+@pytest.mark.parametrize("name", ["kloosterman_p5", "square_p3"])
+@pytest.mark.parametrize("command", ["trace", "check"])
+def test_operator_route_is_one_characteristic_series(command, name):
+    # trace and check read every Tr(G^m) (and check its L series) off one
+    # run of the clow program; no power of the live block is formed
+    from unittest import mock
+
+    from dworksum import padic
+
+    job = json.loads((ROOT / "jobs" / f"{name}.json").read_text())
+    with mock.patch.object(padic, "char_series_prefix",
+                           wraps=padic.char_series_prefix) as spy:
+        cli.run(command, job)
+    assert spy.call_count == 1
 
 
 def test_lfunction_refuses_oversized_recognition_torus(tmp_path, capsys):
@@ -544,12 +561,36 @@ def test_check_runs_no_level_above_m_max_and_s_max(name, monkeypatch):
     assert levels and max(levels) <= top
 
 
+def test_check_builds_one_table_per_field(monkeypatch):
+    # the level table holds the cached table of F_q, so the character sums
+    # and the nondegeneracy walk search each field's generator once
+    from dworksum import finitefield as ff
+
+    searched = []
+    search = ff.multiplicative_generator
+
+    def spy(field):
+        searched.append((field.p, field.degree))
+        return search(field)
+
+    monkeypatch.setattr(ff, "multiplicative_generator", spy)
+    lf.level_table.cache_clear()
+    lf.field_table.cache_clear()
+    try:
+        job = json.loads((ROOT / "jobs" / "kloosterman_p5.json").read_text())
+        assert cli.run("check", job)["result"]["all_pass"]
+    finally:
+        lf.level_table.cache_clear()
+        lf.field_table.cache_clear()
+    assert (5, 1) in searched and len(searched) == len(set(searched)), searched
+
+
 def test_nondegeneracy_and_check_refuse_oversized_s_max(
     tmp_path, capsys, monkeypatch
 ):
-    # A = I_3, p = 3: check's own top level volume + 3 = 4 is within budget,
-    # but s_max = 6 asks for a torus of (3^6 - 1)^3 points; both commands
-    # refuse it before any field table, oracle or operator is built
+    # A = I_3, p = 3: check's character sums stop at m_max = 1, within
+    # budget, but s_max = 6 asks for a torus of (3^6 - 1)^3 points; both
+    # commands refuse it before any field table, oracle or operator is built
     from dworksum import dwork, lfunction as lf
 
     def never(*args, **kwargs):

@@ -14,7 +14,7 @@ that the sums' lower precision reads as zero, never the reverse.
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from dworksum import cli, lfunction as lf
+from dworksum import cli, dwork, lfunction as lf
 from dworksum.errors import BudgetExceeded, LevelTooLarge, ValidationError
 
 # torus points above which the sweep runs neither the sums route at its top
@@ -100,7 +100,9 @@ def test_check_degree_law_against_the_sums_route(raw):
     L_sums = sums_route_series(job)
     if L_sums is None:
         return
-    L_char = cli._l_char(job, cli._operator(job), job.volume + 3)
+    need = job.volume + 3
+    P, P_prec = dwork.char_series(cli._operator(job), max_degree=need)
+    L_char = lf.l_from_charseries(P, P_prec, job.config.n, job.q, need)
     assert recognized == recognizes(L_char, job)
     # one L through T^(volume + 3), the operator's at no less precision
     assert all(pc >= ps for pc, ps in zip(L_char.precs, L_sums.precs))

@@ -219,14 +219,13 @@ def test_degenerate_operator_trace_one():
         params, F, config, nd, twist, a_res, _ = setup(3, 5, A, [0] * len(A[0]), [0])
         a0 = [padic.teichmueller((0,), params)] * config.N
         dm = dwork.build_operator(config, nd, a0, twist)
-        for m in (1, 2):
-            tr, prec = dwork.trace(dm, m)
+        for tr, prec in dwork.traces(dm, dwork.char_series(dm, 2)[0], 2):
             assert tr == params.one()
             assert prec >= params.M
 
 
 def test_trace_routes_agree():
-    # matrix power against the level-m diagonal sum, read from the expanded
+    # Tr(G^m) against the level-m diagonal sum, read from the expanded
     # series and by the diagonal fold, up to m = 3 on the one-variable
     # configs, m = 2 on the surface (its level-3 series is the one genuinely
     # expensive object here)
@@ -239,8 +238,8 @@ def test_trace_routes_agree():
     for p, M, A, a_ints, k_vec, m_top in cases:
         params, F, config, nd, twist, a_res, a_lifts = setup(p, M, A, a_ints, k_vec)
         dm = dwork.build_operator(config, nd, a_lifts, twist)
-        for m in range(1, m_top + 1):
-            tr_pow, prec_pow = dwork.trace(dm, m)
+        traces = dwork.traces(dm, dwork.char_series(dm, m_top)[0], m_top)
+        for m, (tr_pow, prec_pow) in enumerate(traces, 1):
             tr_ser = series_box.diagonal(dwork.h_series(a_lifts, twist, m, nd))
             assert prec_pow >= params.M
             assert tr_pow == tr_ser
@@ -263,10 +262,10 @@ def test_trace_formula_over_extension_field():
         twist = dwork.TwistData(config, k_vec, q)
         lifts = [padic.teichmueller(r, params) for r in a_res]
         dm = dwork.build_operator(config, nd, lifts, twist)
-        for m in (1, 2):
+        traces = dwork.traces(dm, dwork.char_series(dm, 2)[0], 2)
+        for m, (t, _) in enumerate(traces, 1):
             Sc, _ = lf.sums_oracle_characters(config, F9, a_res, twist, m, M)
             Ss, _ = series_box.series_oracle(config, F9, a_res, twist, m, M, nd)
-            t, _ = dwork.trace(dm, m)
             t2 = series_box.diagonal(dwork.h_series(lifts, twist, m, nd))
             assert Sc == Ss
             assert t == t2
@@ -292,6 +291,7 @@ def test_trace_matches_ring_matrix_power():
         G = [[params.from_coords(e) for e in row] for row in full]
         power = [[params.one() if h == u else params.zero() for u in range(dim)]
                  for h in range(dim)]
+        traces = dwork.traces(dm, dwork.char_series(dm, 4)[0], 4)
         for m in range(1, 5):
             power = [
                 [sum((power[h][w] * G[w][u] for w in range(dim)), params.zero())
@@ -299,7 +299,7 @@ def test_trace_matches_ring_matrix_power():
                 for h in range(dim)
             ]
             want = sum((power[h][h] for h in range(dim)), params.zero())
-            assert dwork.trace(dm, m)[0] == want
+            assert traces[m - 1][0] == want
 
 
 def test_trace_formula_with_integral_twist():
@@ -316,9 +316,9 @@ def test_trace_formula_with_integral_twist():
     for p, M, A, a_ints, k_vec in cases:
         params, F, config, nd, twist, a_res, a_lifts = setup(p, M, A, a_ints, k_vec)
         dm = dwork.build_operator(config, nd, a_lifts, twist)
-        for m in (1, 2):
+        traces = dwork.traces(dm, dwork.char_series(dm, 2)[0], 2)
+        for m, (t, _) in enumerate(traces, 1):
             Sc, _ = lf.sums_oracle_characters(config, F, a_res, twist, m, M)
-            t, _ = dwork.trace(dm, m)
             t2 = series_box.diagonal(dwork.h_series(a_lifts, twist, m, nd))
             assert t == t2
             assert t * ((p**m - 1) ** config.n) == Sc
@@ -326,7 +326,7 @@ def test_trace_formula_with_integral_twist():
 
 def test_trace_formula_randomized():
     # seeded sweep over random desk-scale configurations: matrix, twist and
-    # coefficients drawn at random, both oracles and the matrix-power trace
+    # coefficients drawn at random, both oracles and the operator's trace
     import itertools
     import random
 
@@ -363,10 +363,10 @@ def test_trace_formula_randomized():
         if dm.dim > 400:
             continue
         checked += 1
-        for m in (1, 2):
+        traces = dwork.traces(dm, dwork.char_series(dm, 2)[0], 2)
+        for m, (t, _) in enumerate(traces, 1):
             Sc, _ = lf.sums_oracle_characters(config, F, a_res, twist, m, M)
             Ss, _ = series_box.series_oracle(config, F, a_res, twist, m, M, nd)
-            t, _ = dwork.trace(dm, m)
             assert Sc == Ss
             assert t * ((p**m - 1) ** config.n) == Sc
     assert checked == 10
@@ -376,7 +376,7 @@ def test_known_trace_value_cubic_field():
     # A = (1), a = 1, gamma = 0 over F_3: S_1 = -1 so Tr(G) = -1/2 in Z_3
     params, F, config, nd, twist, a_res, a_lifts = setup(3, 6, [[1]], [1], [0])
     dm = dwork.build_operator(config, nd, a_lifts, twist)
-    tr, prec = dwork.trace(dm, 1)
+    ((tr, prec),) = dwork.traces(dm, dwork.char_series(dm, 1)[0], 1)
     minus_half = params.from_int(-pow(2, -1, params.pM))
     assert tr == minus_half
 
@@ -431,7 +431,7 @@ def test_char_series_prefix_matches_full():
     prefix, prec_pre = dwork.char_series(dm, max_degree=3)
     assert prefix == full[:4]
     # Newton's first identity without divisions: coeff of T is -Tr(G)
-    tr, _ = dwork.trace(dm, 1)
+    ((tr, _),) = dwork.traces(dm, prefix, 1)
     assert full[1] == -tr
 
 
@@ -444,9 +444,9 @@ def test_truncation_stability():
     lifts2 = [padic.teichmueller(r, params2) for r in a_res]
     dm2 = dwork.build_operator(config, nd, lifts2, twist, cap=dm1.cap + 5)
     pM = params.pM
-    for m in (1, 2):
-        t1, _ = dwork.trace(dm1, m)
-        t2, _ = dwork.trace(dm2, m)
+    traces1 = dwork.traces(dm1, dwork.char_series(dm1, 2)[0], 2)
+    traces2 = dwork.traces(dm2, dwork.char_series(dm2, 2)[0], 2)
+    for (t1, _), (t2, _) in zip(traces1, traces2):
         assert [c % pM for c in t2.coords] == list(t1.coords)
 
 

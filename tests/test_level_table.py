@@ -393,20 +393,23 @@ def test_level_table_contents():
     # whose L is not a power of two
     for p, s, M in [(5, 2, 3), (3, 1, 3), (3, 5, 2), (5, 3, 2), (7, 2, 2)]:
         tab = lf.level_table(p, s, M)
+        base = tab.base
+        assert base is lf.field_table(p, s)
         L = p**s - 1
-        assert tab.L == L and tab.teich.shape == (L, s)
-        assert (tab.log >= 0).sum() == L and tab.log[0] == -1
-        assert tab.logs((0,) * s) == L
-        g = ff.multiplicative_generator(tab.field)
-        x = per_point.const(tab.field, 1)
+        assert base.L == L and tab.teich.shape == (L, s)
+        assert (base.log >= 0).sum() == L and base.log[0] == -1
+        assert base.logs((0,) * s) == L
+        g = ff.multiplicative_generator(base.field)
+        assert base.gen == g
+        x = per_point.const(base.field, 1)
         for e in range(L):
-            assert tab.logs(x) == e
-            assert tab.trace[e] == per_point.frobenius_trace(x, tab.field)
+            assert base.logs(x) == e
+            assert base.trace[e] == per_point.frobenius_trace(x, base.field)
             # the pi^0 row of the lift, which has no other coordinate
             lift = padic.teichmueller(x, tab.ring).coords
             assert tab.teich[e].tolist() == list(lift[:s])
             assert not any(lift[s:])
-            x = per_point.mul(tab.field, x, g)
+            x = per_point.mul(base.field, x, g)
         th = per_point.ring_embed(
             padic.theta_one(padic.ring_create(p, 1, M)), tab.ring
         )
@@ -425,30 +428,32 @@ def test_non_generator_makes_the_oracle_raise(monkeypatch):
     # 4 has order 2 in F_5^*: its powers miss half the torus
     monkeypatch.setattr(ff, "multiplicative_generator", lambda field: (4,))
     lf.level_table.cache_clear()
+    lf.field_table.cache_clear()
     try:
         with pytest.raises(NotAField):
             lf.sums_oracle_characters(config, F, [(1,)], twist, 1, 3)
     finally:
         lf.level_table.cache_clear()
+        lf.field_table.cache_clear()
 
 
 def test_reducible_modulus_table_raises():
-    # F_3[b]/(b^2 - 1) = F_3 x F_3 is not a field: no element has L = 8 powers
-    ring = padic.ring_create(3, 2, 3)
+    # F_3[b]/(b^2 - 1) = F_3 x F_3 is not a field: no element has L = 8
+    # powers.  The field table refuses it, before any level table's ring data
     fake = ff.FqParams(3, 2)
     fake.modulus = (2, 0, 1)
     for cand in per_point.enumerate_units(fake):
         with pytest.raises(NotAField):
-            lf.LevelTable(fake, ring, cand)
+            lf.FieldTable(fake, cand)
     # the message names the first zero or repeated power: b^2 = 0 in
     # F_3[b]/(b^2), and 4 has order 2 in F_5^*
     nil = ff.FqParams(3, 2)
     nil.modulus = (0, 0, 1)
     with pytest.raises(NotAField, match="only 2 < 8 distinct powers"):
-        lf.LevelTable(nil, ring, (0, 1))
+        lf.FieldTable(nil, (0, 1))
     F5 = ff.FqParams(5, 1)
     with pytest.raises(NotAField, match="only 2 < 4 distinct powers"):
-        lf.LevelTable(F5, padic.ring_create(5, 1, 3), (4,))
+        lf.FieldTable(F5, (4,))
 
 
 def test_characters_at_degree_six():
@@ -480,7 +485,7 @@ def test_level_value_is_the_same_for_every_root(monkeypatch):
         F = ff.FqParams(3, f)
         a = [tuple(c) for c in a]
         twist = dwork.TwistData(config, k, F.q)
-        found = lf._modulus_roots(lf.level_table(3, f, 3), lf.field_table(3, f * m))
+        found = lf._modulus_roots(lf.field_table(3, f), lf.field_table(3, f * m))
         assert len(set(found.tolist())) == f
         values = set()
         for r in range(f):

@@ -76,17 +76,25 @@ def brute_block_sizes(dm, Q):
     return sizes
 
 
+def assert_traces_match_full(dm, full, m_max=5):
+    """The traces Tr(G^m), m = 1..m_max, that dwork.traces reads off the
+    characteristic series to T^m_max by Newton's identities equal the plain
+    matrix powers of the full truncated matrix, coordinate for coordinate."""
+    traces = dwork.traces(dm, dwork.char_series(dm, m_max)[0], m_max)
+    assert len(traces) == m_max
+    for m, (got, _) in enumerate(traces, 1):
+        assert got.coords == full_operator.full_trace(dm.params, full, m).coords, m
+
+
 def assert_matches_full(dm, series, K):
-    """Traces Tr(G^m), m = 1..3, and det(I - T G) through T^K of the live
+    """Traces Tr(G^m), m = 1..5, and det(I - T G) through T^K of the live
     block equal the full-matrix reference coordinate for coordinate, and the
     per-degree prefixes B_k have the sizes counted point by point."""
     params = dm.params
     assert dm.block_sizes.tolist() == brute_block_sizes(dm, series.Q)
     full = full_operator.full_coords(series, dm.basis)
     assert (dm.coords == full[:dm.live, :dm.live]).all()
-    for m in (1, 2, 3):
-        got = dwork.trace(dm, m)[0]
-        assert got.coords == full_operator.full_trace(params, full, m).coords, m
+    assert_traces_match_full(dm, full)
     got = [c.coords for c in dwork.char_series(dm, K)[0]]
     want = [c.coords for c in padic.char_series_prefix(params, full, K)]
     assert got == want
@@ -114,8 +122,10 @@ def test_empty_live_block():
     assert (dm.dim, dm.live, dm.vanishing_degree) == (0, 0, 0)
     assert dm.coords.shape == (0, 0, params.blow)
     assert dm.block_sizes.tolist() == []
-    assert dm.encoded().shape == (0, 0)
-    assert [dwork.trace(dm, m)[0] for m in (1, 2, 3)] == [params.zero()] * 3
+    traces = dwork.traces(dm, dwork.char_series(dm, 5)[0], 5)
+    assert [t for t, _ in traces] == [params.zero()] * 5
+    series = dwork.h_series(job.a_lifts, job.twist, 1, job.nd)
+    assert_traces_match_full(dm, full_operator.full_coords(series, dm.basis))
     assert dwork.char_series(dm)[0] == [params.one()]
 
 
@@ -147,6 +157,28 @@ PLAN_JOBS["hyp_twist_p5f2"] = json.loads(
 )
 PLAN_JOBS["p11_kl"] = {"p": 11, "A": [[1, -1]], "gamma_k": [0], "a": [1, 1],
                        "precision": {"M": 5, "m_max": 3}}
+
+
+NEWTON_JOBS = dict(PLAN_JOBS)
+NEWTON_JOBS["kloosterman_p5_D0"] = {
+    **JOBS["kloosterman_p5"],
+    "precision": {**JOBS["kloosterman_p5"]["precision"], "D": 0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_JOBS))
+def test_newton_traces_equal_full_matrix_powers(name):
+    # Tr(G^m), m = 1..5, off det(I - T G) against m - 1 ring products of the
+    # whole truncated matrix; at D = 0 the basis has one point, so c_k for
+    # k > 1 lies past the end of the series and reads as 0
+    job = cli.JobConfig(NEWTON_JOBS[name])
+    dm = dwork.build_operator(
+        job.config, job.nd, job.a_lifts, job.twist, cap=job.operator_cap()
+    )
+    if name.endswith("_D0"):
+        assert dm.dim == 1 and len(dwork.char_series(dm, 5)[0]) == 2
+    series = dwork.h_series(job.a_lifts, job.twist, 1, job.nd)
+    assert_traces_match_full(dm, full_operator.full_coords(series, dm.basis))
 
 
 @pytest.mark.parametrize("name", sorted(PLAN_JOBS))
