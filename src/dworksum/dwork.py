@@ -40,7 +40,8 @@ c sum_{u in S} d(u + gamma) with c = (p-1)(q-1)/(p q).  Three consequences:
 Ring data here are int64 coordinate arrays, as in padic's matrix kernels.
 One kernel, the torus product, places the first column's splitting series
 on a dense table indexed by a finite torus prod_k Z/dims[k] and multiplies
-in the other columns one at a time.  It runs on two index sets:
+in the other columns one at a time, taking each column's terms by s x s
+products in the unramified subring.  It runs on two index sets:
 
 * h_series takes a box that holds every term of the truncated H_m, so the
   table is H_m exponent by exponent, and returns it as a SeriesBox.  The
@@ -133,24 +134,11 @@ class SeriesBox:
         self.coeffs = coeffs
 
 
-# coordinates of transposed term matrices held at once
-_TERM_BLOCK = 1 << 20
-
 # coordinates that one chunk of the torus product scatters, kept in cache and
-# below BLAS's threaded sizes.  On the level-3 two-column half of p = 11,
-# A = [[1, -1, 2]], 2^20 took 0.24-0.32 s against 0.22-0.33 s here
+# below BLAS's threaded sizes (so its terms' reps hold _FOLD_BLOCK blow / cells
+# at most).  On the level-3 two-column half of p = 11, A = [[1, -1, 2]], 2^20
+# took 0.24-0.32 s against 0.22-0.33 s here
 _FOLD_BLOCK = 1 << 13
-
-
-def _term_blocks(params: RingParams, terms: np.ndarray):
-    """Blocks (idx, mats) over the nonzero rows of terms, with
-    mats[t] = params.rep(terms[idx[t]]), so that x @ mats[t] is the
-    coordinate rows of x times terms[idx[t]].  One rep per block of rows."""
-    nonzero = np.flatnonzero(terms.any(axis=1))
-    rows = max(1, _TERM_BLOCK // params.blow**2)
-    for start in range(0, len(nonzero), rows):
-        idx = nonzero[start:start + rows]
-        yield idx, params.rep(terms[idx])
 
 
 def precision_cut(params: RingParams, Q: int) -> int:
@@ -188,19 +176,18 @@ def _require_table(params: RingParams, m: int, dims) -> None:
 
 
 def _column_terms(params: RingParams, base: np.ndarray, a: RamifiedElement, q: int):
-    """Rows base[i] times a^i.  a is a Teichmueller unit, so a^i depends only
-    on i mod (q - 1): one product per residue class gives every row, against
-    the representations of the powers taken a block at a time."""
-    powers = [params.one()]
-    for _ in range(min(q - 1, len(base)) - 1):
-        powers.append(powers[-1] * a)
-    terms = np.zeros_like(base)
-    residue = np.arange(len(base)) % (q - 1)
-    for idx, mats in _term_blocks(params, np.array([x.coords for x in powers])):
-        for r, mat in zip(idx, mats):
-            cls = residue == r
-            terms[cls] = padic.matmul_mod(base[cls], mat, params.pM)
-        del mats, mat  # before _term_blocks builds the next block
+    """Rows base[i] times a^i.  a is a Teichmueller unit, on the pi^0 row, so
+    a^i depends only on i mod (q - 1) and multiplies every pi-row of base[i]
+    by one s x s matrix (unramified_rep): the powers come from one doubling
+    walk on s coordinates, and each residue class of rows is one matmul_mod
+    of its pi-rows against its power's matrix."""
+    s, pM = params.s, params.pM
+    step = params.unramified_rep(a.coords[:s])
+    walk = padic.powers(params.one().coords[:s], step, min(q - 1, len(base)), pM)
+    terms = np.empty_like(base)
+    for r, mat in enumerate(params.unramified_rep(walk)):
+        rows = base[r::q - 1].reshape(-1, s)
+        terms[r::q - 1] = padic.matmul_mod(rows, mat, pM).reshape(-1, params.blow)
     return terms
 
 
@@ -210,16 +197,17 @@ def _torus_product(params: RingParams, columns, q: int, series: np.ndarray,
     torus prod_k Z/dims[k], starting from 1 at the cell origin: a row-major
     table of prod(dims) cells of blow coordinates, mod p^M; every a != 0.
 
-    The first column is placed, with no product: term i lands at
-    (origin + i w) mod dims.  Each later column sends each nonzero cell c to
-    (c + i w) mod dims for every term i, a chunk of terms at once: one
-    matmul_mod of the cells' coordinate rows against the chunk's stacked
-    term matrices, one scatter-add.  Either way a cell gains at most one
-    term per i (for a fixed term c -> c + i w is a bijection of the torus),
-    so the sums stay below len(series) p^M, and a chunk sums per cell by
-    bincount, exact in float64 while chunk p^M <= 2^53: the placement takes
-    2^53 // p^M terms a chunk (at least 2^12, as matmul_mod takes p^M below
-    2^41), and a product chunk of one term adds by fancy indexing.
+    A column's terms series[i] a^i come from _column_terms.  The first column
+    is placed, with no product: term i lands at (origin + i w) mod dims.  Each
+    later column sends each nonzero cell c to (c + i w) mod dims for every
+    nonzero term i, a chunk of terms at once: one matmul_mod of the cells'
+    coordinate rows against the reps of the chunk's terms, stacked (taken per
+    chunk), one scatter-add.  Either way a cell gains at most one term per i
+    (for a fixed term c -> c + i w is a bijection of the torus), so the sums
+    stay below len(series) p^M, and a chunk sums per cell by bincount, exact in
+    float64 while chunk p^M <= 2^53: the placement takes 2^53 // p^M terms a
+    chunk (at least 2^12, as matmul_mod takes p^M below 2^41), and a product
+    chunk of one term adds its rows by fancy indexing, one index per cell.
     (np.add.at, or np.add.outer for the placed cells, would map about 0.1 MB
     more of numpy into every operator command.)
     """
@@ -246,21 +234,20 @@ def _torus_product(params: RingParams, columns, q: int, series: np.ndarray,
         rows = table[cells]
         chunk = max(1, min(_FOLD_BLOCK // (len(cells) * blow), 2**53 // pM))
         terms = _column_terms(params, series, a, q)
+        nonzero = np.flatnonzero(terms.any(axis=1))
         table = np.zeros_like(table)
-        for idx, mats in _term_blocks(params, terms):
-            for start in range(0, len(idx), chunk):
-                R = mats[start:start + chunk]
-                moved = padic.matmul_mod(
-                    rows, R.transpose(1, 0, 2).reshape(blow, -1), pM
-                ).ravel()
-                dest = (at[:, None, :] + np.outer(idx[start:start + chunk], w)) % dims
-                spots = ((dest @ strides)[:, :, None] * blow + np.arange(blow)).ravel()
-                if len(R) == 1:
-                    table.reshape(-1)[spots] += moved
-                else:
-                    table += np.bincount(spots, moved, table.size).astype(
-                        np.int64
-                    ).reshape(table.shape)
+        for start in range(0, len(nonzero), chunk):
+            idx = nonzero[start:start + chunk]
+            R = params.rep(terms[idx])
+            moved = padic.matmul_mod(rows, R.transpose(1, 0, 2).reshape(blow, -1), pM)
+            dest = (at[:, None, :] + np.outer(idx, w)) % dims @ strides
+            if len(idx) == 1:
+                table[dest[:, 0]] += moved
+            else:
+                spots = (dest[:, :, None] * blow + np.arange(blow)).ravel()
+                table += np.bincount(spots, moved.ravel(), table.size).astype(
+                    np.int64
+                ).reshape(table.shape)
         table %= pM
     return table
 

@@ -21,7 +21,7 @@ distinguished generator g, the F_p coefficients of g^e and Tr(g^e) for
 every e) and that of F_q with its ring data: the Teichmueller powers
 teich(g_q)^e, e < q - 1, on the f coordinates of the pi^0 row, and
 theta(1)^c, c < p, on the p - 1 of the b^0 column.  The walks over powers
-are built by doubling, the first 2^k powers times y^(2^k) giving the next
+are padic.powers: the first 2^k powers times y^(2^k) give the next
 2^k (as an F_p matrix for y = g, as a block of the regular representation
 for y = teich(g_q) and theta(1)).  ``require_level_budget`` refuses a level
 before its tables are built when the level, its torus points or its table
@@ -136,22 +136,6 @@ def require_level_budget(p: int, f: int, m: int, n: int, rows: int = 1) -> None:
         )
 
 
-def _powers(one, step, count: int, mod: int) -> np.ndarray:
-    """Coordinate rows one * y^e for e < count (count >= 2), where step is
-    the matrix of x -> x y on coordinate rows: the first 2^k rows times
-    y^(2^k) give the next 2^k, so ceil(log2 count) products and squarings."""
-    rows = np.empty((count, len(one)), dtype=np.int64)
-    rows[0] = one
-    done = 1
-    while True:
-        k = min(done, count - done)
-        rows[done:done + k] = padic.matmul_mod(rows[:k], step, mod)
-        done += k
-        if done == count:
-            return rows
-        step = padic.matmul_mod(step, step, mod)
-
-
 class FieldTable:
     """F_{p^s}^* by discrete logarithm to a generator gen = g, L = p^s - 1.
 
@@ -170,7 +154,7 @@ class FieldTable:
         step = np.array(
             [ff.polymulmod(b, gen, field.modulus, p) for b in basis], dtype=np.int64
         )
-        coeffs = _powers(basis[0], step, L + 1, p)
+        coeffs = padic.powers(basis[0], step, L + 1, p)
         codes = coeffs[:L] @ self.codes
         # g^(e+1) is determined by g^e, so the powers are distinct up to the
         # first repeat, which therefore sits at the number of distinct powers;
@@ -219,10 +203,10 @@ class LevelTable:
         self.base, self.ring = base, ring
         s, one = ring.s, ring.one().coords
         # each power walk runs on its subring's block of the element's rep
-        tg = ring.rep(padic.teichmueller(base.gen, ring).coords)
+        tg = ring.unramified_rep(padic.teichmueller(base.gen, ring).coords[:s])
         th = ring.rep(padic.theta_one(ring).coords)
-        self.teich = _powers(one[:s], tg[:s, :s], base.L, ring.pM)
-        self.theta = _powers(one[::s], th[::s, ::s], base.field.p, ring.pM)
+        self.teich = padic.powers(one[:s], tg, base.L, ring.pM)
+        self.theta = padic.powers(one[::s], th[::s, ::s], base.field.p, ring.pM)
         for arr in (self.teich, self.theta):
             arr.flags.writeable = False
 

@@ -20,7 +20,8 @@ RingParams.rep, one matmul_mod against the b-rows and one gather.
 
 Teichmueller lifts live in the unramified subring (Z/p^M)[b]/(g), the pi^0
 row, which the product keeps closed; they are iterated there with
-finitefield's polynomial product mod (g, p^M), on s coordinates.
+finitefield's polynomial product mod (g, p^M), on s coordinates, and act
+on every pi-row through one s x s matrix (RingParams.unramified_rep).
 
 Matrices over R are (n, m, blow) coordinate arrays.  The row-layout block
 encoding at the bottom makes a matrix product the left factor's coordinate
@@ -155,6 +156,15 @@ class RingParams:
         Y = matmul_mod(x.reshape(-1, s), self._brows.reshape(s, -1), self.pM)
         out = np.take(Y.reshape(-1, 2 * blow, s), self._rep_index, axis=1)
         return out.reshape(*x.shape, blow)
+
+    def unramified_rep(self, coords) -> np.ndarray:
+        """rep for a (..., s) array of pi^0 rows, elements of the unramified
+        subring, shape (..., s, s): row j1 is b^j1 x, and y @ it multiplies
+        any pi-row y by x.  One matmul_mod against the b-rows."""
+        x = np.asarray(coords, dtype=np.int64)
+        s = self.s
+        Y = matmul_mod(x.reshape(-1, s), self._brows[:, 0].reshape(s, -1), self.pM)
+        return Y.reshape(*x.shape, s)
 
 
 @lru_cache(maxsize=None)
@@ -335,6 +345,22 @@ def teichmueller(residue, params: RingParams) -> RamifiedElement:
             return RamifiedElement(params, x + (0,) * (params.blow - s))
         x = nxt
     raise ArithmeticError("Teichmueller iteration did not stabilize")  # unreachable
+
+
+def powers(one, step, count: int, mod: int) -> np.ndarray:
+    """Coordinate rows one * y^e for e < count (count >= 1), where step is
+    the matrix of x -> x y on coordinate rows: the first 2^k rows times
+    y^(2^k) give the next 2^k, so ceil(log2 count) products and squarings."""
+    rows = np.empty((count, len(one)), dtype=np.int64)
+    rows[0] = one
+    done = 1
+    while True:
+        k = min(done, count - done)
+        rows[done:done + k] = matmul_mod(rows[:k], step, mod)
+        done += k
+        if done == count:
+            return rows
+        step = matmul_mod(step, step, mod)
 
 
 # ----------------------------------------------------------------------

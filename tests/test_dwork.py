@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -450,6 +451,23 @@ def test_truncation_stability():
         assert [c % pM for c in t2.coords] == list(t1.coords)
 
 
+@pytest.mark.parametrize("p", [257, 1021])
+def test_column_powers_take_no_element_products(p):
+    # a column's q - 1 Teichmueller powers come from the doubling walk in the
+    # unramified subring: no regular representation and, past the two
+    # a^q = a checks (square and multiply, at most 2 bit_length(q) products
+    # each), no element product
+    _, _, _, nd, twist, _, a_lifts = setup(p, 2, [[1]], [3], [0])
+    with mock.patch.object(padic.RingParams, "rep", autospec=True,
+                           side_effect=padic.RingParams.rep) as rep, \
+         mock.patch.object(padic.RingParams, "mul_coords", autospec=True,
+                           side_effect=padic.RingParams.mul_coords) as mul:
+        dwork.h_series(a_lifts, twist, 1, nd)
+        dwork.level_diagonal_sum(a_lifts, twist, 1, nd)
+    assert rep.call_count == 0
+    assert mul.call_count <= 2 * 2 * p.bit_length()
+
+
 def reference_series(a_lifts, twist, m):
     """H_m by brute force: one product c_(i_1) a_1^(i_1) ... c_(i_N) a_N^(i_N)
     per tuple with sum i_j <= the precision cut, summed per exponent, as a
@@ -491,7 +509,8 @@ def test_h_series_matches_brute_force_sweep(monkeypatch):
     # live prefix is the operator's block), the diagonal sum and the
     # diagonal fold must equal the brute-force expansion exactly; draws whose
     # box table would pass 2^20 coordinates are refused and redrawn, to keep
-    # the sweep small
+    # the sweep small.  f = 3 at p = 3 multiplies the column terms against
+    # a cubic modulus, and p = 13 at m = 1 has blow = 12
     import itertools
     import random
 
@@ -501,7 +520,9 @@ def test_h_series_matches_brute_force_sweep(monkeypatch):
     nonzero = {}  # (ring, m) -> number of nonzero splitting coefficients
     ranks = set()
     zero_columns = 0
-    for p, f, m in itertools.product((3, 5, 7), (1, 2), (1, 2)):
+    cases = [*itertools.product((3, 5, 7), (1, 2), (1, 2)),
+             (3, 3, 1), (3, 3, 2), (13, 1, 1)]
+    for p, f, m in cases:
         q = p**f
         F = ff.FqParams(p, f)
         units = per_point.elements(F)

@@ -81,6 +81,14 @@ The ``sums`` digest of x over F_257 and the ``hyp`` digest of x over F_211
 (both at M = 4) were taken while the character sum still multiplied the
 Teichmueller powers and the powers of theta(1) through blow-wide regular
 representations, before each was held on its own subring's coordinates.
+
+The ``trace``, ``sums`` and ``charpoly`` digests of x over F_257 and F_1021
+(M = 2), and those of kl_f3_a (a not in F_3, f = 3) and threecol_p5f2 (three
+columns over F_25 with a twist), were taken while each column's splitting
+terms still multiplied the q - 1 powers of its Teichmueller point, built by
+element products, through blow-wide regular representations, before the
+powers came from one doubling walk and acted on each pi-row through an
+s x s matrix of the unramified subring.
 """
 
 import hashlib
@@ -137,6 +145,15 @@ INLINE_JOBS = {
                "precision": {"M": 4, "m_max": 1}},
     "twocol_p11": {"p": 11, "A": [[1, -1, 2]], "gamma_k": [0], "a": [1, 1, 1],
                    "precision": {"M": 5, "m_max": 3}},
+    "x_p257": {"p": 257, "A": [[1]], "gamma_k": [0], "a": [1],
+               "precision": {"M": 2, "m_max": 1}},
+    "x_p1021": {"p": 1021, "A": [[1]], "gamma_k": [0], "a": [1],
+                "precision": {"M": 2, "m_max": 1}},
+    "kl_f3_a": {"p": 3, "f": 3, "A": [[1, -1]], "gamma_k": [0],
+                "a": [[0, 1, 0], [1, 1, 0]], "precision": {"M": 4, "m_max": 2}},
+    "threecol_p5f2": {"p": 5, "f": 2, "A": [[1, -1, 2]], "gamma_k": [1],
+                      "a": [[0, 1], [2, 3], [1, 1]],
+                      "precision": {"M": 4, "m_max": 2}},
     "edge_p3f2": {"p": 3, "f": 2, "A": [[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]],
                   "gamma_k": [0, 0],
                   "a": [[2, 0], [1, 0], [2, 2], [0, 2], [1, 0]]},
@@ -287,6 +304,26 @@ GOLDEN = [
      "ee97bc8d58b3184b905c1390385bffc69e97d1f168611ac079e4fc9bf56d76f2"),
     ("hyp", "x_F211",
      "d46005aa6cb6de1f75cf3634e7ec3cd41b3d694a69cf044dd5b0fd790a72e0d3"),
+    ("trace", "x_p257",
+     "f3ca3b4a1f211d3d30825c47cc5977d9476c3fba5cdde67c8ad61fb6f5ebd251"),
+    ("sums", "x_p257",
+     "fa088a0bea55f9bc63564d9e431c6c4a0c67378b944715e361410ad5e3e13d20"),
+    ("charpoly", "x_p257",
+     "ab1c31599a4abc77101f5362311ab660acff498b92d48ce860e7f6e83112893e"),
+    ("trace", "x_p1021",
+     "fc00c697831e75270f6941b3c9db89c2e99ccfd90eafbf4337a48ea5505451ce"),
+    ("charpoly", "x_p1021",
+     "5c05db5a47701f43bdefe10dcf96dbd0a7b7acd7cdb022fce9f16ba64d2383a8"),
+    ("trace", "kl_f3_a",
+     "41aeb7c6a5240679dccb483ad9001dbb5f8298884e9c94251490bd1b18fd6ebf"),
+    ("sums", "kl_f3_a",
+     "159111b43160f8f6c8fcdc4435352bfbd0daeef85683272f6f00707005e78071"),
+    ("check", "kl_f3_a",
+     "88772a296a82d33c1eec511f33fcff7d0bb9937a5049e14fccc976901fca8a18"),
+    ("trace", "threecol_p5f2",
+     "acd55bd711c725b3e6e7f16b15c7231aaf01b7017bd9dcd29fcfd30cd7910605"),
+    ("sums", "threecol_p5f2",
+     "c7fc7fa4fab52064fb0b5c58e8b17bb25e164faf51372619093045ff0af00364"),
 ]
 
 

@@ -41,6 +41,11 @@ def test_product_matches_reference(params, seed):
     x, y = (tuple(v.tolist()) for v in residues(rng, params, (2,)))
     assert params.mul_coords(x, y) == ref.mul(params, x, y)
     assert (params.rep(x) == ref.rep(params, x)).all()
+    # on the pi^0 row, rep acts on every pi-row through one s x s block
+    s = params.s
+    u = x[:s] + (0,) * (blow - s)
+    block = params.unramified_rep(np.array(u[:s]))
+    assert (np.kron(np.eye(params.p - 1, dtype=np.int64), block) == ref.rep(params, u)).all()
 
     n = int(rng.integers(1, 3))
     A, B = residues(rng, params, (n, n)), residues(rng, params, (n, n))
