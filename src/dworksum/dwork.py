@@ -67,7 +67,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import padic
+from . import finitefield as ff, padic
 from .errors import (
     BudgetExceeded,
     NotTeichmueller,
@@ -150,14 +150,23 @@ def precision_cut(params: RingParams, Q: int) -> int:
 def _checked_ring(a_lifts, twist: TwistData, nd: NewtonData) -> RingParams:
     """The common ring of the lifted coefficients, after the checks of both
     level-m kernels: one lift per column, one ring, a^q = a, gamma in the
-    cone."""
+    cone.
+
+    a^q = a is read on the pi^0 row, with no element product: the other
+    rows must be 0 and the row fixed by x -> x^q in the unramified subring,
+    which R's product keeps closed (as in teichmueller).  The tests agree:
+    if a^q = a mod p^M, the lift t of abar (a pi^0 row; 0 for abar = 0) has
+    t^q = t, and n = a - t in pi R equals (t + n)^q - t^q, a sum of terms
+    binom(q, k) t^(q-k) n^k, k >= 1, each of valuation above ord n (p | q,
+    and ord n > 0), so n = 0 mod p^M."""
     if len(a_lifts) != twist.config.N:
         raise ValueError("need one lifted coefficient per column")
     params = a_lifts[0].params
     for a in a_lifts:
         if a.params != params:
             raise ParamsMismatch("lifted coefficients live in different rings")
-        if a**twist.q != a:
+        row, rest = a.coords[:params.s], a.coords[params.s:]
+        if any(rest) or ff.polypowmod(row, twist.q, params.g, params.pM) != row:
             raise NotTeichmueller("coefficients must satisfy a^q = a")
     require_valid_twist(twist, nd)
     return params
@@ -172,6 +181,19 @@ def _require_table(params: RingParams, m: int, dims) -> None:
         raise BudgetExceeded(
             f"level-{m} series table needs {size} coordinates ({cells} cells "
             f"of {params.blow}), above the limit {TABLE_LIMIT}"
+        )
+
+
+def _require_splitting(params: RingParams, m: int, Q: int) -> None:
+    """Refuse the level-m splitting series before it is built: its i_cut + 1
+    rows of blow coordinates and of the (i_cut // Q + 1)-column factorial
+    array that padic.splitting_coefficients multiplies, above TABLE_LIMIT."""
+    i_cut = precision_cut(params, Q)
+    size = (i_cut + 1) * (i_cut // Q + 1 + params.blow)
+    if size > TABLE_LIMIT:
+        raise BudgetExceeded(
+            f"level-{m} splitting series needs {size} coordinates "
+            f"({i_cut + 1} terms), above the limit {TABLE_LIMIT}"
         )
 
 
@@ -330,11 +352,12 @@ def _require_fold_work(params: RingParams, m: int, L: int, columns) -> None:
 def require_fold_budget(params: RingParams, q: int, m: int, n: int,
                         columns) -> None:
     """Refuse the level-m diagonal fold before any work: when its table,
-    (q^m - 1)^n cells of blow coordinates, passes TABLE_LIMIT, or when at
-    any level up to m a half of the live columns (those with a_j != 0) has
-    a torus product above FOLD_LIMIT.  The table grows with m, so the
-    commands test their top level."""
+    (q^m - 1)^n cells of blow coordinates, or its splitting series passes
+    TABLE_LIMIT, or when at any level up to m a half of the live columns
+    (those with a_j != 0) has a torus product above FOLD_LIMIT.  The table
+    and the series grow with m, so the commands test their top level."""
     _require_table(params, m, (q**m - 1,) * n)
+    _require_splitting(params, m, q**m)
     for level in range(1, m + 1):
         for half in _halves(list(columns)):
             _require_fold_work(params, level, q**level - 1, half)
@@ -370,15 +393,17 @@ def level_diagonal_sum(
     is placed, with no product), and the sum is sum_c T_1[c] T_2[target - c]
     over T_1's nonzero cells: one padic.diagonal_product_sum on (K, 1, blow)
     and (1, K, blow), chunked by heads.  For N = 2 this costs O(L^n), not
-    O(L^(n+1)).  Same checks and table limit as h_series; a half of two or
-    more columns is refused above FOLD_LIMIT (_require_fold_work) before
-    any work.
+    O(L^(n+1)).  Same checks and table limit as h_series; a splitting
+    series above that limit (_require_splitting), or a half of two or more
+    columns above FOLD_LIMIT (_require_fold_work), is refused before any
+    work.
     """
     config = twist.config
     params = _checked_ring(a_lifts, twist, nd)
     L = twist.q**m - 1
     dims = (L,) * config.n
     _require_table(params, m, dims)
+    _require_splitting(params, m, L + 1)
     live = [(a, w) for a, w in zip(a_lifts, config.columns) if not a.is_zero()]
     halves = _halves(live)
     for half in halves:

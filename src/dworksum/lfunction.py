@@ -528,44 +528,54 @@ def l_series_from_sums(sums, m_max: int) -> PowerSeriesT:
     if m_max < 1 or len(sums) < m_max:
         raise ValueError("need S_m for every m <= m_max")
     params = sums[0][0].params
+    reps = params.rep(_rows(params, [S for S, _ in sums[:m_max]]))
     coeffs = [params.one()]
     precs = [Fraction(params.M)]
     for k in range(1, m_max + 1):
-        acc = params.zero()
+        acc = _dot_reversed(params, coeffs, reps[:k])
         prec = Fraction(params.M)
         for m in range(1, k + 1):
-            S, sp = sums[m - 1]
-            acc = acc + S * coeffs[k - m]
-            prec = min(prec, sp, precs[k - m])
+            prec = min(prec, sums[m - 1][1], precs[k - m])
         val, lost = divide_by_int(acc, k)
         coeffs.append(val)
         precs.append(prec - lost)
     return PowerSeriesT(params, coeffs, precs)
 
 
+def _rows(params, elements) -> np.ndarray:
+    """The coordinate rows of a list of elements, (len(elements), blow)."""
+    return np.array([x.coords for x in elements], dtype=np.int64).reshape(-1, params.blow)
+
+
+def _dot_reversed(params, xs, reps) -> RamifiedElement:
+    """sum over j <= k of xs[-j] y_j, for reps the (k, blow, blow) reps of
+    y_1..y_k, k <= len(xs): one matmul_mod of the rows xs[-1], ..., xs[-k]
+    against the stacked reps."""
+    rows = _rows(params, xs[len(xs) - len(reps):][::-1]).reshape(-1)
+    return params.from_coords(
+        padic.matmul_mod(rows, reps.reshape(-1, params.blow), params.pM))
+
+
 def _mul_trunc(params, a, b, order):
-    out = [params.zero() for _ in range(order + 1)]
-    for i, x in enumerate(a):
-        if i > order or x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if i + j > order:
-                break
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return out
+    """The product of two series through T^order: every b_j a_i at once, as
+    b's coordinate rows times the reps of a's, summed along i + j."""
+    blow = params.blow
+    A, B = _rows(params, a[:order + 1]), _rows(params, b[:order + 1])
+    reps = params.rep(A).transpose(1, 0, 2).reshape(blow, -1)
+    products = padic.matmul_mod(B, reps, params.pM).reshape(len(B), len(A), blow)
+    out = np.zeros((order + 1, blow), dtype=np.int64)
+    for j, row in enumerate(products):
+        out[j:j + len(A)] += row[:order + 1 - j]
+    return [params.from_coords(c) for c in out]
 
 
 def _inv_trunc(params, a, order):
     if a[0] != params.one():
         raise NonUnitConstantTerm("series inversion needs constant term 1")
-    out = [params.one()] + [params.zero()] * order
+    reps = params.rep(_rows(params, a[1:order + 1]))
+    out = [params.one()]
     for k in range(1, order + 1):
-        acc = params.zero()
-        for j in range(1, min(k, len(a) - 1) + 1):
-            if not a[j].is_zero():
-                acc = acc + a[j] * out[k - j]
-        out[k] = -acc
+        out.append(-_dot_reversed(params, out, reps[:k]))
     return out
 
 
@@ -585,11 +595,8 @@ def l_from_charseries(
     den = [params.one()]
     for k in range(n + 1):
         s = q ** (n - k)
-        scaled = []
-        for i, c in enumerate(P):
-            if i > m_max:
-                break
-            scaled.append(c * pow(s, i, params.pM))
+        # _mul_trunc reads no coefficient past T^m_max
+        scaled = [c * pow(s, i, params.pM) for i, c in enumerate(P)]
         # exponent (-1)^(k+1) binom(n, k): odd k contributes to the numerator
         for _ in range(comb(n, k)):
             if k % 2 == 1:
@@ -657,7 +664,7 @@ def rational_recognition(series: PowerSeriesT, expected_degree: int, n: int):
 class NewtonPolygon:
     """Lower convex hull of (i, ord c_i); slopes listed with multiplicity.
 
-    flagged lists interior indices whose coefficient is indistinguishable
+    flagged lists the indices i > 0 whose coefficient is indistinguishable
     from zero at working precision (they cannot pull the hull down below the
     precision ceiling, and are reported rather than silently trusted)."""
 
@@ -674,9 +681,7 @@ def newton_polygon(poly: LPolynomial) -> NewtonPolygon:
     for i, c in enumerate(poly.coeffs):
         o = padic.pi_ord(c)
         if o.at_least_precision:
-            if 0 < i < poly.degree():
-                flagged.append(i)
-            elif i == poly.degree():
+            if i > 0:
                 flagged.append(i)
             continue
         pts.append((i, o.value))

@@ -14,9 +14,9 @@ Conventions
   {pi^i b^j} is an orthogonal basis of the free (Z/p^M)-module R.
 
 The product is defined by its two relations, pi^(p-1) = -p and the b-rows
-b^k mod g, k <= 2s - 2; nothing of size blow^3 is built.  Element products
-(RingParams.mul_coords) are pure Python; arrays of elements multiply through
-RingParams.rep, one matmul_mod against the b-rows and one gather.
+b^k mod g, k <= 2s - 2; nothing of size blow^3 is built.  RingParams.rep,
+one matmul_mod against the b-rows and one gather, is its one implementation:
+an element product is a coordinate row times the other factor's rep.
 
 Teichmueller lifts live in the unramified subring (Z/p^M)[b]/(g), the pi^0
 row, which the product keeps closed; they are iterated there with
@@ -114,38 +114,6 @@ class RingParams:
         shift = 2 * ((i3 - i1) % (self.p - 1)) + (i3 < i1)
         return shift[:, None, :] * self.s + np.arange(self.s)[:, None]
 
-    def mul_coords(self, x: tuple, y: tuple) -> tuple:
-        """Coordinates of the product x y: the convolution over pi-rows of
-        width w = 2s - 1, folded by pi^(p-1) = -p as it accumulates, then
-        the b-degrees >= s of each pi-row reduced through the b-rows."""
-        p, s, pM = self.p, self.s, self.pM
-        w = 2 * s - 1
-        span = (p - 1) * w
-        # ext: -p times the pi-rows of y, then the pi-rows, each of width w;
-        # pi^i1 b^j1 y adds the rows from p - 1 - i1 on at offset j1
-        ext = [-p * v for v in y]
-        ext += y
-        if s > 1:
-            ext, flat = [0] * (2 * span), ext
-            for c in range(s):
-                ext[c::w] = flat[c::s]
-        conv = [0] * (span + s - 1)
-        for a, xa in enumerate(x):
-            if xa:
-                i1, j1 = divmod(a, s)
-                lo = (p - 1 - i1) * w
-                conv[j1:j1 + span] = [u + xa * v for u, v in
-                                      zip(conv[j1:j1 + span], ext[lo:lo + span])]
-        if s > 1:  # b^k, s <= k <= 2s - 2, through its b-row
-            for k, row in enumerate(self._brows[s - 1, 0, 1:].tolist(), s):
-                for c, f in enumerate(row):
-                    conv[c:span:w] = [u + f * v for u, v in
-                                      zip(conv[c:span:w], conv[k::w])]
-        out = [0] * self.blow
-        for c in range(s):
-            out[c::s] = [v % pM for v in conv[c:span:w]]
-        return tuple(out)
-
     def rep(self, coords) -> np.ndarray:
         """Regular representations of a (..., blow) array of residues, shape
         (..., blow, blow): y @ rep(x) is the coordinate row of y x.  Row
@@ -226,9 +194,9 @@ class RamifiedElement:
                 self.params, tuple((a * other) % pM for a in self.coords)
             )
         self._check(other)
-        return RamifiedElement(
-            self.params, self.params.mul_coords(self.coords, other.coords)
-        )
+        params = self.params
+        row = matmul_mod(np.array(other.coords), params.rep(self.coords), params.pM)
+        return RamifiedElement(params, tuple(row.tolist()))
 
     __rmul__ = __mul__
 

@@ -436,6 +436,23 @@ def test_trace_refuses_a_long_two_column_half_fast(tmp_path, capsys):
     assert f"level-4 torus product of 2 columns moves {work}" in err
 
 
+def test_trace_refuses_a_long_splitting_series_fast(tmp_path, capsys):
+    # x over F_3 at M = 8: the level-11 splitting series has i_cut + 1 =
+    # 2,125,765 terms, each a row of 2 coordinates and of the 13-column
+    # factorial array, about 4 s and 0.55 GB to build; its fold table,
+    # 3^11 - 1 cells of 2, is within budget.  Level 10 (a third) runs
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(
+        {"p": 3, "A": [[1]], "gamma_k": [0], "a": [1],
+         "precision": {"M": 8, "m_max": 11}}
+    ))
+    start = time.perf_counter()
+    assert cli.main(["trace", "--job", str(job)]) == 4
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert f"level-11 splitting series needs {2125765 * 15} coordinates" in err
+
+
 def test_trace_beyond_desk_scale():
     # A = I_3, p = 7, M = 5: the level-2 box would need 287^3 cells of 6
     # coordinates; the diagonal fold needs 48^3 of them

@@ -86,9 +86,44 @@ def test_h_series_kloosterman_pairing():
 
 
 def test_h_series_rejects_non_teichmueller():
-    params, F, config, nd, twist, _, _ = setup(3, 4, [[1]], [1], [0])
+    import random
+
+    params, F, config, nd, twist, _, a_lifts = setup(3, 4, [[1]], [1], [0])
+    lift = a_lifts[0]
+    for a in (params.from_int(2),  # 2^3 != 2 mod 81
+              lift + params.pi(), lift + params.from_int(3**3)):
+        with pytest.raises(NotTeichmueller):
+            dwork.h_series([a], twist, 1, nd)
+    # the lift of b in F_9 has a^9 = a but not a^3 = a
     with pytest.raises(NotTeichmueller):
-        dwork.h_series([params.from_int(2)], twist, 1, nd)  # 2^3 != 2 mod 81
+        dwork.h_series([padic.teichmueller((0, 1), padic.ring_create(3, 2, 4))],
+                       twist, 1, nd)
+    # the check reads the pi^0 row only; on a seeded draw of lifts, lifts
+    # with one coordinate moved, and arbitrary elements over (p, s, M) and
+    # q = p^f, it accepts exactly the a with a^q = a
+    rng = random.Random(3131)
+    seen = set()
+    for p, s, M, f in [(3, 1, 4, 1), (3, 2, 3, 1), (3, 2, 3, 2), (5, 2, 3, 1),
+                       (5, 2, 3, 2), (7, 1, 3, 1)]:
+        params = padic.ring_create(p, s, M)
+        twist = dwork.TwistData(config, [0], p**f)
+        for _ in range(20):
+            a = padic.teichmueller(tuple(rng.randrange(p) for _ in range(s)), params)
+            kind = rng.randrange(3)
+            if kind == 1:
+                moved = [0] * params.blow
+                moved[rng.randrange(params.blow)] = p ** rng.randrange(M) * rng.randrange(1, p)
+                a = a + params.from_coords(moved)
+            elif kind == 2:
+                a = params.from_coords([rng.randrange(params.pM) for _ in range(params.blow)])
+            try:
+                dwork._checked_ring([a], twist, nd)
+                accepted = True
+            except NotTeichmueller:
+                accepted = False
+            assert accepted == (a**twist.q == a), (p, s, M, f, a)
+            seen.add(accepted)
+    assert seen == {True, False}
 
 
 def test_level_diagonal_sum_checks_and_budget():
@@ -454,18 +489,17 @@ def test_truncation_stability():
 @pytest.mark.parametrize("p", [257, 1021])
 def test_column_powers_take_no_element_products(p):
     # a column's q - 1 Teichmueller powers come from the doubling walk in the
-    # unramified subring: no regular representation and, past the two
-    # a^q = a checks (square and multiply, at most 2 bit_length(q) products
-    # each), no element product
+    # unramified subring, and a^q = a is checked there too: no regular
+    # representation and no element product
     _, _, _, nd, twist, _, a_lifts = setup(p, 2, [[1]], [3], [0])
     with mock.patch.object(padic.RingParams, "rep", autospec=True,
                            side_effect=padic.RingParams.rep) as rep, \
-         mock.patch.object(padic.RingParams, "mul_coords", autospec=True,
-                           side_effect=padic.RingParams.mul_coords) as mul:
+         mock.patch.object(padic.RamifiedElement, "__mul__", autospec=True,
+                           side_effect=padic.RamifiedElement.__mul__) as mul:
         dwork.h_series(a_lifts, twist, 1, nd)
         dwork.level_diagonal_sum(a_lifts, twist, 1, nd)
     assert rep.call_count == 0
-    assert mul.call_count <= 2 * 2 * p.bit_length()
+    assert mul.call_count == 0
 
 
 def reference_series(a_lifts, twist, m):

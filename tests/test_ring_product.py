@@ -1,8 +1,9 @@
 """R's product, built by padic from its two relations, against the
 convolution of ``ring_reference``: element products, regular
-representations, the row-layout block encoding and the diagonal product sum
-agree exactly on a seeded sweep over (p, s, M) with p^M < 2^34, and on
-sampled rows of rings with blow up to 262."""
+representations, the row-layout block encoding, the diagonal product sum
+and truncated series products agree exactly on a seeded sweep over
+(p, s, M) with p^M < 2^34, and on sampled rows of rings with blow up to
+262."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ring_reference as ref
-from dworksum import padic
+from dworksum import lfunction as lf, padic
 
 SWEEP = dict(deadline=None, derandomize=True, database=None,
              suppress_health_check=[HealthCheck.too_slow])
@@ -39,7 +40,7 @@ def test_product_matches_reference(params, seed):
     rng = np.random.default_rng(seed)
     blow, pM = params.blow, params.pM
     x, y = (tuple(v.tolist()) for v in residues(rng, params, (2,)))
-    assert params.mul_coords(x, y) == ref.mul(params, x, y)
+    assert (params.from_coords(x) * params.from_coords(y)).coords == ref.mul(params, x, y)
     assert (params.rep(x) == ref.rep(params, x)).all()
     # on the pi^0 row, rep acts on every pi-row through one s x s block
     s = params.s
@@ -64,6 +65,22 @@ def test_product_matches_reference(params, seed):
             total = [(a + b) % pM for a, b in zip(total, prod)]
     assert padic.diagonal_product_sum(params, A, B).tolist() == total
 
+    # a truncated series product is every b_j a_i at once, summed along i + j
+    la, lb, order = (int(v) for v in rng.integers(1, 5, size=3))
+    a, b = residues(rng, params, (la,)), residues(rng, params, (lb,))
+    want = [[0] * blow for _ in range(order + 1)]
+    for i in range(la):
+        for j in range(min(lb, order + 1 - i)):
+            prod = ref.mul(params, tuple(a[i].tolist()), tuple(b[j].tolist()))
+            want[i + j] = [(u + v) % pM for u, v in zip(want[i + j], prod)]
+    got = lf._mul_trunc(params, [params.from_coords(x) for x in a],
+                        [params.from_coords(y) for y in b], order)
+    assert [list(c.coords) for c in got] == want
+    # and a series with constant term 1 times its truncated inverse is 1
+    unit = [params.one()] + got[1:]
+    inverse = lf._inv_trunc(params, unit, order)
+    assert lf._mul_trunc(params, unit, inverse, order) == [params.one()] + [params.zero()] * order
+
 
 # blow = 256, 262 and 104: a dense (blow, blow^2) table would hold 16.8 M,
 # 18.0 M and 1.1 M coordinates
@@ -76,7 +93,7 @@ def test_product_at_large_blow(p, s, M):
     blow = params.blow
     rng = np.random.default_rng(p)
     x, y = (tuple(v.tolist()) for v in residues(rng, params, (2,)))
-    assert params.mul_coords(x, y) == ref.mul(params, x, y)
+    assert (params.from_coords(x) * params.from_coords(y)).coords == ref.mul(params, x, y)
     # rows of rep(x) are e_a x: the first and last pi-rows, where every
     # block folds, and a sample between
     reps = params.rep(np.array([x, y]))
